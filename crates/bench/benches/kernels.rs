@@ -27,6 +27,8 @@ use qc_math::haar_unitary;
 use qc_sim::{run_batch, Statevector};
 use qc_synth::{synthesize_two_qubit, OneQubitEuler, TwoQubitWeyl};
 use qc_transpile::routing::route;
+use qc_transpile::unroll::Unroller;
+use qc_transpile::Pass;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -217,7 +219,7 @@ fn bench_kernels(c: &mut Criterion) {
     let qv = {
         let mut c = quantum_volume(8, 3);
         // The router needs ≤2-qubit gates: pre-unroll the SU(4) blocks.
-        qc_transpile::preset::stage_unroll_device(&mut c).unwrap();
+        Unroller::to_device_basis().run(&mut c).unwrap();
         let mut wide = Circuit::new(backend.num_qubits());
         wide.extend(&c);
         wide

@@ -20,15 +20,12 @@
 use crate::qbo::Qbo;
 use crate::qpo::Qpo;
 use qc_backends::Backend;
-use qc_circuit::{Circuit, Dag};
-use qc_transpile::guard::{catch_stage, run_stage, PassGuard};
-use qc_transpile::manager::{FixedPointLoop, PassStats, PropertySet};
+use qc_circuit::Circuit;
+use qc_transpile::manager::PassStats;
 use qc_transpile::optimize_1q::Optimize1qGates;
-use qc_transpile::preset::{
-    dag_stage_layout, dag_stage_route_budgeted, fixpoint_passes, Transpiled,
-};
+use qc_transpile::preset::{run_pipeline, Stage, Transpiled};
 #[cfg(any(test, feature = "reference-oracles"))]
-use qc_transpile::preset::{
+use qc_transpile::reference::{
     stage_fixpoint_loop, stage_layout, stage_optimize_1q, stage_route, stage_unroll_device,
     stage_unroll_extended,
 };
@@ -105,6 +102,23 @@ impl RpoOptions {
         self.enable_qpo = false;
         self
     }
+
+    /// The QBO and QPO configurations these options select.
+    fn passes(&self) -> (Qbo, Qpo) {
+        let qbo = if self.phase_relaxed {
+            Qbo::phase_relaxed()
+        } else if self.extended_rules {
+            Qbo::with_extended_rules()
+        } else {
+            Qbo::new()
+        };
+        let qpo = if self.enable_block_qpo {
+            Qpo::new()
+        } else {
+            Qpo::without_block_optimization()
+        };
+        (qbo, qpo)
+    }
 }
 
 /// Transpiles with the RPO-extended level-3 pipeline of Fig. 8.
@@ -134,10 +148,8 @@ pub fn transpile_rpo(
     transpile_rpo_instrumented(circuit, backend, opts).map(|(t, _)| t)
 }
 
-/// [`transpile_rpo`] with per-pass execution statistics, DAG-native: one
-/// circuit→dag conversion, every Fig. 8 stage mutating the shared IR in
-/// place (QBO/QPO included), the change-driven fixed-point loop, and one
-/// dag→circuit conversion at the end.
+/// [`transpile_rpo`] with per-pass execution statistics: the Fig. 8
+/// stage list over [`run_pipeline`], QBO/QPO included.
 ///
 /// # Errors
 ///
@@ -147,149 +159,46 @@ pub fn transpile_rpo_instrumented(
     backend: &Backend,
     opts: &RpoOptions,
 ) -> Result<(Transpiled, Vec<PassStats>), TranspileError> {
-    let qbo = if opts.phase_relaxed {
-        Qbo::phase_relaxed()
-    } else if opts.extended_rules {
-        Qbo::with_extended_rules()
-    } else {
-        Qbo::new()
-    };
-    let qpo = if opts.enable_block_qpo {
-        Qpo::new()
-    } else {
-        Qpo::without_block_optimization()
-    };
-    let mut guard = PassGuard::new(opts.base.budget).with_predisabled(opts.base.disabled_passes);
-    guard.check_qubits(circuit.num_qubits())?;
-    qc_transpile::preset::validate_input(circuit)?;
-    // The single circuit→dag conversion of the pipeline.
-    let mut dag = Dag::from_circuit(circuit);
-    guard.check_gates(&dag)?;
-    let mut props = PropertySet::new();
-    let mut stats: Vec<PassStats> = Vec::new();
-    // 1: early QBO on the abstract circuit (sees ccx/mcx/cswap intact).
+    let (qbo, qpo) = opts.passes();
+    let device = Unroller::to_device_basis();
+    let extended = Unroller::to_extended_basis();
     // QBO/QPO are optional optimization stages: skipped past the deadline,
     // quarantined on failure — the rest of the pipeline still produces a
     // device-ready circuit.
+    let mut before_layout = Vec::new();
+    // 1: early QBO on the abstract circuit (sees ccx/mcx/cswap intact).
     if opts.enable_qbo && opts.early_qbo {
-        run_stage(
-            &mut guard,
-            "QBO(early)",
-            &qbo,
-            &mut dag,
-            &mut props,
-            &mut stats,
-            true,
-        )?;
+        before_layout.push(Stage::optional("QBO(early)", &qbo));
     }
-    // 2: unroll to the device basis (mandatory).
-    run_stage(
-        &mut guard,
-        "Unroller(device)",
-        &Unroller::to_device_basis(),
-        &mut dag,
-        &mut props,
-        &mut stats,
-        false,
-    )?;
-    // 3: layout (dense, as in level 3).
-    let layout = catch_stage("layout", || dag_stage_layout(&mut dag, backend, 3))?;
-    // 4: routing (inserts SWAP gates; extra trials skipped past deadline).
-    let snapshot = guard.snapshot();
-    let (wire_map, trials_run) = catch_stage("routing", || {
-        dag_stage_route_budgeted(
-            &mut dag,
-            backend,
-            opts.base.seed,
-            opts.base.routing_trials,
-            snapshot,
-        )
-    })?;
-    if trials_run < opts.base.routing_trials.max(1) {
-        guard.note_deadline("routing trials");
-    }
-    guard.check_gates(&dag)?;
+    // 2: unroll to the device basis; 3 and 4 (dense layout, as in level 3,
+    // and routing, which inserts SWAP gates) are the driver's.
+    before_layout.push(Stage::mandatory("Unroller(device)", &device));
+    let mut after_routing = Vec::new();
     // 5: QBO again — the inserted SWAPs meet ancilla/ground-state wires.
     if opts.enable_qbo {
-        run_stage(
-            &mut guard,
-            "QBO(post-route)",
-            &qbo,
-            &mut dag,
-            &mut props,
-            &mut stats,
-            true,
-        )?;
+        after_routing.push(Stage::optional("QBO(post-route)", &qbo));
     }
     // 6: unroll keeping swap/swapz visible to QPO (mandatory: swaps must
     // not survive to the device).
-    run_stage(
-        &mut guard,
-        "Unroller(extended)",
-        &Unroller::to_extended_basis(),
-        &mut dag,
-        &mut props,
-        &mut stats,
-        false,
-    )?;
+    after_routing.push(Stage::mandatory("Unroller(extended)", &extended));
     // 7: merge single-qubit runs so QPO sees clean u-gates.
-    run_stage(
-        &mut guard,
-        "Optimize1qGates",
-        &Optimize1qGates,
-        &mut dag,
-        &mut props,
-        &mut stats,
-        true,
-    )?;
+    after_routing.push(Stage::optional("Optimize1qGates", &Optimize1qGates));
     // 8: QPO.
     if opts.enable_qpo {
-        run_stage(
-            &mut guard, "QPO", &qpo, &mut dag, &mut props, &mut stats, true,
-        )?;
+        after_routing.push(Stage::optional("QPO", &qpo));
     }
     // 9: the level-3 fixed-point loop (consolidation included), after
-    // lowering any remaining swap/swapz to CNOTs (mandatory).
-    run_stage(
-        &mut guard,
-        "Unroller(device)",
-        &Unroller::to_device_basis(),
-        &mut dag,
-        &mut props,
-        &mut stats,
-        false,
-    )?;
-    run_stage(
-        &mut guard,
-        "Optimize1qGates",
-        &Optimize1qGates,
-        &mut dag,
-        &mut props,
-        &mut stats,
-        true,
-    )?;
-    let mut fp = FixedPointLoop::new(fixpoint_passes(true), dag.num_qubits());
-    if !opts.base.interest_filtering {
-        fp = fp.without_interest_filtering();
-    }
-    fp.run_guarded(&mut dag, &mut props, 10, &mut guard)?;
-    stats.extend(fp.stats);
-    if guard.deadline_exceeded() {
-        // Record the overrun even when no pass was individually skipped
-        // (e.g. the last pass itself blew the deadline).
-        guard.note_deadline("pipeline end");
-    }
-    let final_map = layout.iter().map(|&w| wire_map[w]).collect();
-    // The single dag→circuit conversion of the pipeline.
-    let c = dag.to_circuit();
-    Ok((
-        Transpiled {
-            circuit: c,
-            final_map,
-            degradation: guard.into_report(),
-        },
-        stats,
-    ))
+    // lowering any remaining swap/swapz to CNOTs.
+    after_routing.extend([
+        Stage::mandatory("Unroller(device)", &device),
+        Stage::optional("Optimize1qGates", &Optimize1qGates),
+        Stage::FixedPoint { consolidate: true },
+    ]);
+    let base = TranspileOptions {
+        level: 3,
+        ..opts.base
+    };
+    run_pipeline(circuit, backend, &base, &before_layout, &after_routing)
 }
 
 /// The pre-refactor [`transpile_rpo`]: circuit-cloning stages and the
@@ -306,18 +215,7 @@ pub fn transpile_rpo_reference(
     backend: &Backend,
     opts: &RpoOptions,
 ) -> Result<Transpiled, TranspileError> {
-    let qbo = if opts.phase_relaxed {
-        Qbo::phase_relaxed()
-    } else if opts.extended_rules {
-        Qbo::with_extended_rules()
-    } else {
-        Qbo::new()
-    };
-    let qpo = if opts.enable_block_qpo {
-        Qpo::new()
-    } else {
-        Qpo::without_block_optimization()
-    };
+    let (qbo, qpo) = opts.passes();
     let mut c = circuit.clone();
     // 1: early QBO on the abstract circuit (sees ccx/mcx/cswap intact).
     if opts.enable_qbo && opts.early_qbo {

@@ -380,10 +380,6 @@ impl Qbo {
 }
 
 impl Pass for Qbo {
-    fn name(&self) -> &'static str {
-        "QBO"
-    }
-
     fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
         let expansions = self.expand_stream(circuit.instructions().iter(), circuit.num_qubits())?;
         let mut out: Vec<Instruction> = Vec::with_capacity(circuit.len());

@@ -170,10 +170,6 @@ fn expand_stream<'a>(
 }
 
 impl Pass for Qpo {
-    fn name(&self) -> &'static str {
-        "QPO"
-    }
-
     fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
         // Phase 1: per-instruction rewrites driven by the running analysis.
         let expansions = expand_stream(circuit.instructions().iter(), circuit.num_qubits());

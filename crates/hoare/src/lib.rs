@@ -20,12 +20,12 @@
 //! reported with that caveat in EXPERIMENTS.md.
 
 use qc_backends::Backend;
-use qc_circuit::{Circuit, Gate, Instruction};
-use qc_transpile::preset::{
-    stage_fixpoint_loop, stage_layout, stage_optimize_1q, stage_route, stage_unroll_device,
-    Transpiled,
-};
-use qc_transpile::{Pass, TranspileError, TranspileOptions};
+use qc_circuit::{ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
+use qc_transpile::optimize_1q::Optimize1qGates;
+use qc_transpile::preset::{run_pipeline, Stage, Transpiled};
+use qc_transpile::unroll::Unroller;
+use qc_transpile::{DagPass, Pass, PassInterest, PropertySet, TranspileError, TranspileOptions};
+use std::collections::VecDeque;
 
 /// Classical knowledge about one qubit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -200,18 +200,27 @@ fn diag_residual(g: &Gate) -> Gate {
     }
 }
 
-impl Pass for HoareOptimizer {
-    fn name(&self) -> &'static str {
-        "HoareOptimizer"
-    }
-
-    fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
-        let mut st = vec![Classical::Value(false); circuit.num_qubits()];
-        let mut out: Vec<Instruction> = Vec::with_capacity(circuit.len());
-        for inst in circuit.instructions() {
-            let mut queue = std::collections::VecDeque::new();
+impl HoareOptimizer {
+    /// The rewrite core shared by the [`Pass`] and [`DagPass`] impls: one
+    /// forward sweep of the classical-predicate automaton over `insts`.
+    /// Entry `i` is `None` when instruction `i` stays as it is, or the
+    /// instructions replacing it.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a rewrite chain does not terminate (a bug).
+    fn expand_stream<'a>(
+        insts: impl Iterator<Item = &'a Instruction>,
+        num_qubits: usize,
+    ) -> Result<Vec<Option<Vec<Instruction>>>, TranspileError> {
+        let mut st = vec![Classical::Value(false); num_qubits];
+        let mut out = Vec::new();
+        for inst in insts {
+            let mut queue = VecDeque::new();
             queue.push_back(inst.clone());
             let mut budget = 64usize;
+            let mut kept = Vec::new();
+            let mut rewritten = false;
             while let Some(cur) = queue.pop_front() {
                 if budget == 0 {
                     return Err(TranspileError::Internal(
@@ -221,15 +230,31 @@ impl Pass for HoareOptimizer {
                 budget -= 1;
                 match Self::rewrite(&cur, &st) {
                     Some(replacement) => {
+                        rewritten = true;
                         for r in replacement.into_iter().rev() {
                             queue.push_front(r);
                         }
                     }
                     None => {
                         Self::transition(&mut st, &cur.gate, &cur.qubits);
-                        out.push(cur);
+                        kept.push(cur);
                     }
                 }
+            }
+            out.push(rewritten.then_some(kept));
+        }
+        Ok(out)
+    }
+}
+
+impl Pass for HoareOptimizer {
+    fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
+        let expansions = Self::expand_stream(circuit.instructions().iter(), circuit.num_qubits())?;
+        let mut out: Vec<Instruction> = Vec::with_capacity(circuit.len());
+        for (inst, exp) in circuit.instructions().iter().zip(expansions) {
+            match exp {
+                None => out.push(inst.clone()),
+                Some(kept) => out.extend(kept),
             }
         }
         circuit.set_instructions(out);
@@ -237,11 +262,46 @@ impl Pass for HoareOptimizer {
     }
 }
 
+impl DagPass for HoareOptimizer {
+    fn name(&self) -> &'static str {
+        "HoareOptimizer"
+    }
+
+    fn preserves_unitary(&self) -> bool {
+        // Removing a gate that acts trivially on the known classical state
+        // changes the unitary; only behavior from |0…0⟩ is preserved.
+        false
+    }
+
+    fn interest(&self) -> PassInterest {
+        // The classical predicates flow along wires (and across them
+        // through cx/swap), so any change anywhere can enable a rewrite.
+        PassInterest::all_wires()
+    }
+
+    fn run_on_dag(
+        &self,
+        dag: &mut Dag,
+        _props: &mut PropertySet,
+    ) -> Result<ChangeReport, TranspileError> {
+        let ids: Vec<usize> = dag.iter().map(|(id, _)| id).collect();
+        let expansions = Self::expand_stream(dag.iter().map(|(_, i)| i), dag.num_qubits())?;
+        let mut edit = DagEdit::new();
+        for (id, exp) in ids.into_iter().zip(expansions) {
+            if let Some(kept) = exp {
+                edit.replace(id, kept);
+            }
+        }
+        Ok(dag.apply(edit))
+    }
+}
+
 /// Level-3 transpilation with the Hoare pass appended — the paper's
 /// `hoare` comparison column ("we append the hoare logic pass to the level
 /// 3 pass manager"). Exactly as in the paper, the pass runs *after* the
 /// full level-3 pipeline, on unrolled, routed gates; it therefore only ever
-/// sees `u`-gates, CNOTs and the decomposed routing SWAPs.
+/// sees `u`-gates, CNOTs and the decomposed routing SWAPs. The level is
+/// fixed at 3 whatever `opts.level` says.
 ///
 /// # Errors
 ///
@@ -251,24 +311,22 @@ pub fn transpile_hoare(
     backend: &Backend,
     opts: &TranspileOptions,
 ) -> Result<Transpiled, TranspileError> {
-    let pass = HoareOptimizer::new();
-    let mut c = circuit.clone();
-    stage_unroll_device(&mut c)?;
-    let layout = stage_layout(&mut c, backend, 3)?;
-    let wire_map = stage_route(&mut c, backend, opts.seed, opts.routing_trials)?;
-    stage_unroll_device(&mut c)?;
-    stage_optimize_1q(&mut c)?;
-    stage_fixpoint_loop(&mut c, true)?;
-    // The appended Hoare pass, plus the cleanup its removals enable.
-    pass.run(&mut c)?;
-    stage_optimize_1q(&mut c)?;
-    stage_fixpoint_loop(&mut c, true)?;
-    let final_map = layout.iter().map(|&w| wire_map[w]).collect();
-    Ok(Transpiled {
-        circuit: c,
-        final_map,
-        degradation: qc_transpile::DegradationReport::default(),
-    })
+    let device = Unroller::to_device_basis();
+    let unroll = Stage::mandatory("Unroller(device)", &device);
+    let optimize_1q = Stage::optional("Optimize1qGates", &Optimize1qGates);
+    let fixpoint = Stage::FixedPoint { consolidate: true };
+    let hoare = HoareOptimizer::new();
+    let after_routing = [
+        unroll,
+        optimize_1q,
+        fixpoint,
+        // The appended Hoare pass, plus the cleanup its removals enable.
+        Stage::optional("HoareOptimizer", &hoare),
+        optimize_1q,
+        fixpoint,
+    ];
+    let opts = TranspileOptions { level: 3, ..*opts };
+    run_pipeline(circuit, backend, &opts, &[unroll], &after_routing).map(|(t, _)| t)
 }
 
 #[cfg(test)]

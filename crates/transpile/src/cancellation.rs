@@ -19,10 +19,6 @@ fn is_self_inverse_1q(g: &Gate) -> bool {
 }
 
 impl Pass for CxCancellation {
-    fn name(&self) -> &'static str {
-        "CxCancellation"
-    }
-
     fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
         // Iterate until no more cancellations fire.
         for _ in 0..64 {

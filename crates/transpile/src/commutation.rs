@@ -148,10 +148,6 @@ fn plan_merges<'a>(
 }
 
 impl Pass for CommutativeCancellation {
-    fn name(&self) -> &'static str {
-        "CommutativeCancellation"
-    }
-
     fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
         let n = circuit.num_qubits();
         let insts = circuit.instructions().to_vec();

@@ -230,10 +230,6 @@ fn plan_consolidation(
 }
 
 impl Pass for ConsolidateBlocks {
-    fn name(&self) -> &'static str {
-        "ConsolidateBlocks"
-    }
-
     fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
         let dag = Dag::from_circuit(circuit);
         // Pair detection shared with QPO's block rewrite and the fusion

@@ -515,8 +515,8 @@ impl PassGuard {
 }
 
 /// Runs a straight-line pipeline stage under the guard, appending its
-/// statistics — the guarded counterpart of [`crate::manager::run_named`]
-/// used by the instrumented pipelines' prefix stages.
+/// statistics under `label` — how [`crate::preset::run_pipeline`] runs a
+/// [`crate::preset::Stage::Pass`].
 ///
 /// # Errors
 ///
@@ -534,13 +534,6 @@ pub fn run_stage(
     guard.run_pass(label, pass, dag, props, &mut s, optional)?;
     stats.push(s);
     Ok(())
-}
-
-/// The gate-level issue in an input circuit's instruction, if any — the
-/// same predicate the post-pass validator applies, reused by the
-/// pipelines' input validation.
-pub fn input_issue(gate: &Gate) -> Option<String> {
-    gate_issue(gate)
 }
 
 /// Renders a `catch_unwind` payload as text.
@@ -624,8 +617,9 @@ fn validate_dag(dag: &Dag, u_before: Option<&Matrix>) -> Result<(), String> {
 }
 
 /// Gate-level validity: finite parameters, embedded matrices actually
-/// unitary. Cheap (parameters only) except for the rare matrix gates.
-fn gate_issue(gate: &Gate) -> Option<String> {
+/// unitary. Cheap (parameters only) except for the rare matrix gates. The
+/// post-pass validator and the pipelines' input validation share it.
+pub(crate) fn gate_issue(gate: &Gate) -> Option<String> {
     let finite = |vals: &[f64]| vals.iter().all(|v| v.is_finite());
     match gate {
         Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::U1(t) | Gate::Cp(t) => {

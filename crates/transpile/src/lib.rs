@@ -16,12 +16,13 @@
 //! ```
 //!
 //! This crate provides everything except the RPO passes themselves: the
-//! [`Pass`] abstraction, the [`unroll::Unroller`], [`optimize_1q`],
+//! [`DagPass`] abstraction, the [`unroll::Unroller`], [`optimize_1q`],
 //! [`cancellation`], [`consolidate`] (Collect2qBlocks + ConsolidateBlocks),
 //! [`layout`] selection, the seeded stochastic [`routing`] pass, and the
-//! preset level 0–3 pipelines in [`preset`]. The stages are exposed
-//! individually so `rpo-core` can interleave its passes exactly as in the
-//! paper.
+//! guarded pipeline driver [`preset::run_pipeline`] with the preset level
+//! 0–3 stage lists. A pipeline is two [`preset::Stage`] lists, one before
+//! layout and one after routing, so `rpo-core` can interleave its passes
+//! exactly as in the paper.
 //!
 //! # Examples
 //!
@@ -46,9 +47,9 @@ pub mod layout;
 pub mod manager;
 pub mod optimize_1q;
 pub mod preset;
-/// The retained pre-refactor circuit-roundtrip pipeline — the property-test
-/// oracle. Compiled only for tests and under the `reference-oracles`
-/// feature, so release builds skip it entirely.
+/// The retained pre-refactor circuit-roundtrip pipeline and its `stage_*`
+/// helpers — the property-test oracle. Compiled only for tests and under
+/// the `reference-oracles` feature, so release builds skip it entirely.
 #[cfg(any(test, feature = "reference-oracles"))]
 pub mod reference;
 pub mod routing;
@@ -75,19 +76,16 @@ pub use qc_circuit::{BudgetKind, RpoError};
 /// signatures stay stable.
 pub type TranspileError = RpoError;
 
-/// A circuit-to-circuit transformation — the *circuit-level* pass
-/// abstraction.
+/// A circuit-to-circuit transformation — the *circuit-level* view of a
+/// pass.
 ///
-/// The preset pipelines themselves are DAG-native ([`DagPass`] over the
-/// shared [`qc_circuit::Dag`] IR); this trait remains for standalone use
-/// of a single pass on a [`Circuit`] and for the retained pre-refactor
-/// reference pipeline ([`reference`]) that the property tests use as the
-/// gate-for-gate oracle. Every pass implements both traits through one
-/// shared rewrite core, so the two views cannot drift apart.
+/// The pipelines are DAG-native: [`preset::run_pipeline`] runs
+/// [`DagPass`]es over the shared [`qc_circuit::Dag`] IR. This trait is
+/// kept for the reference oracles ([`reference`]) that the property tests
+/// compare against, and for running a single pass on its own over a
+/// [`Circuit`]. Every pass implements both traits through one shared
+/// rewrite core, so the two views cannot drift apart.
 pub trait Pass {
-    /// Short pass name for logging and diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Transforms the circuit in place.
     ///
     /// # Errors
@@ -97,69 +95,9 @@ pub trait Pass {
     fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError>;
 }
 
-/// Runs a sequence of passes in order.
-#[derive(Default)]
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl PassManager {
-    /// Creates an empty pass manager.
-    pub fn new() -> Self {
-        PassManager { passes: Vec::new() }
-    }
-
-    /// Appends a pass.
-    pub fn add(&mut self, pass: Box<dyn Pass>) -> &mut Self {
-        self.passes.push(pass);
-        self
-    }
-
-    /// Runs all passes on a copy of the input circuit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first pass failure.
-    pub fn run(&self, circuit: &Circuit) -> Result<Circuit, TranspileError> {
-        let mut c = circuit.clone();
-        for pass in &self.passes {
-            pass.run(&mut c)?;
-        }
-        Ok(c)
-    }
-
-    /// Names of the registered passes, in order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Count;
-    impl Pass for Count {
-        fn name(&self) -> &'static str {
-            "count"
-        }
-        fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
-            circuit.x(0);
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn pass_manager_runs_in_order() {
-        let mut pm = PassManager::new();
-        pm.add(Box::new(Count)).add(Box::new(Count));
-        let c = Circuit::new(1);
-        let out = pm.run(&c).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(pm.pass_names(), vec!["count", "count"]);
-        // Input untouched.
-        assert_eq!(c.len(), 0);
-    }
 
     #[test]
     fn error_display() {

@@ -31,7 +31,7 @@
 //! Per-pass execution statistics ([`PassStats`]: runs, change-tracking
 //! skips, interest skips, rewrites, relinked nodes, wall time) are
 //! collected by the driver and surfaced through
-//! [`crate::preset::transpile_instrumented`] for the CI timing artifact.
+//! [`crate::preset::run_pipeline`] for the CI timing artifact.
 
 use crate::guard::{GuardedRun, PassGuard};
 use crate::TranspileError;
@@ -360,22 +360,6 @@ pub fn run_timed(
     Ok(report)
 }
 
-/// Runs a straight-line pipeline stage under `name`, appending its
-/// statistics — the shared helper of the instrumented pipelines' prefix
-/// stages (the fixed-point loop keeps its own per-pass stats).
-pub fn run_named(
-    name: &'static str,
-    pass: &dyn DagPass,
-    dag: &mut Dag,
-    props: &mut PropertySet,
-    stats: &mut Vec<PassStats>,
-) -> Result<(), TranspileError> {
-    let mut s = PassStats::new_named(name);
-    run_timed(pass, dag, props, &mut s)?;
-    stats.push(s);
-    Ok(())
-}
-
 /// The change-driven fixed-point driver for a fixed pass sequence (the
 /// paper's Fig. 8 line 9 loop).
 ///
@@ -443,44 +427,7 @@ impl FixedPointLoop {
         props: &mut PropertySet,
         max_iters: usize,
     ) -> Result<(), TranspileError> {
-        for _ in 0..max_iters {
-            let before = dag.gate_counts();
-            let mut executed = 0usize;
-            let mut any_rewrites = false;
-            for i in 0..self.passes.len() {
-                if self.dirty[i].is_empty() {
-                    self.stats[i].skipped += 1;
-                    continue;
-                }
-                if self.interest_enabled && !self.interests[i].any_interesting(dag, &self.dirty[i])
-                {
-                    // Every dirty wire lacks the pass's gate classes: the
-                    // pass provably has nothing to rewrite. Treat it as
-                    // clean (a later relevant change re-dirties it).
-                    self.stats[i].skipped_interest += 1;
-                    self.dirty[i].clear();
-                    continue;
-                }
-                self.dirty[i].clear();
-                let report = run_timed(self.passes[i].as_ref(), dag, props, &mut self.stats[i])?;
-                executed += 1;
-                if report.changed() {
-                    any_rewrites = true;
-                    for d in self.dirty.iter_mut() {
-                        d.union(&report.touched);
-                    }
-                }
-            }
-            self.executed_per_iteration.push(executed);
-            if executed == 0 || !any_rewrites {
-                break;
-            }
-            let after = dag.gate_counts();
-            if after.cx >= before.cx && after.total >= before.total {
-                break;
-            }
-        }
-        Ok(())
+        self.drive(dag, props, max_iters, None)
     }
 
     /// Runs the loop to its fixed point under a [`PassGuard`]: every pass
@@ -504,13 +451,25 @@ impl FixedPointLoop {
         max_iters: usize,
         guard: &mut PassGuard,
     ) -> Result<(), TranspileError> {
+        self.drive(dag, props, max_iters, Some(guard))
+    }
+
+    /// The one loop body behind [`FixedPointLoop::run`] (no guard: pass
+    /// failures propagate) and [`FixedPointLoop::run_guarded`].
+    fn drive(
+        &mut self,
+        dag: &mut Dag,
+        props: &mut PropertySet,
+        max_iters: usize,
+        mut guard: Option<&mut PassGuard>,
+    ) -> Result<(), TranspileError> {
         let capped = guard
-            .budget()
-            .max_fixpoint_iters
+            .as_ref()
+            .and_then(|g| g.budget().max_fixpoint_iters)
             .map_or(max_iters, |m| m.min(max_iters));
         for _ in 0..capped {
-            if guard.deadline_exceeded() {
-                guard.note_deadline("fixed-point loop");
+            if let Some(g) = guard.as_deref_mut().filter(|g| g.deadline_exceeded()) {
+                g.note_deadline("fixed-point loop");
                 return Ok(());
             }
             let before = dag.gate_counts();
@@ -523,30 +482,29 @@ impl FixedPointLoop {
                 }
                 if self.interest_enabled && !self.interests[i].any_interesting(dag, &self.dirty[i])
                 {
+                    // Every dirty wire lacks the pass's gate classes: the
+                    // pass provably has nothing to rewrite. Treat it as
+                    // clean (a later relevant change re-dirties it).
                     self.stats[i].skipped_interest += 1;
                     self.dirty[i].clear();
                     continue;
                 }
                 self.dirty[i].clear();
-                let name = self.passes[i].name();
-                match guard.run_pass(
-                    name,
-                    self.passes[i].as_ref(),
-                    dag,
-                    props,
-                    &mut self.stats[i],
-                    true,
-                )? {
-                    GuardedRun::Ran(report) => {
-                        executed += 1;
-                        if report.changed() {
-                            any_rewrites = true;
-                            for d in self.dirty.iter_mut() {
-                                d.union(&report.touched);
-                            }
-                        }
+                let pass = self.passes[i].as_ref();
+                let stats = &mut self.stats[i];
+                let report = match guard.as_deref_mut() {
+                    None => run_timed(pass, dag, props, stats)?,
+                    Some(g) => match g.run_pass(pass.name(), pass, dag, props, stats, true)? {
+                        GuardedRun::Ran(report) => report,
+                        GuardedRun::Skipped => continue,
+                    },
+                };
+                executed += 1;
+                if report.changed() {
+                    any_rewrites = true;
+                    for d in self.dirty.iter_mut() {
+                        d.union(&report.touched);
                     }
-                    GuardedRun::Skipped => {}
                 }
             }
             self.executed_per_iteration.push(executed);
@@ -558,10 +516,10 @@ impl FixedPointLoop {
                 return Ok(());
             }
         }
-        if capped < max_iters {
+        if let Some(g) = guard.filter(|_| capped < max_iters) {
             // The budget's iteration ceiling stopped the loop before it
             // reached the fixed point the uncapped loop would have.
-            guard.note_max_iterations("fixed-point loop");
+            g.note_max_iterations("fixed-point loop");
         }
         Ok(())
     }

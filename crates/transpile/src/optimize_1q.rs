@@ -50,10 +50,6 @@ fn plan_runs(dag: &Dag) -> Result<Vec<Option<Option<Gate>>>, TranspileError> {
 }
 
 impl Pass for Optimize1qGates {
-    fn name(&self) -> &'static str {
-        "Optimize1qGates"
-    }
-
     fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
         let dag = Dag::from_circuit(circuit);
         let mut replacement = plan_runs(&dag)?;

@@ -1,30 +1,32 @@
-//! Preset pass pipelines: optimization levels 0–3.
+//! Preset pass pipelines: optimization levels 0–3, and the one guarded
+//! driver every pipeline runs on.
 //!
 //! Mirrors the Qiskit 0.18 preset pass managers the paper describes in
 //! Section II-B: level 0 only maps; level 1 adds light gate collapsing;
 //! level 2 adds cancellation loops; level 3 adds two-qubit block
-//! re-synthesis. The individual stages are public so the RPO pipeline
-//! (crate `rpo-core`) can interleave its QBO/QPO passes per Fig. 8.
+//! re-synthesis.
 //!
-//! [`transpile`] is DAG-native: the input circuit converts to the shared
-//! [`Dag`] IR exactly once, every pass mutates it in place, the level-2/3
+//! A pipeline is data: two [`Stage`] lists, one run before the mandatory
+//! layout and one after the mandatory routing. [`run_pipeline`] runs them
+//! DAG-natively: the input converts to the shared [`Dag`] IR exactly once,
+//! every pass mutates it in place under one [`PassGuard`], the level-2/3
 //! loop is the change-driven [`FixedPointLoop`], and the result converts
-//! back exactly once. The circuit-based `stage_*` helpers remain for the
-//! retained pre-refactor path ([`crate::reference::transpile_reference`]),
-//! which the property tests use as the gate-for-gate oracle.
+//! back exactly once. The RPO pipeline (crate `rpo-core`, paper Fig. 8)
+//! and the Hoare baseline (crate `qc-hoare`) are stage lists over the same
+//! driver.
 
 use crate::cancellation::CxCancellation;
 use crate::commutation::CommutativeCancellation;
 use crate::consolidate::ConsolidateBlocks;
 use crate::guard::{
-    catch_stage, input_issue, run_stage, DegradationReport, PassGuard, PassSet, TranspileBudget,
+    catch_stage, gate_issue, run_stage, DegradationReport, PassGuard, PassSet, TranspileBudget,
 };
-use crate::layout::{apply_layout, apply_layout_dag, dense_layout, trivial_layout};
+use crate::layout::{apply_layout_dag, trivial_layout};
 use crate::manager::{DagPass, FixedPointLoop, PassStats, PropertySet};
 use crate::optimize_1q::Optimize1qGates;
-use crate::routing::{route, route_dag, route_dag_budgeted};
+use crate::routing::route_dag_budgeted;
 use crate::unroll::Unroller;
-use crate::{Pass, TranspileError};
+use crate::TranspileError;
 use qc_backends::Backend;
 use qc_circuit::{Circuit, Dag};
 
@@ -116,77 +118,6 @@ pub struct Transpiled {
     pub degradation: DegradationReport,
 }
 
-/// Unrolls into the device basis `{u1, u2, u3, id, cx}`.
-pub fn stage_unroll_device(c: &mut Circuit) -> Result<(), TranspileError> {
-    Unroller::to_device_basis().run(c)
-}
-
-/// Unrolls into the extended basis that preserves `swap`/`swapz`.
-pub fn stage_unroll_extended(c: &mut Circuit) -> Result<(), TranspileError> {
-    Unroller::to_extended_basis().run(c)
-}
-
-/// Selects a layout (trivial below level 2, dense otherwise) and rewrites
-/// the circuit onto physical wires. Returns the layout.
-pub fn stage_layout(
-    c: &mut Circuit,
-    backend: &Backend,
-    level: u8,
-) -> Result<Vec<usize>, TranspileError> {
-    let layout = if level >= 2 {
-        dense_layout(c, backend)?
-    } else {
-        if c.num_qubits() > backend.num_qubits() {
-            return Err(TranspileError::too_many_qubits(
-                c.num_qubits(),
-                backend.num_qubits(),
-            ));
-        }
-        trivial_layout(c.num_qubits())
-    };
-    *c = apply_layout(c, &layout, backend.num_qubits())?;
-    Ok(layout)
-}
-
-/// Routes the circuit, returning the end-of-circuit wire map.
-pub fn stage_route(
-    c: &mut Circuit,
-    backend: &Backend,
-    seed: u64,
-    trials: usize,
-) -> Result<Vec<usize>, TranspileError> {
-    let routed = route(c, backend, seed, trials)?;
-    *c = routed.circuit;
-    Ok(routed.wire_map)
-}
-
-/// Runs `Optimize1qGates` once.
-pub fn stage_optimize_1q(c: &mut Circuit) -> Result<(), TranspileError> {
-    Optimize1qGates.run(c)
-}
-
-/// The level-2/3 fixed-point loop: cancellation + 1q merging (+ block
-/// consolidation at level 3) until gate counts stop improving.
-pub fn stage_fixpoint_loop(c: &mut Circuit, consolidate: bool) -> Result<(), TranspileError> {
-    for _ in 0..10 {
-        let before = c.gate_counts();
-        CommutativeCancellation.run(c)?;
-        CxCancellation.run(c)?;
-        Optimize1qGates.run(c)?;
-        if consolidate {
-            ConsolidateBlocks.run(c)?;
-            stage_unroll_device(c)?;
-            Optimize1qGates.run(c)?;
-            CxCancellation.run(c)?;
-        }
-        let after = c.gate_counts();
-        if after.cx >= before.cx && after.total >= before.total {
-            break;
-        }
-    }
-    Ok(())
-}
-
 /// Transpiles a circuit for a backend at the requested optimization level.
 ///
 /// # Errors
@@ -261,24 +192,7 @@ pub fn dag_stage_layout(
     Ok(layout)
 }
 
-/// Routing on the shared DAG: inserts SWAPs, installs the routed stream,
-/// and returns the end-of-circuit wire map.
-///
-/// # Errors
-///
-/// Same failure modes as [`crate::routing::route`].
-pub fn dag_stage_route(
-    dag: &mut Dag,
-    backend: &Backend,
-    seed: u64,
-    trials: usize,
-) -> Result<Vec<usize>, TranspileError> {
-    let routed = route_dag(dag, backend, seed, trials)?;
-    dag.replace_all(backend.num_qubits(), routed.circuit.into_instructions());
-    Ok(routed.wire_map)
-}
-
-/// [`transpile`] with per-pass execution statistics: the prefix stages and
+/// [`transpile`] with per-pass execution statistics: every stage and
 /// every fixed-point pass report name, runs, change-tracking skips,
 /// rewrites and wall time (the CI timing-table artifact's data source).
 ///
@@ -290,88 +204,123 @@ pub fn transpile_instrumented(
     backend: &Backend,
     opts: &TranspileOptions,
 ) -> Result<(Transpiled, Vec<PassStats>), TranspileError> {
-    let mut guard = PassGuard::new(opts.budget).with_predisabled(opts.disabled_passes);
+    let device = Unroller::to_device_basis();
+    let unroll = Stage::mandatory("Unroller(device)", &device);
+    let optimize_1q = Stage::optional("Optimize1qGates", &Optimize1qGates);
+    // The second unroll decomposes the routing SWAPs.
+    let after_routing = match opts.level {
+        0 => vec![unroll],
+        1 => vec![
+            unroll,
+            optimize_1q,
+            Stage::optional("CxCancellation", &CxCancellation),
+        ],
+        level => vec![
+            unroll,
+            optimize_1q,
+            Stage::FixedPoint {
+                consolidate: level >= 3,
+            },
+        ],
+    };
+    run_pipeline(circuit, backend, opts, &[unroll], &after_routing)
+}
+
+/// One step of a pipeline's stage list (see [`run_pipeline`]).
+#[derive(Clone, Copy)]
+pub enum Stage<'a> {
+    /// One guarded execution of `pass`, recorded in the statistics under
+    /// `label`. The guard skips an `optional` pass past the deadline or
+    /// when the caller pre-disabled its label; a mandatory one (unrolling)
+    /// always runs, since without it there is no hardware-valid circuit.
+    Pass {
+        /// Statistics, quarantine and pre-disable label.
+        label: &'static str,
+        /// The pass.
+        pass: &'a dyn DagPass,
+        /// Whether the guard may skip the pass.
+        optional: bool,
+    },
+    /// The level-2/3 fixed-point loop over [`fixpoint_passes`].
+    FixedPoint {
+        /// Whether the loop carries the level-3 block-consolidation tail.
+        consolidate: bool,
+    },
+}
+
+impl<'a> Stage<'a> {
+    /// A pass the guard always runs.
+    pub fn mandatory(label: &'static str, pass: &'a dyn DagPass) -> Self {
+        Stage::Pass {
+            label,
+            pass,
+            optional: false,
+        }
+    }
+
+    /// An optimization pass the guard may skip.
+    pub fn optional(label: &'static str, pass: &'a dyn DagPass) -> Self {
+        Stage::Pass {
+            label,
+            pass,
+            optional: true,
+        }
+    }
+}
+
+/// The one guarded pipeline driver. It creates the run's [`PassGuard`]
+/// from `opts` (budget, pre-disabled passes), checks the qubit ceiling,
+/// validates the input ([`validate_input`]), converts the circuit to a
+/// [`Dag`] once, and runs `before_layout`, the mandatory layout
+/// ([`dag_stage_layout`] at `opts.level`), the mandatory routing
+/// ([`dag_stage_route_budgeted`]: extra trials are skipped past the
+/// deadline), and `after_routing`. It then records a deadline overrun,
+/// builds `final_map`, and converts back once.
+///
+/// The statistics follow the stage order; a [`Stage::FixedPoint`] adds
+/// one entry per loop pass.
+///
+/// # Errors
+///
+/// Invalid input, a circuit that does not fit the backend, a gate with no
+/// decomposition rule, a hard budget ceiling, or a panic inside layout or
+/// routing. Failures of guarded passes are contained and reported on
+/// [`Transpiled::degradation`].
+pub fn run_pipeline(
+    circuit: &Circuit,
+    backend: &Backend,
+    opts: &TranspileOptions,
+    before_layout: &[Stage],
+    after_routing: &[Stage],
+) -> Result<(Transpiled, Vec<PassStats>), TranspileError> {
+    let guard = PassGuard::new(opts.budget).with_predisabled(opts.disabled_passes);
     guard.check_qubits(circuit.num_qubits())?;
     validate_input(circuit)?;
     // The single circuit→dag conversion of the pipeline.
     let mut dag = Dag::from_circuit(circuit);
     guard.check_gates(&dag)?;
-    let mut props = PropertySet::new();
-    let mut stats: Vec<PassStats> = Vec::new();
-    // Mandatory stages (unrolling, layout, routing) run even past the
-    // deadline: without them there is no hardware-valid circuit at all.
-    run_stage(
-        &mut guard,
-        "Unroller(device)",
-        &Unroller::to_device_basis(),
-        &mut dag,
-        &mut props,
-        &mut stats,
-        false,
-    )?;
+    let mut run = StageRunner {
+        guard,
+        props: PropertySet::new(),
+        stats: Vec::new(),
+        interest_filtering: opts.interest_filtering,
+    };
+    run.stages(before_layout, &mut dag)?;
+    // Layout and routing are mandatory and run even past the deadline.
     let layout = catch_stage("layout", || dag_stage_layout(&mut dag, backend, opts.level))?;
-    let snapshot = guard.snapshot();
+    let snapshot = run.guard.snapshot();
     let (wire_map, trials_run) = catch_stage("routing", || {
         dag_stage_route_budgeted(&mut dag, backend, opts.seed, opts.routing_trials, snapshot)
     })?;
     if trials_run < opts.routing_trials.max(1) {
-        guard.note_deadline("routing trials");
+        run.guard.note_deadline("routing trials");
     }
-    guard.check_gates(&dag)?;
-    // Decompose routing SWAPs.
-    run_stage(
-        &mut guard,
-        "Unroller(device)",
-        &Unroller::to_device_basis(),
-        &mut dag,
-        &mut props,
-        &mut stats,
-        false,
-    )?;
-    match opts.level {
-        0 => {}
-        1 => {
-            run_stage(
-                &mut guard,
-                "Optimize1qGates",
-                &Optimize1qGates,
-                &mut dag,
-                &mut props,
-                &mut stats,
-                true,
-            )?;
-            run_stage(
-                &mut guard,
-                "CxCancellation",
-                &CxCancellation,
-                &mut dag,
-                &mut props,
-                &mut stats,
-                true,
-            )?;
-        }
-        level => {
-            run_stage(
-                &mut guard,
-                "Optimize1qGates",
-                &Optimize1qGates,
-                &mut dag,
-                &mut props,
-                &mut stats,
-                true,
-            )?;
-            let mut fp = FixedPointLoop::new(fixpoint_passes(level >= 3), dag.num_qubits());
-            if !opts.interest_filtering {
-                fp = fp.without_interest_filtering();
-            }
-            fp.run_guarded(&mut dag, &mut props, 10, &mut guard)?;
-            stats.extend(fp.stats);
-        }
-    }
-    if guard.deadline_exceeded() {
+    run.guard.check_gates(&dag)?;
+    run.stages(after_routing, &mut dag)?;
+    if run.guard.deadline_exceeded() {
         // Record the overrun even when no pass was individually skipped
         // (e.g. the last pass itself blew the deadline).
-        guard.note_deadline("pipeline end");
+        run.guard.note_deadline("pipeline end");
     }
     let final_map = layout.iter().map(|&w| wire_map[w]).collect();
     // The single dag→circuit conversion of the pipeline.
@@ -380,10 +329,50 @@ pub fn transpile_instrumented(
         Transpiled {
             circuit: c,
             final_map,
-            degradation: guard.into_report(),
+            degradation: run.guard.into_report(),
         },
-        stats,
+        run.stats,
     ))
+}
+
+/// What one [`run_pipeline`] call threads through its stage lists.
+struct StageRunner {
+    guard: PassGuard,
+    props: PropertySet,
+    stats: Vec<PassStats>,
+    interest_filtering: bool,
+}
+
+impl StageRunner {
+    fn stages(&mut self, stages: &[Stage], dag: &mut Dag) -> Result<(), TranspileError> {
+        for stage in stages {
+            match *stage {
+                Stage::Pass {
+                    label,
+                    pass,
+                    optional,
+                } => run_stage(
+                    &mut self.guard,
+                    label,
+                    pass,
+                    dag,
+                    &mut self.props,
+                    &mut self.stats,
+                    optional,
+                )?,
+                Stage::FixedPoint { consolidate } => {
+                    let passes = fixpoint_passes(consolidate);
+                    let mut fp = FixedPointLoop::new(passes, dag.num_qubits());
+                    if !self.interest_filtering {
+                        fp = fp.without_interest_filtering();
+                    }
+                    fp.run_guarded(dag, &mut self.props, 10, &mut self.guard)?;
+                    self.stats.extend(fp.stats);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Rejects structurally invalid input before any pass runs: non-finite
@@ -395,7 +384,7 @@ pub fn transpile_instrumented(
 /// [`crate::RpoError::InvalidInput`] naming the offending gate.
 pub fn validate_input(circuit: &Circuit) -> Result<(), TranspileError> {
     for inst in circuit.instructions() {
-        if let Some(issue) = input_issue(&inst.gate) {
+        if let Some(issue) = gate_issue(&inst.gate) {
             return Err(TranspileError::InvalidInput(format!(
                 "input circuit: {issue}"
             )));
@@ -404,9 +393,10 @@ pub fn validate_input(circuit: &Circuit) -> Result<(), TranspileError> {
     Ok(())
 }
 
-/// [`dag_stage_route`] under a deadline budget: later trials are skipped
-/// once the deadline passes (trial 0 always runs). Returns the wire map
-/// and the number of trials actually run.
+/// Routing on the shared DAG under a deadline budget: inserts SWAPs,
+/// installs the routed stream, and returns the end-of-circuit wire map and
+/// the number of trials actually run (later trials are skipped once the
+/// deadline passes; trial 0 always runs).
 ///
 /// # Errors
 ///

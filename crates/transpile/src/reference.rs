@@ -1,5 +1,7 @@
-//! The pre-refactor, circuit-roundtrip transpile pipeline, retained
-//! verbatim as the oracle for the DAG-native pipeline's property tests.
+//! The pre-refactor, circuit-roundtrip transpile pipeline and its `stage_*`
+//! helpers, retained verbatim as the oracle for the DAG-native pipelines'
+//! property tests (`rpo-core`'s `transpile_rpo_reference` and the Hoare
+//! equivalence test build on the same helpers).
 //!
 //! Every stage here clones the [`Circuit`], rebuilds a `Dag` internally,
 //! and flattens back — the conversion churn the DAG-native
@@ -8,13 +10,87 @@
 //! not "optimize" this module, its value is being the old behavior.
 
 use crate::cancellation::CxCancellation;
-use crate::preset::{
-    stage_fixpoint_loop, stage_layout, stage_optimize_1q, stage_route, stage_unroll_device,
-    TranspileOptions, Transpiled,
-};
+use crate::commutation::CommutativeCancellation;
+use crate::consolidate::ConsolidateBlocks;
+use crate::layout::{apply_layout, dense_layout, trivial_layout};
+use crate::optimize_1q::Optimize1qGates;
+use crate::preset::{TranspileOptions, Transpiled};
+use crate::routing::route;
+use crate::unroll::Unroller;
 use crate::{Pass, TranspileError};
 use qc_backends::Backend;
 use qc_circuit::Circuit;
+
+/// Unrolls into the device basis `{u1, u2, u3, id, cx}`.
+pub fn stage_unroll_device(c: &mut Circuit) -> Result<(), TranspileError> {
+    Unroller::to_device_basis().run(c)
+}
+
+/// Unrolls into the extended basis that preserves `swap`/`swapz`.
+pub fn stage_unroll_extended(c: &mut Circuit) -> Result<(), TranspileError> {
+    Unroller::to_extended_basis().run(c)
+}
+
+/// Selects a layout (trivial below level 2, dense otherwise) and rewrites
+/// the circuit onto physical wires. Returns the layout.
+pub fn stage_layout(
+    c: &mut Circuit,
+    backend: &Backend,
+    level: u8,
+) -> Result<Vec<usize>, TranspileError> {
+    let layout = if level >= 2 {
+        dense_layout(c, backend)?
+    } else {
+        if c.num_qubits() > backend.num_qubits() {
+            return Err(TranspileError::too_many_qubits(
+                c.num_qubits(),
+                backend.num_qubits(),
+            ));
+        }
+        trivial_layout(c.num_qubits())
+    };
+    *c = apply_layout(c, &layout, backend.num_qubits())?;
+    Ok(layout)
+}
+
+/// Routes the circuit, returning the end-of-circuit wire map.
+pub fn stage_route(
+    c: &mut Circuit,
+    backend: &Backend,
+    seed: u64,
+    trials: usize,
+) -> Result<Vec<usize>, TranspileError> {
+    let routed = route(c, backend, seed, trials)?;
+    *c = routed.circuit;
+    Ok(routed.wire_map)
+}
+
+/// Runs `Optimize1qGates` once.
+pub fn stage_optimize_1q(c: &mut Circuit) -> Result<(), TranspileError> {
+    Optimize1qGates.run(c)
+}
+
+/// The level-2/3 fixed-point loop: cancellation + 1q merging (+ block
+/// consolidation at level 3) until gate counts stop improving.
+pub fn stage_fixpoint_loop(c: &mut Circuit, consolidate: bool) -> Result<(), TranspileError> {
+    for _ in 0..10 {
+        let before = c.gate_counts();
+        CommutativeCancellation.run(c)?;
+        CxCancellation.run(c)?;
+        Optimize1qGates.run(c)?;
+        if consolidate {
+            ConsolidateBlocks.run(c)?;
+            stage_unroll_device(c)?;
+            Optimize1qGates.run(c)?;
+            CxCancellation.run(c)?;
+        }
+        let after = c.gate_counts();
+        if after.cx >= before.cx && after.total >= before.total {
+            break;
+        }
+    }
+    Ok(())
+}
 
 /// The pre-refactor [`crate::transpile`]: one pass pipeline over cloned
 /// circuits with the unconditional fixed-point loop.

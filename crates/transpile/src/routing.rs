@@ -45,29 +45,16 @@ pub fn route(
     trials: usize,
 ) -> Result<Routed, TranspileError> {
     let dag = Dag::from_circuit(circuit);
-    route_dag(&dag, backend, seed, trials)
+    route_dag_budgeted(&dag, backend, seed, trials, BudgetSnapshot::unlimited()).map(|(r, _)| r)
 }
 
-/// [`route`] over an existing DAG — the entry the DAG-native pipeline uses
-/// so routing triggers no Circuit↔Dag conversion of its own.
-///
-/// # Errors
-///
-/// Same failure modes as [`route`].
-pub fn route_dag(
-    dag: &Dag,
-    backend: &Backend,
-    seed: u64,
-    trials: usize,
-) -> Result<Routed, TranspileError> {
-    route_dag_budgeted(dag, backend, seed, trials, BudgetSnapshot::unlimited()).map(|(r, _)| r)
-}
-
-/// [`route_dag`] under a deadline: trial 0 always runs (routing is
-/// mandatory — there must be *a* routed circuit), later trials are skipped
-/// once the budget's deadline passes and the best result so far is kept.
-/// Returns the routed result and the number of trials actually run, so the
-/// caller can record the degradation.
+/// [`route`] over an existing DAG — the entry the DAG-native pipeline uses,
+/// so routing triggers no Circuit↔Dag conversion of its own — under a
+/// deadline: trial 0 always runs (routing is mandatory — there must be *a*
+/// routed circuit), later trials are skipped once the budget's deadline
+/// passes and the best result so far is kept. Returns the routed result
+/// and the number of trials actually run, so the caller can record the
+/// degradation.
 ///
 /// # Errors
 ///

@@ -153,10 +153,6 @@ fn compose_onto(out: &mut Vec<Instruction>, sub: &Circuit, mapping: &[usize]) {
 }
 
 impl Pass for Unroller {
-    fn name(&self) -> &'static str {
-        "Unroller"
-    }
-
     fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
         // Iterate to a fixpoint: decompositions may introduce gates that
         // themselves need unrolling (e.g. ccx → h/t/cx).

@@ -11,8 +11,13 @@
 # The bound is deliberately loose: shared CI runners are noisy, and the
 # gate exists to catch *algorithmic* cliffs (a kernel falling off its fast
 # path, a planner suddenly emitting an order of magnitude more sweeps), not
-# single-digit-percent drift. Benchmarks present in only one of the two
-# files (newly added or filtered out) are reported but never fail the gate.
+# single-digit-percent drift.
+#
+# Every benchmark in the candidate must have a baseline entry: a name with
+# none fails the gate (a PR that adds a bench also adds its baseline
+# line), so a dropped baseline cannot silently disarm it. Baseline entries
+# absent from the candidate are only reported, because each CI job runs a
+# subset of the benchmarks against the one shared baseline file.
 set -euo pipefail
 
 CANDIDATE="${1:?usage: bench_check.sh <candidate.json> [baseline.json] [factor]}"
@@ -61,7 +66,9 @@ awk -v factor="$FACTOR" -v baseline="$BASELINE" -v candidate="$CANDIDATE" '
         for (i = 1; i <= n; i++) {
             name = names[i]
             if (!(name in base)) {
-                printf "%-45s %14s %14.1f %7s\n", name, "(new)", cand[name], "-"
+                fail = 1
+                printf "%-45s %14s %14.1f %7s  << NO BASELINE\n", name, "(missing)", cand[name], "-"
+                offenders[++noff] = sprintf("  %s: no baseline entry in %s", name, baseline)
                 continue
             }
             ratio = base[name] > 0 ? cand[name] / base[name] : 1
@@ -80,7 +87,7 @@ awk -v factor="$FACTOR" -v baseline="$BASELINE" -v candidate="$CANDIDATE" '
             }
         }
         if (fail) {
-            printf "\nbench_check: FAIL — regression beyond %sx vs %s\n", factor, baseline
+            printf "\nbench_check: FAIL — regression beyond %sx or missing baseline vs %s\n", factor, baseline
             for (i = 1; i <= noff; i++) print offenders[i]
             exit 1
         }

@@ -6,6 +6,7 @@
 use qc_backends::Backend;
 use qc_circuit::qasm::{from_qasm, QasmError};
 use qc_circuit::{BudgetKind, Circuit, Gate, RpoError};
+use qc_hoare::transpile_hoare;
 use qc_transpile::{transpile, TranspileBudget, TranspileOptions};
 use rpo_core::{transpile_rpo, RpoOptions};
 use std::time::Duration;
@@ -34,6 +35,12 @@ fn non_finite_angles_are_rejected_as_invalid_input() {
         );
         let err = transpile_rpo(&c, &Backend::linear(2), &RpoOptions::new()).unwrap_err();
         assert!(matches!(err, RpoError::InvalidInput(_)));
+        let err =
+            transpile_hoare(&c, &Backend::linear(2), &TranspileOptions::level(3)).unwrap_err();
+        assert!(
+            matches!(err, RpoError::InvalidInput(_)),
+            "hoare: rx({bad}) gave {err:?}"
+        );
     }
 }
 
@@ -108,6 +115,39 @@ fn zero_deadline_still_returns_a_valid_routed_circuit() {
         "zero deadline must be reported: {:?}",
         t.degradation
     );
+}
+
+#[test]
+fn gate_budget_beats_a_zero_deadline_in_every_flow() {
+    // A zero deadline only skips optional passes; the hard gate ceiling is
+    // still enforced, in every flow.
+    let mut c = Circuit::new(3);
+    c.h(0).cx(0, 2).ccx(0, 1, 2).measure_all();
+    let budget = TranspileBudget::unlimited()
+        .with_deadline(Duration::ZERO)
+        .with_max_gates(5);
+    let opts = TranspileOptions::level(3).with_budget(budget);
+    let rpo = RpoOptions {
+        base: opts,
+        ..RpoOptions::new()
+    };
+    let backend = Backend::linear(3);
+    for (flow, result) in [
+        ("level 3", transpile(&c, &backend, &opts)),
+        ("rpo", transpile_rpo(&c, &backend, &rpo)),
+        ("hoare", transpile_hoare(&c, &backend, &opts)),
+    ] {
+        assert!(
+            matches!(
+                result,
+                Err(RpoError::BudgetExceeded {
+                    kind: BudgetKind::MaxGates
+                })
+            ),
+            "{flow}: {:?}",
+            result.map(|t| (t.circuit.len(), t.degradation))
+        );
+    }
 }
 
 #[test]
