@@ -1,5 +1,5 @@
 //! Quantum ripple-carry adder (Vedral, Barenco & Ekert — the paper's
-//! reference [44] and the motivating example for annotations: "the network
+//! reference \[44\] and the motivating example for annotations: "the network
 //! uses reverse computation to unentangle and reuse qubits. The
 //! programmers know these qubits are unentangled after reverse
 //! computation" — Section VI-C).

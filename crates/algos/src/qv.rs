@@ -1,5 +1,5 @@
 //! Quantum Volume model circuits (Cross et al., the paper's reference
-//! [10]).
+//! \[10\]).
 //!
 //! A QV circuit on `n` qubits is `n` layers; each layer applies a
 //! Haar-random SU(4) block to every pair in a random qubit permutation.

@@ -344,16 +344,6 @@ pub struct Dag {
     wire_classes: Vec<[u32; gate_class::COUNT]>,
 }
 
-/// A collected two-qubit block: a maximal run of gates that act only on one
-/// pair of qubits (Qiskit's `Collect2qBlocks`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TwoQubitBlock {
-    /// The two qubits spanned by the block (unordered; stored ascending).
-    pub qubits: (usize, usize),
-    /// Node ids in program order. At least one two-qubit gate.
-    pub nodes: Vec<usize>,
-}
-
 impl Dag {
     /// Builds the DAG from a circuit, bumping the thread-local
     /// circuit→dag conversion counter.
@@ -1016,19 +1006,6 @@ impl Dag {
         blocks.sort_by_key(|b| pos_of[b.nodes[0]]);
         blocks
     }
-
-    /// Collects maximal two-qubit blocks: groups of gates confined to one
-    /// pair of qubits, anchored by at least one two-qubit gate (the
-    /// `Collect2qBlocks` analogue; [`Dag::collect_blocks`] with arity 2).
-    pub fn collect_two_qubit_blocks(&self) -> Vec<TwoQubitBlock> {
-        self.collect_blocks(2)
-            .into_iter()
-            .map(|b| TwoQubitBlock {
-                qubits: (b.qubits[0].min(b.qubits[1]), b.qubits[0].max(b.qubits[1])),
-                nodes: b.nodes,
-            })
-            .collect()
-    }
 }
 
 fn bump_classes(counts: &mut [u32; gate_class::COUNT], classes: u16, delta: i32) {
@@ -1201,13 +1178,13 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).t(1).cx(0, 1).cx(1, 2);
         let dag = Dag::from_circuit(&c);
-        let blocks = dag.collect_two_qubit_blocks();
+        let blocks = dag.collect_blocks(2);
         assert_eq!(blocks.len(), 2);
         // First block: h(0) absorbed + cx, t, cx on (0,1).
-        assert_eq!(blocks[0].qubits, (0, 1));
+        assert_eq!(blocks[0].qubits, vec![0, 1]);
         assert_eq!(blocks[0].nodes, vec![0, 1, 2, 3]);
         // Second block: cx(1,2).
-        assert_eq!(blocks[1].qubits, (1, 2));
+        assert_eq!(blocks[1].qubits, vec![1, 2]);
         assert_eq!(blocks[1].nodes, vec![4]);
     }
 
@@ -1216,7 +1193,7 @@ mod tests {
         let mut c = Circuit::new(3);
         c.cx(0, 1).ccx(0, 1, 2).cx(0, 1);
         let dag = Dag::from_circuit(&c);
-        let blocks = dag.collect_two_qubit_blocks();
+        let blocks = dag.collect_blocks(2);
         assert_eq!(blocks.len(), 2);
         assert_eq!(blocks[0].nodes, vec![0]);
         assert_eq!(blocks[1].nodes, vec![2]);
@@ -1227,7 +1204,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.cx(0, 1).h(0).h(1);
         let dag = Dag::from_circuit(&c);
-        let blocks = dag.collect_two_qubit_blocks();
+        let blocks = dag.collect_blocks(2);
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].nodes, vec![0, 1, 2]);
     }
@@ -1237,7 +1214,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).h(1);
         let dag = Dag::from_circuit(&c);
-        assert!(dag.collect_two_qubit_blocks().is_empty());
+        assert!(dag.collect_blocks(2).is_empty());
     }
 
     #[test]

@@ -201,10 +201,11 @@ pub fn transpile_rpo_instrumented(
     run_pipeline(circuit, backend, &base, &before_layout, &after_routing)
 }
 
-/// The pre-refactor [`transpile_rpo`]: circuit-cloning stages and the
-/// unconditional fixed-point loop, retained verbatim as the property-test
-/// oracle for the DAG-native pipeline. Compiled only for tests and under
-/// the `reference-oracles` feature, so release builds skip it.
+/// [`transpile_rpo`] as a plain sequence: each pass on its own over the
+/// circuit (the blanket [`Pass`] impl), circuit-level layout and routing,
+/// and the unconditional fixed-point loop — the property-test oracle for
+/// the pipeline driver. Compiled only for tests and under the
+/// `reference-oracles` feature, so release builds skip it.
 ///
 /// # Errors
 ///

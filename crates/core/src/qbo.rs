@@ -27,9 +27,9 @@
 //! unobservable); the default matches the paper's eigenvalue-1 rule.
 
 use crate::state::{basis_transform_gates, eigenphase_of, eigenphase_of_2x2, StateAnalysis};
-use qc_circuit::{BasisState, Circuit, Gate, Instruction};
+use qc_circuit::{BasisState, ChangeReport, Dag, DagEdit, Gate, Instruction};
 use qc_math::C64;
-use qc_transpile::{Pass, TranspileError};
+use qc_transpile::{DagPass, PassInterest, PropertySet, TranspileError};
 use std::collections::VecDeque;
 
 /// The QBO pass.
@@ -331,23 +331,18 @@ fn make_mcz(qubits: &[usize]) -> Option<Instruction> {
 }
 
 impl Qbo {
-    /// Runs the analysis-driven rewrite over an instruction stream,
-    /// returning the final expansion of each input instruction — `None`
-    /// when the instruction is kept untouched, `Some(insts)` (possibly
-    /// empty) when a rewrite chain fired. The shared core of the
-    /// circuit-level and DAG-native drivers.
+    /// Runs the analysis-driven rewrite over the DAG in program order,
+    /// returning one edit that replaces each node on which a rewrite chain
+    /// fired by the chain's final gates (possibly none).
     ///
     /// # Errors
     ///
     /// Fails when a rewrite chain does not terminate (a bug).
-    fn expand_stream<'a>(
-        &self,
-        insts: impl Iterator<Item = &'a Instruction>,
-        num_qubits: usize,
-    ) -> Result<Vec<Option<Vec<Instruction>>>, TranspileError> {
+    fn plan(&self, dag: &Dag) -> Result<DagEdit, TranspileError> {
+        let num_qubits = dag.num_qubits();
         let mut st = StateAnalysis::new(num_qubits);
-        let mut out: Vec<Option<Vec<Instruction>>> = Vec::new();
-        for inst in insts {
+        let mut edit = DagEdit::new();
+        for (id, inst) in dag.iter() {
             let mut queue: VecDeque<Instruction> = VecDeque::new();
             queue.push_back(inst.clone());
             let mut budget = 64 + 4 * num_qubits;
@@ -373,28 +368,15 @@ impl Qbo {
                     }
                 }
             }
-            out.push(rewritten.then_some(kept));
-        }
-        Ok(out)
-    }
-}
-
-impl Pass for Qbo {
-    fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
-        let expansions = self.expand_stream(circuit.instructions().iter(), circuit.num_qubits())?;
-        let mut out: Vec<Instruction> = Vec::with_capacity(circuit.len());
-        for (inst, exp) in circuit.instructions().iter().zip(expansions) {
-            match exp {
-                None => out.push(inst.clone()),
-                Some(kept) => out.extend(kept),
+            if rewritten {
+                edit.replace(id, kept);
             }
         }
-        circuit.set_instructions(out);
-        Ok(())
+        Ok(edit)
     }
 }
 
-impl qc_transpile::DagPass for Qbo {
+impl DagPass for Qbo {
     fn name(&self) -> &'static str {
         "QBO"
     }
@@ -406,28 +388,21 @@ impl qc_transpile::DagPass for Qbo {
         false
     }
 
-    fn interest(&self) -> qc_transpile::PassInterest {
+    fn interest(&self) -> PassInterest {
         // QBO's rewrites depend on the basis-state analysis, which flows
         // along wires (and across them through the swap family): a gate
         // far upstream of the rewrite site enables or disables a rule, so
         // the pass must over-approximate to every wire (see the
         // PassInterest contract).
-        qc_transpile::PassInterest::all_wires()
+        PassInterest::all_wires()
     }
 
     fn run_on_dag(
         &self,
-        dag: &mut qc_circuit::Dag,
-        _props: &mut qc_transpile::PropertySet,
-    ) -> Result<qc_circuit::ChangeReport, TranspileError> {
-        let ids: Vec<usize> = dag.iter().map(|(id, _)| id).collect();
-        let expansions = self.expand_stream(dag.iter().map(|(_, i)| i), dag.num_qubits())?;
-        let mut edit = qc_circuit::DagEdit::new();
-        for (id, exp) in ids.into_iter().zip(expansions) {
-            if let Some(kept) = exp {
-                edit.replace(id, kept);
-            }
-        }
+        dag: &mut Dag,
+        _props: &mut PropertySet,
+    ) -> Result<ChangeReport, TranspileError> {
+        let edit = self.plan(dag)?;
         Ok(dag.apply(edit))
     }
 }
@@ -435,7 +410,9 @@ impl qc_transpile::DagPass for Qbo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_circuit::Circuit;
     use qc_sim::same_output_state;
+    use qc_transpile::Pass;
 
     fn qbo(c: &Circuit) -> Circuit {
         let mut out = c.clone();

@@ -20,10 +20,10 @@
 use crate::analysis::{WireStateCache, WIRE_STATES_KEY};
 use crate::state::{vector_to_bloch, PureTracked, StateAnalysis};
 use qc_circuit::gate::u3_matrix;
-use qc_circuit::{circuit_unitary, Circuit, Dag, Gate, Instruction};
+use qc_circuit::{circuit_unitary, Block, ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
 use qc_math::{Matrix, C64};
 use qc_synth::{matrix_to_u3_gate, prepare_two_qubit};
-use qc_transpile::{Pass, TranspileError};
+use qc_transpile::{BlocksAnalysis, DagPass, PassInterest, PropertySet, TranspileError};
 
 /// The QPO pass.
 #[derive(Clone, Debug)]
@@ -141,16 +141,12 @@ fn dressed_swapz(theta: f64, phi: f64, pq: usize, other: usize) -> Vec<Instructi
     insts
 }
 
-/// Phase 1 over an instruction stream: the final expansion of each input
-/// instruction (`None` = kept untouched), plus the running analysis. The
-/// shared core of the circuit-level and DAG-native drivers.
-fn expand_stream<'a>(
-    insts: impl Iterator<Item = &'a Instruction>,
-    num_qubits: usize,
-) -> Vec<Option<Vec<Instruction>>> {
-    let mut st = StateAnalysis::new(num_qubits);
-    let mut out: Vec<Option<Vec<Instruction>>> = Vec::new();
-    for inst in insts {
+/// Phase 1: the per-node rewrites driven by the running analysis, in
+/// program order, as one edit.
+fn plan_rewrites(dag: &Dag) -> DagEdit {
+    let mut st = StateAnalysis::new(dag.num_qubits());
+    let mut edit = DagEdit::new();
+    for (id, inst) in dag.iter() {
         match rewrite(inst, &st) {
             Some(replacement) => {
                 // Rewrites produce already-final gates; no re-queueing
@@ -158,38 +154,15 @@ fn expand_stream<'a>(
                 for r in &replacement {
                     st.transition(&r.gate, &r.qubits);
                 }
-                out.push(Some(replacement));
+                edit.replace(id, replacement);
             }
-            None => {
-                st.transition(&inst.gate, &inst.qubits);
-                out.push(None);
-            }
+            None => st.transition(&inst.gate, &inst.qubits),
         }
     }
-    out
+    edit
 }
 
-impl Pass for Qpo {
-    fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
-        // Phase 1: per-instruction rewrites driven by the running analysis.
-        let expansions = expand_stream(circuit.instructions().iter(), circuit.num_qubits());
-        let mut out: Vec<Instruction> = Vec::with_capacity(circuit.len());
-        for (inst, exp) in circuit.instructions().iter().zip(expansions) {
-            match exp {
-                None => out.push(inst.clone()),
-                Some(kept) => out.extend(kept),
-            }
-        }
-        circuit.set_instructions(out);
-        // Phase 2: two-qubit block state-preparation rewrite.
-        if self.optimize_blocks {
-            optimize_blocks(circuit)?;
-        }
-        Ok(())
-    }
-}
-
-impl qc_transpile::DagPass for Qpo {
+impl DagPass for Qpo {
     fn name(&self) -> &'static str {
         "QPO"
     }
@@ -200,38 +173,31 @@ impl qc_transpile::DagPass for Qpo {
         false
     }
 
-    fn interest(&self) -> qc_transpile::PassInterest {
+    fn interest(&self) -> PassInterest {
         // Like QBO, QPO rewrites where the *flowing* pure-state analysis
         // proves a known state — upstream gates on any wire (coupled
         // across wires by the swap family) enable rules, so the pass
         // over-approximates to every wire.
-        qc_transpile::PassInterest::all_wires()
+        PassInterest::all_wires()
     }
 
     fn run_on_dag(
         &self,
-        dag: &mut qc_circuit::Dag,
-        props: &mut qc_transpile::PropertySet,
-    ) -> Result<qc_circuit::ChangeReport, TranspileError> {
-        // Phase 1.
-        let ids: Vec<usize> = dag.iter().map(|(id, _)| id).collect();
-        let expansions = expand_stream(dag.iter().map(|(_, i)| i), dag.num_qubits());
-        let mut edit = qc_circuit::DagEdit::new();
-        for (id, exp) in ids.into_iter().zip(expansions) {
-            if let Some(kept) = exp {
-                edit.replace(id, kept);
-            }
-        }
+        dag: &mut Dag,
+        props: &mut PropertySet,
+    ) -> Result<ChangeReport, TranspileError> {
+        let edit = plan_rewrites(dag);
         let mut total = dag.apply(edit);
         if !self.optimize_blocks {
             return Ok(total);
         }
-        // Phase 2, on the cached analyses: block membership from the
-        // shared BlocksAnalysis, entry states from the per-wire
-        // WireStateCache — recomputed only when a *block* wire (or a
-        // swap-coupled dependency) was dirtied since the cached run.
+        // Phase 2, the two-qubit block state-preparation rewrite, on the
+        // cached analyses: block membership from the shared
+        // BlocksAnalysis, entry states from the per-wire WireStateCache —
+        // recomputed only when a *block* wire (or a swap-coupled
+        // dependency) was dirtied since the cached run.
         let (drop, replace_at) = {
-            let blocks = qc_transpile::BlocksAnalysis::get(props, dag, 2).to_vec();
+            let blocks = BlocksAnalysis::get(props, dag, 2).to_vec();
             if blocks.is_empty() {
                 return Ok(total);
             }
@@ -242,32 +208,12 @@ impl qc_transpile::DagPass for Qpo {
             if !cache_ok {
                 props.insert(WIRE_STATES_KEY, WireStateCache::compute(dag));
             }
-            let cache = props
+            let states = props
                 .get::<WireStateCache>(WIRE_STATES_KEY)
                 .expect("just ensured");
-            // Wire-local position of every node's qubits (indexed by node
-            // id), so block-entry states can be looked up in the per-wire
-            // trajectories.
-            let mut next_k = vec![0usize; dag.num_qubits()];
-            let mut wire_pos: Vec<Vec<(usize, usize)>> = vec![Vec::new(); dag.capacity()];
-            for (id, inst) in dag.iter() {
-                let mut ks = Vec::with_capacity(inst.qubits.len());
-                for &q in &inst.qubits {
-                    ks.push((q, next_k[q]));
-                    next_k[q] += 1;
-                }
-                wire_pos[id] = ks;
-            }
-            let entry_pure = |w: usize, node: usize| -> PureTracked {
-                let &(_, k) = wire_pos[node]
-                    .iter()
-                    .find(|&&(q, _)| q == w)
-                    .expect("node touches the wire");
-                cache.entry(w, k).1
-            };
-            plan_block_rewrites(dag, &blocks, &entry_pure)
+            plan_block_rewrites(dag, &blocks, states)
         };
-        let mut edit = qc_circuit::DagEdit::new();
+        let mut edit = DagEdit::new();
         for (i, r) in replace_at.into_iter().enumerate() {
             if let Some(mapped) = r {
                 edit.replace(i, mapped);
@@ -280,43 +226,36 @@ impl qc_transpile::DagPass for Qpo {
     }
 }
 
-/// Section V-D: replace two-qubit blocks whose inputs are known pure states
-/// with an un-prepare + state-preparation circuit when that lowers the CNOT
-/// count.
-fn optimize_blocks(circuit: &mut Circuit) -> Result<(), TranspileError> {
-    let dag = Dag::from_circuit(circuit);
-    // Pair detection shared with ConsolidateBlocks and the fusion planner
-    // (`qc_circuit::BlockTracker`).
-    let blocks = dag.collect_blocks(2);
-    if blocks.is_empty() {
-        return Ok(());
-    }
-    // A freshly built DAG numbers ids densely in program order, so ids
-    // index the entry-state table (and the instruction list) directly.
-    let (entries, _) = StateAnalysis::entry_states(circuit);
-    let entry_pure = |w: usize, node: usize| entries[node].pure_state(w);
-    let (drop, mut replace_at) = plan_block_rewrites(&dag, &blocks, &entry_pure);
-    let mut out = Vec::with_capacity(circuit.len());
-    for (i, inst) in circuit.instructions().iter().enumerate() {
-        if let Some(mapped) = replace_at[i].take() {
-            out.extend(mapped);
-        } else if !drop[i] {
-            out.push(inst.clone());
-        }
-    }
-    circuit.set_instructions(out);
-    Ok(())
-}
-
-/// The block-rewrite plan over a DAG, its collected blocks and an
-/// entry-state oracle (`entry_pure(wire, node)` = the pure-domain state of
-/// `wire` just before node id `node`), indexed by node id. Shared by the
-/// circuit-level and DAG-native drivers.
+/// Section V-D: the plan replacing two-qubit blocks whose inputs are known
+/// pure states (per `states`, valid for every block wire) with an
+/// un-prepare + state-preparation circuit when that lowers the CNOT count,
+/// indexed by node id: `drop[id]` marks block members to delete,
+/// `replace_at[id]` holds the replacement spliced at the block's last node.
 fn plan_block_rewrites(
     dag: &Dag,
-    blocks: &[qc_circuit::Block],
-    entry_pure: &dyn Fn(usize, usize) -> PureTracked,
+    blocks: &[Block],
+    states: &WireStateCache,
 ) -> (Vec<bool>, Vec<Option<Vec<Instruction>>>) {
+    // Wire-local position of every node's qubits (indexed by node id), so
+    // block-entry states can be looked up in the per-wire trajectories.
+    let mut next_k = vec![0usize; dag.num_qubits()];
+    let mut wire_pos: Vec<Vec<(usize, usize)>> = vec![Vec::new(); dag.capacity()];
+    for (id, inst) in dag.iter() {
+        let mut ks = Vec::with_capacity(inst.qubits.len());
+        for &q in &inst.qubits {
+            ks.push((q, next_k[q]));
+            next_k[q] += 1;
+        }
+        wire_pos[id] = ks;
+    }
+    // The pure-domain state of `wire` just before node `node`.
+    let entry_pure = |w: usize, node: usize| -> PureTracked {
+        let &(_, k) = wire_pos[node]
+            .iter()
+            .find(|&&(q, _)| q == w)
+            .expect("node touches the wire");
+        states.entry(w, k).1
+    };
     let mut drop = vec![false; dag.capacity()];
     let mut replace_at: Vec<Option<Vec<Instruction>>> = vec![None; dag.capacity()];
     for block in blocks {
@@ -408,6 +347,7 @@ fn plan_block_rewrites(
 mod tests {
     use super::*;
     use qc_sim::same_output_state;
+    use qc_transpile::Pass;
 
     fn qpo(c: &Circuit) -> Circuit {
         let mut out = c.clone();

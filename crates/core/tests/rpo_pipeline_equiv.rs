@@ -1,11 +1,13 @@
-//! Property tests for the DAG-native RPO pipeline: `transpile_rpo` (one
-//! Circuit→Dag conversion, shared-IR passes, cached analyses, change-driven
-//! fixed point) must produce gate-for-gate identical output to the retained
-//! pre-refactor `transpile_rpo_reference` on the shared circuit families.
+//! Property tests for the RPO pipeline driver: `transpile_rpo` (one
+//! conversion each way, cached analyses — QPO's block rewrite reads the
+//! per-wire `WireStateCache` — the change-driven fixed point, DAG layout
+//! and routing) must produce **bit-identical** output (equal
+//! `canonical_bytes`) to `transpile_rpo_reference`, which runs each pass
+//! on its own over a circuit, on the shared circuit families.
 
 use qc_backends::Backend;
 use qc_circuit::testing::{blocked_neighborhood_circuit, random_circuit, toffoli_chain};
-use qc_circuit::{conversion_counts, reset_conversion_counts, Circuit};
+use qc_circuit::{canonical_bytes, conversion_counts, reset_conversion_counts, Circuit};
 use rpo_core::{transpile_rpo, transpile_rpo_reference, RpoOptions};
 
 fn assert_rpo_pipelines_agree(c: &Circuit, label: &str) {
@@ -25,6 +27,10 @@ fn assert_rpo_pipelines_agree(c: &Circuit, label: &str) {
         assert_eq!(
             new.circuit, old.circuit,
             "{label}: RPO pipeline diverged from the reference (opts {opts:?})"
+        );
+        assert!(
+            canonical_bytes(&new.circuit) == canonical_bytes(&old.circuit),
+            "{label}: RPO output bits differ from the reference (opts {opts:?})"
         );
         assert_eq!(new.final_map, old.final_map, "{label}: final map diverged");
     }
@@ -79,6 +85,10 @@ fn rpo_interest_filtering_never_changes_output() {
             assert_eq!(
                 filtered.circuit, unfiltered.circuit,
                 "random_circuit({n},{g}) seed {seed}: interest filtering changed RPO output"
+            );
+            assert!(
+                canonical_bytes(&filtered.circuit) == canonical_bytes(&unfiltered.circuit),
+                "random_circuit({n},{g}) seed {seed}: interest filtering changed RPO output bits"
             );
             assert_eq!(filtered.final_map, unfiltered.final_map);
         }

@@ -24,7 +24,7 @@ use qc_circuit::{ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
 use qc_transpile::optimize_1q::Optimize1qGates;
 use qc_transpile::preset::{run_pipeline, Stage, Transpiled};
 use qc_transpile::unroll::Unroller;
-use qc_transpile::{DagPass, Pass, PassInterest, PropertySet, TranspileError, TranspileOptions};
+use qc_transpile::{DagPass, PassInterest, PropertySet, TranspileError, TranspileOptions};
 use std::collections::VecDeque;
 
 /// Classical knowledge about one qubit.
@@ -201,21 +201,17 @@ fn diag_residual(g: &Gate) -> Gate {
 }
 
 impl HoareOptimizer {
-    /// The rewrite core shared by the [`Pass`] and [`DagPass`] impls: one
-    /// forward sweep of the classical-predicate automaton over `insts`.
-    /// Entry `i` is `None` when instruction `i` stays as it is, or the
-    /// instructions replacing it.
+    /// One forward sweep of the classical-predicate automaton over the
+    /// DAG in program order, as one edit replacing each node on which a
+    /// rewrite chain fired.
     ///
     /// # Errors
     ///
     /// Fails when a rewrite chain does not terminate (a bug).
-    fn expand_stream<'a>(
-        insts: impl Iterator<Item = &'a Instruction>,
-        num_qubits: usize,
-    ) -> Result<Vec<Option<Vec<Instruction>>>, TranspileError> {
-        let mut st = vec![Classical::Value(false); num_qubits];
-        let mut out = Vec::new();
-        for inst in insts {
+    fn plan(dag: &Dag) -> Result<DagEdit, TranspileError> {
+        let mut st = vec![Classical::Value(false); dag.num_qubits()];
+        let mut edit = DagEdit::new();
+        for (id, inst) in dag.iter() {
             let mut queue = VecDeque::new();
             queue.push_back(inst.clone());
             let mut budget = 64usize;
@@ -241,24 +237,11 @@ impl HoareOptimizer {
                     }
                 }
             }
-            out.push(rewritten.then_some(kept));
-        }
-        Ok(out)
-    }
-}
-
-impl Pass for HoareOptimizer {
-    fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
-        let expansions = Self::expand_stream(circuit.instructions().iter(), circuit.num_qubits())?;
-        let mut out: Vec<Instruction> = Vec::with_capacity(circuit.len());
-        for (inst, exp) in circuit.instructions().iter().zip(expansions) {
-            match exp {
-                None => out.push(inst.clone()),
-                Some(kept) => out.extend(kept),
+            if rewritten {
+                edit.replace(id, kept);
             }
         }
-        circuit.set_instructions(out);
-        Ok(())
+        Ok(edit)
     }
 }
 
@@ -284,14 +267,7 @@ impl DagPass for HoareOptimizer {
         dag: &mut Dag,
         _props: &mut PropertySet,
     ) -> Result<ChangeReport, TranspileError> {
-        let ids: Vec<usize> = dag.iter().map(|(id, _)| id).collect();
-        let expansions = Self::expand_stream(dag.iter().map(|(_, i)| i), dag.num_qubits())?;
-        let mut edit = DagEdit::new();
-        for (id, exp) in ids.into_iter().zip(expansions) {
-            if let Some(kept) = exp {
-                edit.replace(id, kept);
-            }
-        }
+        let edit = Self::plan(dag)?;
         Ok(dag.apply(edit))
     }
 }
@@ -333,6 +309,7 @@ pub fn transpile_hoare(
 mod tests {
     use super::*;
     use qc_sim::same_output_state;
+    use qc_transpile::Pass;
 
     fn hoare(c: &Circuit) -> Circuit {
         let mut out = c.clone();

@@ -1,14 +1,13 @@
-//! The guarded, DAG-native `transpile_hoare` against the circuit-level
-//! sequence it replaced: the level-3 reference pipeline, then the
-//! circuit-level `HoareOptimizer`, `stage_optimize_1q` and
-//! `stage_fixpoint_loop(true)`. Outputs must agree under `Circuit ==`,
-//! which counts `-0.0` and `0.0` as equal; the bit-exact check is the
-//! workspace's pipeline goldens. The flow must also convert Circuit↔Dag
+//! The guarded `transpile_hoare` against the same flow run pass by pass
+//! over a circuit: the level-3 reference pipeline, then `HoareOptimizer`
+//! on its own, `stage_optimize_1q` and `stage_fixpoint_loop(true)`.
+//! Outputs must be bit-identical (equal `canonical_bytes`, so even the
+//! sign of a zero angle agrees). The flow must also convert Circuit↔Dag
 //! exactly once in each direction.
 
 use qc_backends::Backend;
 use qc_circuit::testing::{blocked_neighborhood_circuit, random_circuit, toffoli_chain};
-use qc_circuit::{conversion_counts, reset_conversion_counts, Circuit};
+use qc_circuit::{canonical_bytes, conversion_counts, reset_conversion_counts, Circuit};
 use qc_hoare::{transpile_hoare, HoareOptimizer};
 use qc_transpile::reference::{stage_fixpoint_loop, stage_optimize_1q, transpile_reference};
 use qc_transpile::{Pass, TranspileOptions};
@@ -26,6 +25,11 @@ fn assert_hoare_flows_agree(c: &Circuit, label: &str) {
                 new.circuit,
                 old.circuit,
                 "{label}: {} seed {seed}: hoare flow diverged from the reference sequence",
+                backend.name()
+            );
+            assert!(
+                canonical_bytes(&new.circuit) == canonical_bytes(&old.circuit),
+                "{label}: {} seed {seed}: output bits differ from the reference sequence",
                 backend.name()
             );
             assert_eq!(

@@ -47,7 +47,7 @@
 //! and performs the same arithmetic in the same order regardless of the
 //! split, **results are bit-identical at every thread count**. The thread
 //! count is `RPO_THREADS` (else the machine's available parallelism),
-//! overridable at runtime with [`set_max_threads`].
+//! overridable at runtime with `scoped_pool::set_max_threads`.
 //!
 //! [`KernelEngine`] owns the offset/mask tables so that applying a long
 //! gate sequence performs no per-gate heap allocation beyond table growth

@@ -219,7 +219,7 @@ impl Statevector {
     /// 1q runs collapse to one 2×2, 1q gates fold into adjacent 2q blocks,
     /// and each fused op makes a single pass over the amplitudes.
     ///
-    /// Once the vector outgrows [`STREAM_MIN_QUBITS`], the fused plan is
+    /// Once the vector outgrows `STREAM_MIN_QUBITS` (18 qubits), the fused plan is
     /// additionally *scheduled* ([`qc_circuit::schedule_fused`]): commuting
     /// fused ops reorder so that ops whose qubits all lie below the shard
     /// bit cluster into runs, and each run is applied one cache-resident

@@ -21,7 +21,7 @@
 //! The `ConsolidateBlocks` pass re-synthesizes collected blocks with these
 //! templates and keeps the result only when it lowers the CNOT count, so the
 //! extra CNOT on the fully generic class (relative to the theoretical
-//! three-CNOT bound of Vidal–Dawson, the paper's citation [47]) never makes
+//! three-CNOT bound of Vidal–Dawson, the paper's citation \[47\]) never makes
 //! a circuit worse. See `DESIGN.md` for the bound discussion.
 
 use crate::euler::matrix_to_u3_gate;

@@ -5,8 +5,9 @@
 //! relationships" that Qiskit's level ≥ 2 pipelines run (Section II-B of the
 //! paper) — the baseline optimizations RPO is measured on top of.
 
-use crate::{Pass, TranspileError};
-use qc_circuit::{Circuit, Dag, Gate, Instruction};
+use crate::manager::{CommClass, CommutationAnalysis, DagPass, PassInterest, PropertySet};
+use crate::TranspileError;
+use qc_circuit::{ChangeReport, Dag, DagEdit, Gate};
 
 /// Cancels adjacent `cx` pairs with identical control/target, and adjacent
 /// self-inverse single-qubit pairs (h·h, x·x, …). Also commutes `u1`/`z`
@@ -18,46 +19,34 @@ fn is_self_inverse_1q(g: &Gate) -> bool {
     matches!(g, Gate::X | Gate::Y | Gate::Z | Gate::H)
 }
 
-impl Pass for CxCancellation {
-    fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
-        // Iterate until no more cancellations fire.
-        for _ in 0..64 {
-            if !cancel_once(circuit) {
-                return Ok(());
-            }
-        }
-        Ok(())
-    }
-}
-
-impl crate::manager::DagPass for CxCancellation {
+impl DagPass for CxCancellation {
     fn name(&self) -> &'static str {
         "CxCancellation"
     }
 
-    fn interest(&self) -> crate::manager::PassInterest {
+    fn interest(&self) -> PassInterest {
         // Cancellations pair cx gates (connected along the cx's own wires)
         // or adjacent self-inverse 1q gates; a change on a wire carrying
         // neither cannot create one.
         use qc_circuit::gate_class::{CX, SELF_INVERSE};
-        crate::manager::PassInterest::gate_classes(CX | SELF_INVERSE)
+        PassInterest::gate_classes(CX | SELF_INVERSE)
     }
 
     fn run_on_dag(
         &self,
-        dag: &mut qc_circuit::Dag,
-        props: &mut crate::manager::PropertySet,
-    ) -> Result<qc_circuit::ChangeReport, TranspileError> {
-        let mut total = qc_circuit::ChangeReport::none(dag.num_qubits());
-        // Same sweep-to-fixpoint as the circuit-level pass, on the shared
-        // IR: each sweep plans over the cached per-node commutation
-        // classes and batches its removals into one edit.
+        dag: &mut Dag,
+        props: &mut PropertySet,
+    ) -> Result<ChangeReport, TranspileError> {
+        let mut total = ChangeReport::none(dag.num_qubits());
+        // Sweep until no more cancellations fire: each sweep plans over
+        // the cached per-node commutation classes and batches its
+        // removals into one edit.
         for _ in 0..64 {
             let removed = {
-                let classes = crate::manager::CommutationAnalysis::get(props, dag);
+                let classes = CommutationAnalysis::get(props, dag);
                 plan_cancellations(dag, classes)
             };
-            let mut edit = qc_circuit::DagEdit::new();
+            let mut edit = DagEdit::new();
             for (id, r) in removed.iter().enumerate() {
                 if *r {
                     edit.remove(id);
@@ -74,10 +63,8 @@ impl crate::manager::DagPass for CxCancellation {
 
 /// One cancellation sweep over a DAG: `removed[id]` marks node ids to
 /// delete. `classes` gives each node id's commutation family (1-qubit
-/// Z-diagonal gates are looked through on CNOT control wires). Shared by
-/// the circuit-level and DAG-native drivers.
-fn plan_cancellations(dag: &Dag, classes: &[crate::manager::CommClass]) -> Vec<bool> {
-    use crate::manager::CommClass;
+/// Z-diagonal gates are looked through on CNOT control wires).
+fn plan_cancellations(dag: &Dag, classes: &[CommClass]) -> Vec<bool> {
     let mut removed = vec![false; dag.capacity()];
 
     // Helper: the next non-removed successor of `node` along wire `q` that
@@ -132,40 +119,11 @@ fn plan_cancellations(dag: &Dag, classes: &[crate::manager::CommClass]) -> Vec<b
     removed
 }
 
-/// One cancellation sweep; returns whether anything changed.
-fn cancel_once(circuit: &mut Circuit) -> bool {
-    let dag = Dag::from_circuit(circuit);
-    let classes: Vec<crate::manager::CommClass> = dag
-        .iter()
-        .map(|(_, inst)| {
-            if inst.qubits.len() == 1 {
-                crate::manager::comm_class(&inst.gate)
-            } else {
-                crate::manager::CommClass::Other
-            }
-        })
-        .collect();
-    let removed = plan_cancellations(&dag, &classes);
-    if !removed.iter().any(|&r| r) {
-        return false;
-    }
-    // A freshly built DAG numbers ids densely in program order, so ids
-    // index the instruction list directly.
-    let out: Vec<Instruction> = circuit
-        .instructions()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !removed[*i])
-        .map(|(_, inst)| inst.clone())
-        .collect();
-    circuit.set_instructions(out);
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qc_circuit::circuit_unitary;
+    use crate::Pass;
+    use qc_circuit::{circuit_unitary, Circuit};
 
     fn cancelled(c: &Circuit) -> Circuit {
         let mut out = c.clone();

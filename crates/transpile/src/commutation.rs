@@ -7,8 +7,9 @@
 //! same-wire rotations separated only by such CNOT anchors merge into one
 //! gate (and cancel outright when the angles sum to zero).
 
-use crate::{Pass, TranspileError};
-use qc_circuit::{Circuit, Gate, Instruction};
+use crate::manager::{DagPass, PassInterest, PropertySet};
+use crate::TranspileError;
+use qc_circuit::{ChangeReport, Dag, DagEdit, Gate, Instruction};
 use qc_synth::euler::normalize_angle;
 use std::f64::consts::{FRAC_PI_2, PI};
 
@@ -43,17 +44,11 @@ fn family(g: &Gate) -> Family {
 #[derive(Default)]
 pub struct CommutativeCancellation;
 
-/// The merge plan over an instruction stream — shared by the circuit-level
-/// and DAG-native drivers. `insts` yields `(key, instruction)` pairs in
-/// program order (instruction positions for the circuit driver, node ids
-/// for the DAG driver); `cap` bounds the keys. `plan[key]`: `None` = keep
-/// the instruction; `Some(None)` = drop it; `Some(Some(g))` = replace it
+/// The merge plan over a DAG, indexed by node id: `plan[id]`: `None` =
+/// keep the node; `Some(None)` = drop it; `Some(Some(g))` = replace it
 /// with `g` on the same qubits.
-fn plan_merges<'a>(
-    insts: impl Iterator<Item = (usize, &'a Instruction)>,
-    n: usize,
-    cap: usize,
-) -> Vec<Option<Option<Gate>>> {
+fn plan_merges(dag: &Dag) -> Vec<Option<Option<Gate>>> {
+    let n = dag.num_qubits();
     // For every wire, accumulate the active commuting run: the family,
     // the summed angle, and the index of the first gate in the run.
     #[derive(Clone, Copy)]
@@ -64,7 +59,7 @@ fn plan_merges<'a>(
     }
     let mut runs: Vec<Option<Run>> = vec![None; n];
     // replacement[key]: None = keep; Some(None) = drop; Some(Some(g)) = emit g.
-    let mut replacement: Vec<Option<Option<Gate>>> = vec![None; cap];
+    let mut replacement: Vec<Option<Option<Gate>>> = vec![None; dag.capacity()];
 
     let flush =
         |runs: &mut Vec<Option<Run>>, replacement: &mut Vec<Option<Option<Gate>>>, q: usize| {
@@ -81,7 +76,7 @@ fn plan_merges<'a>(
             }
         };
 
-    for (i, inst) in insts {
+    for (i, inst) in dag.iter() {
         match (&inst.gate, inst.qubits.len()) {
             (Gate::Cx, 2) => {
                 // Z-runs pass through the control; X-runs through the
@@ -147,44 +142,26 @@ fn plan_merges<'a>(
     replacement
 }
 
-impl Pass for CommutativeCancellation {
-    fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
-        let n = circuit.num_qubits();
-        let insts = circuit.instructions().to_vec();
-        let mut replacement = plan_merges(insts.iter().enumerate(), n, insts.len());
-        let mut out: Vec<Instruction> = Vec::with_capacity(insts.len());
-        for (i, inst) in insts.into_iter().enumerate() {
-            match replacement[i].take() {
-                None => out.push(inst),
-                Some(None) => {}
-                Some(Some(g)) => out.push(Instruction::new(g, inst.qubits)),
-            }
-        }
-        circuit.set_instructions(out);
-        Ok(())
-    }
-}
-
-impl crate::manager::DagPass for CommutativeCancellation {
+impl DagPass for CommutativeCancellation {
     fn name(&self) -> &'static str {
         "CommutativeCancellation"
     }
 
-    fn interest(&self) -> crate::manager::PassInterest {
+    fn interest(&self) -> PassInterest {
         // Runs are per-wire sequences of Z-phase / X-rotation family
         // gates; a change on a wire carrying neither family cannot create
         // or connect one.
         use qc_circuit::gate_class::{ONE_Q_DIAG, ONE_Q_X};
-        crate::manager::PassInterest::gate_classes(ONE_Q_DIAG | ONE_Q_X)
+        PassInterest::gate_classes(ONE_Q_DIAG | ONE_Q_X)
     }
 
     fn run_on_dag(
         &self,
-        dag: &mut qc_circuit::Dag,
-        _props: &mut crate::manager::PropertySet,
-    ) -> Result<qc_circuit::ChangeReport, TranspileError> {
-        let replacement = plan_merges(dag.iter(), dag.num_qubits(), dag.capacity());
-        let mut edit = qc_circuit::DagEdit::new();
+        dag: &mut Dag,
+        _props: &mut PropertySet,
+    ) -> Result<ChangeReport, TranspileError> {
+        let replacement = plan_merges(dag);
+        let mut edit = DagEdit::new();
         for (i, r) in replacement.into_iter().enumerate() {
             match r {
                 None => {}
@@ -206,7 +183,8 @@ impl crate::manager::DagPass for CommutativeCancellation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qc_circuit::circuit_unitary;
+    use crate::Pass;
+    use qc_circuit::{circuit_unitary, Circuit};
 
     fn run(c: &Circuit) -> Circuit {
         let mut out = c.clone();

@@ -9,9 +9,10 @@
 //! is the *strict* peephole optimization RPO relaxes.
 
 use crate::guard::{BudgetSnapshot, BUDGET_KEY};
-use crate::{Pass, TranspileError};
+use crate::manager::{BlocksAnalysis, DagPass, PassInterest, PropertySet};
+use crate::TranspileError;
 use qc_circuit::circuit::gate_counts_of;
-use qc_circuit::{Circuit, Dag, Instruction, UnitaryAccumulator};
+use qc_circuit::{ChangeReport, Circuit, Dag, DagEdit, Instruction, UnitaryAccumulator};
 use qc_synth::try_synthesize_two_qubit;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,12 +123,12 @@ pub const CONSOLIDATE_DECLINED_KEY: &str = "consolidate_declined";
 /// The re-synthesis plan over a DAG and its collected blocks, indexed by
 /// node id: `drop[id]` marks block members to delete, `replace_at[id]`
 /// holds the synthesized replacement spliced at the block's last node.
-/// Shared by the circuit-level and DAG-native drivers; the DAG driver
-/// passes its [`ConsolidateDeclined`] cache, the circuit driver `None`.
+/// `declined` is read to skip pairs declined before and updated with this
+/// run's decisions.
 fn plan_consolidation(
     dag: &Dag,
     blocks: &[qc_circuit::Block],
-    declined: Option<&mut ConsolidateDeclined>,
+    declined: &mut ConsolidateDeclined,
     budget: BudgetSnapshot,
 ) -> (Vec<bool>, Vec<Option<Vec<Instruction>>>) {
     let mut drop = vec![false; dag.capacity()];
@@ -148,13 +149,11 @@ fn plan_consolidation(
         let (a, b) = (block.qubits[0], block.qubits[1]);
         let key = (a.min(b), a.max(b));
         let gens = (dag.wire_gen(key.0), dag.wire_gen(key.1));
-        if let Some(cache) = declined.as_deref() {
-            if cache.pairs.get(&key) == Some(&gens) {
-                // Declined last run and both wires untouched since: the
-                // block is bit-identical, the decision still holds.
-                fresh.entry(key).or_insert(true);
-                continue;
-            }
+        if declined.pairs.get(&key) == Some(&gens) {
+            // Declined last run and both wires untouched since: the block
+            // is bit-identical, the decision still holds.
+            fresh.entry(key).or_insert(true);
+            continue;
         }
         // Build the local 2-qubit circuit (a→0, b→1).
         let mut local = Circuit::new(2);
@@ -213,65 +212,36 @@ fn plan_consolidation(
         }
         replace_at[*block.nodes.last().expect("non-empty block")] = Some(mapped);
     }
-    if let Some(cache) = declined {
-        for (key, all_declined) in fresh {
-            if all_declined {
-                cache
-                    .pairs
-                    .insert(key, (dag.wire_gen(key.0), dag.wire_gen(key.1)));
-            } else {
-                // The pair was rewritten; its wires get fresh stamps from
-                // the apply, so any stale entry must go.
-                cache.pairs.remove(&key);
-            }
+    for (key, all_declined) in fresh {
+        if all_declined {
+            declined
+                .pairs
+                .insert(key, (dag.wire_gen(key.0), dag.wire_gen(key.1)));
+        } else {
+            // The pair was rewritten; its wires get fresh stamps from the
+            // apply, so any stale entry must go.
+            declined.pairs.remove(&key);
         }
     }
     (drop, replace_at)
 }
 
-impl Pass for ConsolidateBlocks {
-    fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
-        let dag = Dag::from_circuit(circuit);
-        // Pair detection shared with QPO's block rewrite and the fusion
-        // planner (`qc_circuit::BlockTracker`): one membership machine
-        // decides what counts as a foldable neighborhood everywhere.
-        let blocks = dag.collect_blocks(2);
-        if blocks.is_empty() {
-            return Ok(());
-        }
-        // A freshly built DAG numbers ids densely in program order, so the
-        // id-indexed plan applies positionally to the instruction list.
-        let (drop, mut replace_at) =
-            plan_consolidation(&dag, &blocks, None, BudgetSnapshot::unlimited());
-        let mut out = Vec::with_capacity(circuit.len());
-        for (i, inst) in circuit.instructions().iter().enumerate() {
-            if let Some(mapped) = replace_at[i].take() {
-                out.extend(mapped);
-            } else if !drop[i] {
-                out.push(inst.clone());
-            }
-        }
-        circuit.set_instructions(out);
-        Ok(())
-    }
-}
-
-impl crate::manager::DagPass for ConsolidateBlocks {
+impl DagPass for ConsolidateBlocks {
     fn name(&self) -> &'static str {
         "ConsolidateBlocks"
     }
 
-    fn interest(&self) -> crate::manager::PassInterest {
+    fn interest(&self) -> PassInterest {
         // Blocks are anchored by two-qubit unitary gates on their wires; a
         // wire carrying no 2q unitary belongs to no block.
-        crate::manager::PassInterest::gate_classes(qc_circuit::gate_class::TWO_Q)
+        PassInterest::gate_classes(qc_circuit::gate_class::TWO_Q)
     }
 
     fn run_on_dag(
         &self,
-        dag: &mut qc_circuit::Dag,
-        props: &mut crate::manager::PropertySet,
-    ) -> Result<qc_circuit::ChangeReport, TranspileError> {
+        dag: &mut Dag,
+        props: &mut PropertySet,
+    ) -> Result<ChangeReport, TranspileError> {
         // The declined-pair memory turns clean re-runs from "KAK every
         // block again" into a per-pair generation compare. Moved out of
         // the PropertySet for the plan so the cached block slice can stay
@@ -285,15 +255,15 @@ impl crate::manager::DagPass for ConsolidateBlocks {
         let (drop, replace_at) = {
             // Block membership from the shared analysis cache — QPO's block
             // rewrite and any clean re-run reuse the same collection.
-            let blocks = crate::manager::BlocksAnalysis::get(props, dag, 2);
+            let blocks = BlocksAnalysis::get(props, dag, 2);
             if blocks.is_empty() {
                 props.insert(CONSOLIDATE_DECLINED_KEY, declined);
-                return Ok(qc_circuit::ChangeReport::none(dag.num_qubits()));
+                return Ok(ChangeReport::none(dag.num_qubits()));
             }
-            plan_consolidation(dag, blocks, Some(&mut declined), budget)
+            plan_consolidation(dag, blocks, &mut declined, budget)
         };
         props.insert(CONSOLIDATE_DECLINED_KEY, declined);
-        let mut edit = qc_circuit::DagEdit::new();
+        let mut edit = DagEdit::new();
         for (i, r) in replace_at.into_iter().enumerate() {
             if let Some(mapped) = r {
                 edit.replace(i, mapped);
@@ -323,6 +293,7 @@ fn two_qubit_cx_cost(g: &qc_circuit::Gate) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pass;
     use qc_circuit::{circuit_unitary, Gate};
 
     fn consolidated(c: &Circuit) -> Circuit {

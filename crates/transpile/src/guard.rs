@@ -219,8 +219,6 @@ pub enum ValidationMode {
     /// Deterministically every `n`-th guarded pass execution, plus the
     /// first (the release-build default, `n = 16`).
     Sampled(usize),
-    /// Never (benchmarks only; quarantine of panics/errors still works).
-    Off,
 }
 
 impl ValidationMode {
@@ -417,7 +415,6 @@ impl PassGuard {
             ValidationMode::Sampled(n) => {
                 self.executions == 1 || self.executions.is_multiple_of(n.max(1))
             }
-            ValidationMode::Off => false,
         }
     }
 

@@ -21,7 +21,8 @@ pub fn trivial_layout(num_logical: usize) -> Vec<usize> {
 ///
 /// # Errors
 ///
-/// Returns [`TranspileError::TooManyQubits`] when the circuit does not fit.
+/// Returns [`crate::RpoError::InvalidInput`] (via
+/// [`crate::RpoError::too_many_qubits`]) when the circuit does not fit.
 pub fn dense_layout(circuit: &Circuit, backend: &Backend) -> Result<Vec<usize>, TranspileError> {
     dense_layout_insts(circuit.instructions(), circuit.num_qubits(), backend)
 }
@@ -31,7 +32,8 @@ pub fn dense_layout(circuit: &Circuit, backend: &Backend) -> Result<Vec<usize>, 
 ///
 /// # Errors
 ///
-/// Returns [`TranspileError::TooManyQubits`] when the circuit does not fit.
+/// Returns [`crate::RpoError::InvalidInput`] (via
+/// [`crate::RpoError::too_many_qubits`]) when the circuit does not fit.
 pub fn dense_layout_insts<'a>(
     instructions: impl IntoIterator<Item = &'a Instruction>,
     num_qubits: usize,
@@ -141,8 +143,9 @@ fn adjacency_bitmap(backend: &Backend) -> Vec<bool> {
 ///
 /// # Errors
 ///
-/// Returns [`TranspileError::TooManyQubits`] when the layout does not cover
-/// the circuit.
+/// Returns [`crate::RpoError::InvalidInput`] (via
+/// [`crate::RpoError::too_many_qubits`]) when the layout does not cover the
+/// circuit.
 pub fn apply_layout(
     circuit: &Circuit,
     layout: &[usize],
@@ -167,8 +170,9 @@ pub fn apply_layout(
 ///
 /// # Errors
 ///
-/// Returns [`TranspileError::TooManyQubits`] when the layout does not cover
-/// the circuit.
+/// Returns [`crate::RpoError::InvalidInput`] (via
+/// [`crate::RpoError::too_many_qubits`]) when the layout does not cover the
+/// circuit.
 pub fn apply_layout_dag(
     dag: &mut qc_circuit::Dag,
     layout: &[usize],

@@ -24,6 +24,11 @@
 //! layout and one after routing, so `rpo-core` can interleave its passes
 //! exactly as in the paper.
 //!
+//! Each pass is written once, as a [`DagPass`] over the shared
+//! [`qc_circuit::Dag`] IR. The [`Pass`] trait runs any of them on its own
+//! over a [`Circuit`] through a single blanket impl, so no pass has a
+//! second, circuit-level rewrite path.
+//!
 //! # Examples
 //!
 //! ```
@@ -47,9 +52,10 @@ pub mod layout;
 pub mod manager;
 pub mod optimize_1q;
 pub mod preset;
-/// The retained pre-refactor circuit-roundtrip pipeline and its `stage_*`
-/// helpers — the property-test oracle. Compiled only for tests and under
-/// the `reference-oracles` feature, so release builds skip it entirely.
+/// The reference pipeline (each pass on its own over a circuit) and its
+/// `stage_*` helpers — the property-test oracle for the pipeline driver.
+/// Compiled only for tests and under the `reference-oracles` feature, so
+/// release builds skip it entirely.
 #[cfg(any(test, feature = "reference-oracles"))]
 pub mod reference;
 pub mod routing;
@@ -65,7 +71,7 @@ pub use manager::{
 };
 pub use preset::{transpile, TranspileOptions};
 
-use qc_circuit::Circuit;
+use qc_circuit::{Circuit, Dag};
 
 /// The shared typed error taxonomy (defined in `qc_circuit`, used by
 /// every layer of the stack).
@@ -76,23 +82,31 @@ pub use qc_circuit::{BudgetKind, RpoError};
 /// signatures stay stable.
 pub type TranspileError = RpoError;
 
-/// A circuit-to-circuit transformation — the *circuit-level* view of a
-/// pass.
+/// Runs one pass on its own over a [`Circuit`].
 ///
-/// The pipelines are DAG-native: [`preset::run_pipeline`] runs
-/// [`DagPass`]es over the shared [`qc_circuit::Dag`] IR. This trait is
-/// kept for the reference oracles ([`reference`]) that the property tests
-/// compare against, and for running a single pass on its own over a
-/// [`Circuit`]. Every pass implements both traits through one shared
-/// rewrite core, so the two views cannot drift apart.
+/// Every [`DagPass`] is a `Pass` through the one blanket impl below, so
+/// a pass has exactly one rewrite path: `run` converts the circuit to a
+/// [`Dag`], calls [`DagPass::run_on_dag`] with a fresh [`PropertySet`]
+/// and converts back. The pipelines skip this wrapper and run
+/// [`DagPass`]es on one shared DAG ([`preset::run_pipeline`]).
 pub trait Pass {
-    /// Transforms the circuit in place.
+    /// Transforms the circuit in place. On error the circuit is left
+    /// unchanged.
     ///
     /// # Errors
     ///
     /// Returns a [`TranspileError`] when the circuit cannot be processed
     /// (unsupported gate, resource mismatch).
     fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError>;
+}
+
+impl<P: DagPass + ?Sized> Pass for P {
+    fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
+        let mut dag = Dag::from_circuit(circuit);
+        self.run_on_dag(&mut dag, &mut PropertySet::new())?;
+        *circuit = dag.to_circuit();
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -1,21 +1,23 @@
 //! The DAG-native pass manager: shared-IR passes, cached analyses, and the
 //! change-driven, interest-filtered fixed-point driver.
 //!
-//! Three pieces replace the old "every pass clones a [`Circuit`], rebuilds
-//! a [`Dag`], flattens back" pipeline:
+//! Every pass is written once, against the shared [`Dag`] IR; running one
+//! pass on its own over a circuit goes through the blanket
+//! [`crate::Pass`] impl. Three pieces make up the manager:
 //!
 //! * [`DagPass`] — a pass mutates the shared [`Dag`] in place (via
 //!   [`qc_circuit::DagEdit`] batches) and returns a [`ChangeReport`]
 //!   saying how many nodes it rewrote and on which wires. A pass may also
 //!   declare a [`PassInterest`]: the gate classes it rewrites, so the
 //!   driver can prove a re-run pointless without executing it.
-//! * [`PropertySet`] — a keyed store of cached analyses. Each analysis
-//!   snapshots the DAG's per-wire generation stamps when computed and
-//!   revalidates against them, so a pass that only touched wires `{2, 3}`
-//!   invalidates only entries depending on those wires. [`BlocksAnalysis`]
-//!   (the `Collect2qBlocks`/`BlockTracker` product) and
-//!   [`CommutationAnalysis`] live here; the per-wire state automata cache
-//!   lives with the analyses themselves in `rpo-core`.
+//! * [`PropertySet`] — a keyed store of cached analyses, each revalidated
+//!   against the DAG's generation stamps. [`BlocksAnalysis`] (the
+//!   `Collect2qBlocks`/`BlockTracker` product) and [`CommutationAnalysis`]
+//!   live here and recompute after any mutation ([`GenSnapshot`]); the
+//!   per-wire state automata cache lives with the analyses themselves in
+//!   `rpo-core` and checks per-wire stamps, so a pass that only touched
+//!   wires `{2, 3}` invalidates only trajectories depending on those
+//!   wires.
 //! * [`FixedPointLoop`] — the paper's Fig. 8 line 9 loop, driven by change
 //!   reports instead of unconditional re-execution. A pass is *skipped*
 //!   when its dirty wire set is empty (its last run made no rewrites and
@@ -25,8 +27,9 @@
 //!   on, so the pass provably has nothing to do). The loop exits as soon
 //!   as an iteration executes nothing. The classic gate-count termination
 //!   rule is kept as well, so the loop visits exactly the same rewriting
-//!   pass executions as the pre-refactor driver — output is gate-for-gate
-//!   identical, just without the wasted clean re-runs.
+//!   pass executions as the unconditional loop of the test-only
+//!   `reference` module — the equivalence tests check that the output is
+//!   bit-identical, just without the wasted clean re-runs.
 //!
 //! Per-pass execution statistics ([`PassStats`]: runs, change-tracking
 //! skips, interest skips, rewrites, relinked nodes, wall time) are
@@ -75,14 +78,6 @@ impl PassInterest {
     pub fn gate_classes(mask: u16) -> Self {
         PassInterest {
             classes: Some(mask),
-        }
-    }
-
-    /// Whether wire `q` of `dag` currently satisfies the predicate.
-    pub fn wire_interesting(&self, dag: &Dag, q: usize) -> bool {
-        match self.classes {
-            None => true,
-            Some(mask) => dag.wire_class_mask(q) & mask != 0,
         }
     }
 
@@ -176,36 +171,26 @@ impl PropertySet {
     }
 }
 
-/// Snapshot of the DAG's mutation state (global generation + per-wire
-/// stamps), the validity key every cached analysis stores alongside its
-/// value.
+/// Snapshot of the DAG's mutation state (global generation and width),
+/// the validity key every cached analysis stores alongside its value.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GenSnapshot {
     gen: u64,
-    gens: Vec<u64>,
+    num_qubits: usize,
 }
 
 impl GenSnapshot {
-    /// Captures the current generation and per-wire stamps.
+    /// Captures the current generation and width.
     pub fn of(dag: &Dag) -> Self {
         GenSnapshot {
             gen: dag.generation(),
-            gens: (0..dag.num_qubits()).map(|q| dag.wire_gen(q)).collect(),
+            num_qubits: dag.num_qubits(),
         }
     }
 
     /// Whether nothing mutated the DAG since the snapshot.
     pub fn fresh(&self, dag: &Dag) -> bool {
-        self.gen == dag.generation() && self.gens.len() == dag.num_qubits()
-    }
-
-    /// Whether none of `wires` changed since the snapshot (other wires may
-    /// have).
-    pub fn fresh_for(&self, dag: &Dag, wires: impl IntoIterator<Item = usize>) -> bool {
-        self.gens.len() == dag.num_qubits()
-            && wires
-                .into_iter()
-                .all(|q| self.gens.get(q).copied() == Some(dag.wire_gen(q)))
+        *self == GenSnapshot::of(dag)
     }
 }
 
@@ -375,7 +360,7 @@ pub fn run_timed(
 /// [`FixedPointLoop::without_interest_filtering`], which the equivalence
 /// tests use to assert filtering never changes output.
 ///
-/// Termination mirrors the pre-refactor driver exactly: stop after
+/// Termination mirrors the unconditional reference loop exactly: stop after
 /// `max_iters` iterations, when an iteration performs no rewrites, or when
 /// an iteration fails to improve the CNOT count or total gate count.
 pub struct FixedPointLoop {

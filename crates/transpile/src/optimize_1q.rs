@@ -5,8 +5,9 @@
 //! single-qubit gates (Section IV), and it prepares single-u3 wires for QPO's
 //! pure-state tracking (Fig. 8, line 7).
 
-use crate::{Pass, TranspileError};
-use qc_circuit::{Circuit, Dag, Gate, Instruction};
+use crate::manager::{DagPass, PassInterest, PropertySet};
+use crate::TranspileError;
+use qc_circuit::{ChangeReport, Dag, DagEdit, Gate, Instruction};
 use qc_synth::euler::OneQubitEuler;
 
 /// Merges maximal single-qubit gate runs into at most one u-gate each.
@@ -15,7 +16,7 @@ pub struct Optimize1qGates;
 
 /// The merge plan over a DAG, indexed by node id: `plan[id]`: `None` =
 /// keep node `id`; `Some(None)` = drop it; `Some(Some(g))` = replace it
-/// with `g`. Shared by the circuit-level and DAG-native drivers.
+/// with `g`.
 fn plan_runs(dag: &Dag) -> Result<Vec<Option<Option<Gate>>>, TranspileError> {
     let runs = dag.single_qubit_runs();
     let mut replacement: Vec<Option<Option<Gate>>> = vec![None; dag.capacity()];
@@ -49,43 +50,26 @@ fn plan_runs(dag: &Dag) -> Result<Vec<Option<Option<Gate>>>, TranspileError> {
     Ok(replacement)
 }
 
-impl Pass for Optimize1qGates {
-    fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
-        let dag = Dag::from_circuit(circuit);
-        let mut replacement = plan_runs(&dag)?;
-        let mut out: Vec<Instruction> = Vec::with_capacity(circuit.len());
-        for (i, inst) in circuit.instructions().iter().enumerate() {
-            match replacement[i].take() {
-                None => out.push(inst.clone()),
-                Some(None) => {}
-                Some(Some(g)) => out.push(Instruction::new(g, inst.qubits.clone())),
-            }
-        }
-        circuit.set_instructions(out);
-        Ok(())
-    }
-}
-
-impl crate::manager::DagPass for Optimize1qGates {
+impl DagPass for Optimize1qGates {
     fn name(&self) -> &'static str {
         "Optimize1qGates"
     }
 
-    fn interest(&self) -> crate::manager::PassInterest {
+    fn interest(&self) -> PassInterest {
         // Any wire carrying a 1q unitary is interesting — even a singleton
         // run rewrites when its gate is not already in the Euler-canonical
         // u-form, so the pass deliberately over-approximates past "≥ 2
         // adjacent 1q nodes" (see the PassInterest contract).
-        crate::manager::PassInterest::gate_classes(qc_circuit::gate_class::ONE_Q)
+        PassInterest::gate_classes(qc_circuit::gate_class::ONE_Q)
     }
 
     fn run_on_dag(
         &self,
-        dag: &mut qc_circuit::Dag,
-        _props: &mut crate::manager::PropertySet,
-    ) -> Result<qc_circuit::ChangeReport, TranspileError> {
+        dag: &mut Dag,
+        _props: &mut PropertySet,
+    ) -> Result<ChangeReport, TranspileError> {
         let replacement = plan_runs(dag)?;
-        let mut edit = qc_circuit::DagEdit::new();
+        let mut edit = DagEdit::new();
         for (i, r) in replacement.into_iter().enumerate() {
             match r {
                 None => {}
@@ -106,7 +90,8 @@ impl crate::manager::DagPass for Optimize1qGates {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qc_circuit::circuit_unitary;
+    use crate::Pass;
+    use qc_circuit::{circuit_unitary, Circuit};
 
     fn optimized(c: &Circuit) -> Circuit {
         let mut out = c.clone();

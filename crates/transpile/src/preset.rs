@@ -167,7 +167,8 @@ pub fn fixpoint_passes(consolidate: bool) -> Vec<Box<dyn DagPass>> {
 ///
 /// # Errors
 ///
-/// Returns [`TranspileError::TooManyQubits`] when the circuit does not fit.
+/// Returns [`crate::RpoError::InvalidInput`] (via
+/// [`crate::RpoError::too_many_qubits`]) when the circuit does not fit.
 pub fn dag_stage_layout(
     dag: &mut Dag,
     backend: &Backend,
@@ -430,9 +431,9 @@ mod tests {
         for level in 0..=3 {
             let out = transpile(&bell(), &backend, &TranspileOptions::level(level)).unwrap();
             for inst in out.circuit.instructions() {
-                assert!(
-                    crate::unroll::device_basis().contains(inst.gate.name())
-                        || !inst.gate.is_unitary_gate(),
+                assert_eq!(
+                    qc_circuit::instruction_classes(inst) & qc_circuit::gate_class::NON_DEVICE,
+                    0,
                     "level {level} left gate {}",
                     inst.gate
                 );

@@ -1,13 +1,17 @@
-//! The pre-refactor, circuit-roundtrip transpile pipeline and its `stage_*`
-//! helpers, retained verbatim as the oracle for the DAG-native pipelines'
-//! property tests (`rpo-core`'s `transpile_rpo_reference` and the Hoare
-//! equivalence test build on the same helpers).
+//! The reference transpile pipeline and its `stage_*` helpers: the oracle
+//! for the pipeline driver's property tests (`rpo-core`'s
+//! `transpile_rpo_reference` and the Hoare equivalence test build on the
+//! same helpers).
 //!
-//! Every stage here clones the [`Circuit`], rebuilds a `Dag` internally,
-//! and flattens back — the conversion churn the DAG-native
-//! [`crate::transpile`] eliminates. The property tests assert the two
-//! produce gate-for-gate identical output on random circuit families; do
-//! not "optimize" this module, its value is being the old behavior.
+//! The passes are the pipelines' own [`crate::DagPass`]es, but each one
+//! runs on its own over a [`Circuit`] through the blanket [`Pass`] impl:
+//! a fresh `Dag` and [`crate::PropertySet`] per pass, circuit-level layout
+//! and routing, and an unconditional fixed-point loop. What the tests
+//! check is therefore the driver [`crate::preset::run_pipeline`] adds on
+//! top — one conversion each way, cached analyses, the change-driven and
+//! interest-filtered fixed point, DAG layout and routing — and they
+//! assert bit-identical output on random circuit families. Do not
+//! "optimize" this module; its value is being the plain sequence.
 
 use crate::cancellation::CxCancellation;
 use crate::commutation::CommutativeCancellation;
@@ -92,8 +96,8 @@ pub fn stage_fixpoint_loop(c: &mut Circuit, consolidate: bool) -> Result<(), Tra
     Ok(())
 }
 
-/// The pre-refactor [`crate::transpile`]: one pass pipeline over cloned
-/// circuits with the unconditional fixed-point loop.
+/// [`crate::transpile`] as a plain sequence: each pass on its own over
+/// the circuit, with the unconditional fixed-point loop.
 ///
 /// # Errors
 ///

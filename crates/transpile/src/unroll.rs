@@ -5,87 +5,51 @@
 //! that keeps `swap` and `swapz` intact so the QPO pass can reason about
 //! them (Fig. 8, line 6).
 
-use crate::{Pass, TranspileError};
-use qc_circuit::{Circuit, Gate, Instruction};
+use crate::manager::{DagPass, PassInterest, PropertySet};
+use crate::TranspileError;
+use qc_circuit::gate_class::{NON_DEVICE, NON_EXTENDED};
+use qc_circuit::{instruction_classes, ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
 use qc_synth::{
     controlled_u_circuit, fredkin_circuit, matrix_to_u3_gate, mcx_no_ancilla, mcz_circuit,
     synthesize_two_qubit, toffoli_circuit,
 };
-use std::collections::HashSet;
 use std::f64::consts::{FRAC_PI_2, PI};
 
-/// The device basis used throughout the paper: `u1, u2, u3, id, cx`.
-pub fn device_basis() -> HashSet<&'static str> {
-    ["u1", "u2", "u3", "id", "cx"].into_iter().collect()
-}
-
-/// The device basis extended with `swap` and `swapz`, used right before the
-/// QPO pass.
-pub fn extended_basis() -> HashSet<&'static str> {
-    ["u1", "u2", "u3", "id", "cx", "swap", "swapz"]
-        .into_iter()
-        .collect()
-}
-
-/// Decomposes every gate outside `basis` into basis gates.
+/// Decomposes every unitary gate outside its target basis into basis
+/// gates. The basis is named by the [`qc_circuit::gate_class`] bit of the
+/// gates it decomposes, so membership, [`DagPass::interest`] and the DAG's
+/// per-wire census share one definition.
 pub struct Unroller {
-    basis: HashSet<&'static str>,
+    /// [`NON_DEVICE`] or [`NON_EXTENDED`].
+    decomposes: u16,
 }
 
 impl Unroller {
-    /// Creates an unroller targeting the given basis (gate names).
-    pub fn new(basis: HashSet<&'static str>) -> Self {
-        Unroller { basis }
-    }
-
-    /// Unroller for the standard device basis.
+    /// Unroller for the device basis `{u1, u2, u3, id, cx}`.
     pub fn to_device_basis() -> Self {
-        Unroller::new(device_basis())
+        Unroller {
+            decomposes: NON_DEVICE,
+        }
     }
 
-    /// Unroller for the swap-preserving extended basis.
+    /// Unroller for the extended basis that keeps `swap` and `swapz`.
     pub fn to_extended_basis() -> Self {
-        Unroller::new(extended_basis())
+        Unroller {
+            decomposes: NON_EXTENDED,
+        }
     }
 
-    /// Decomposes one instruction into basis gates, or `None` when it is
-    /// already in the basis (or non-unitary). The shared core of both the
-    /// circuit-level pass and the DAG-native pass.
-    pub fn expand(&self, inst: &Instruction) -> Result<Option<Vec<Instruction>>, TranspileError> {
-        // Non-unitary instructions and directives always pass through.
-        if matches!(
-            inst.gate,
-            Gate::Reset | Gate::Measure | Gate::Barrier(_) | Gate::Annot(_, _)
-        ) || self.basis.contains(inst.gate.name())
-        {
+    /// One decomposition step for `inst`, or `None` when it is in the
+    /// basis (non-unitary instructions always are). The expansion may
+    /// itself need unrolling (e.g. ccx → h/t/cx).
+    fn expand(&self, inst: &Instruction) -> Result<Option<Vec<Instruction>>, TranspileError> {
+        if instruction_classes(inst) & self.decomposes == 0 {
             return Ok(None);
         }
-        let mut out = Vec::new();
-        self.rewrite(inst, &mut out)?;
-        Ok(Some(out))
-    }
-
-    fn rewrite(
-        &self,
-        inst: &Instruction,
-        out: &mut Vec<Instruction>,
-    ) -> Result<bool, TranspileError> {
         let q = &inst.qubits;
-        // Non-unitary instructions and directives always pass through.
-        if matches!(
-            inst.gate,
-            Gate::Reset | Gate::Measure | Gate::Barrier(_) | Gate::Annot(_, _)
-        ) {
-            out.push(inst.clone());
-            return Ok(false);
-        }
-        if self.basis.contains(inst.gate.name()) {
-            out.push(inst.clone());
-            return Ok(false);
-        }
+        let mut out = Vec::new();
         let mut push = |gate: Gate, qubits: Vec<usize>| out.push(Instruction::new(gate, qubits));
         match &inst.gate {
-            Gate::I => push(Gate::U1(0.0), vec![q[0]]),
             Gate::X => push(Gate::U3(PI, 0.0, PI), vec![q[0]]),
             Gate::Y => push(Gate::U3(PI, FRAC_PI_2, FRAC_PI_2), vec![q[0]]),
             Gate::Z => push(Gate::U1(PI), vec![q[0]]),
@@ -97,10 +61,6 @@ impl Unroller {
             Gate::Rx(t) => push(Gate::U3(*t, -FRAC_PI_2, FRAC_PI_2), vec![q[0]]),
             Gate::Ry(t) => push(Gate::U3(*t, 0.0, 0.0), vec![q[0]]),
             Gate::Rz(t) => push(Gate::U1(*t), vec![q[0]]),
-            Gate::U1(l) => push(Gate::U3(0.0, 0.0, *l), vec![q[0]]),
-            Gate::U2(p, l) => push(Gate::U3(FRAC_PI_2, *p, *l), vec![q[0]]),
-            Gate::U3(..) => return Err(TranspileError::unsupported_gate("basis must include u3")),
-            Gate::Cx => push(Gate::Cx, vec![q[0], q[1]]),
             Gate::Cz => {
                 push(Gate::H, vec![q[1]]);
                 push(Gate::Cx, vec![q[0], q[1]]);
@@ -123,23 +83,31 @@ impl Unroller {
                 push(Gate::Cx, vec![q[1], q[0]]);
                 push(Gate::Cx, vec![q[0], q[1]]);
             }
-            Gate::Ccx => compose_onto(out, &toffoli_circuit(), q),
-            Gate::Cswap => compose_onto(out, &fredkin_circuit(), q),
-            Gate::Mcx(n) => compose_onto(out, &mcx_no_ancilla(*n), q),
-            Gate::Mcz(n) => compose_onto(out, &mcz_circuit(*n), q),
-            Gate::Cu(u) => compose_onto(out, &controlled_u_circuit(u), q),
-            Gate::Unitary(m) => match inst.qubits.len() {
+            Gate::Ccx => compose_onto(&mut out, &toffoli_circuit(), q),
+            Gate::Cswap => compose_onto(&mut out, &fredkin_circuit(), q),
+            Gate::Mcx(n) => compose_onto(&mut out, &mcx_no_ancilla(*n), q),
+            Gate::Mcz(n) => compose_onto(&mut out, &mcz_circuit(*n), q),
+            Gate::Cu(u) => compose_onto(&mut out, &controlled_u_circuit(u), q),
+            Gate::Unitary(m) => match q.len() {
                 1 => push(matrix_to_u3_gate(m), vec![q[0]]),
-                2 => compose_onto(out, &synthesize_two_qubit(m), q),
+                2 => compose_onto(&mut out, &synthesize_two_qubit(m), q),
                 n => {
                     return Err(TranspileError::unsupported_gate(format!(
                         "{n}-qubit unitary block"
                     )))
                 }
             },
-            Gate::Reset | Gate::Measure | Gate::Barrier(_) | Gate::Annot(_, _) => unreachable!(),
+            Gate::I
+            | Gate::U1(_)
+            | Gate::U2(..)
+            | Gate::U3(..)
+            | Gate::Cx
+            | Gate::Reset
+            | Gate::Measure
+            | Gate::Barrier(_)
+            | Gate::Annot(_, _) => unreachable!("{} is in every basis", inst.gate),
         }
-        Ok(true)
+        Ok(Some(out))
     }
 }
 
@@ -152,55 +120,27 @@ fn compose_onto(out: &mut Vec<Instruction>, sub: &Circuit, mapping: &[usize]) {
     }
 }
 
-impl Pass for Unroller {
-    fn run(&self, circuit: &mut Circuit) -> Result<(), TranspileError> {
-        // Iterate to a fixpoint: decompositions may introduce gates that
-        // themselves need unrolling (e.g. ccx → h/t/cx).
-        for _ in 0..16 {
-            let mut out = Vec::with_capacity(circuit.len());
-            let mut changed = false;
-            for inst in circuit.instructions() {
-                changed |= self.rewrite(inst, &mut out)?;
-            }
-            circuit.set_instructions(out);
-            if !changed {
-                return Ok(());
-            }
-        }
-        Err(TranspileError::Internal(
-            "unroller failed to reach a fixpoint".into(),
-        ))
-    }
-}
-
-impl crate::manager::DagPass for Unroller {
+impl DagPass for Unroller {
     fn name(&self) -> &'static str {
         "Unroller"
     }
 
-    fn interest(&self) -> crate::manager::PassInterest {
-        use qc_circuit::gate_class::{NON_DEVICE, NON_EXTENDED};
-        // The unroller rewrites exactly the unitary gates outside its
-        // basis; the class census tracks the two stock bases. A custom
-        // basis over-approximates to every wire.
-        if self.basis == device_basis() {
-            crate::manager::PassInterest::gate_classes(NON_DEVICE)
-        } else if self.basis == extended_basis() {
-            crate::manager::PassInterest::gate_classes(NON_EXTENDED)
-        } else {
-            crate::manager::PassInterest::all_wires()
-        }
+    fn interest(&self) -> PassInterest {
+        // The unroller rewrites exactly the gates of its class.
+        PassInterest::gate_classes(self.decomposes)
     }
 
     fn run_on_dag(
         &self,
-        dag: &mut qc_circuit::Dag,
-        _props: &mut crate::manager::PropertySet,
-    ) -> Result<qc_circuit::ChangeReport, TranspileError> {
-        let mut total = qc_circuit::ChangeReport::none(dag.num_qubits());
-        // Same fixpoint sweep as the circuit-level pass, batched per sweep.
+        dag: &mut Dag,
+        _props: &mut PropertySet,
+    ) -> Result<ChangeReport, TranspileError> {
+        let mut total = ChangeReport::none(dag.num_qubits());
+        // Iterate to a fixpoint, one batched edit per sweep:
+        // decompositions may introduce gates that themselves need
+        // unrolling (e.g. ccx → h/t/cx).
         for _ in 0..16 {
-            let mut edit = qc_circuit::DagEdit::new();
+            let mut edit = DagEdit::new();
             for (i, inst) in dag.iter() {
                 if let Some(expansion) = self.expand(inst)? {
                     edit.replace(i, expansion);
@@ -220,6 +160,7 @@ impl crate::manager::DagPass for Unroller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pass;
     use qc_circuit::circuit_unitary;
     use qc_math::Matrix;
 
@@ -232,10 +173,9 @@ mod tests {
     fn assert_equiv_and_basis(c: &Circuit) {
         let out = unrolled(c);
         for inst in out.instructions() {
-            assert!(
-                device_basis().contains(inst.gate.name())
-                    || !inst.gate.is_unitary_gate()
-                    || inst.gate.is_directive(),
+            assert_eq!(
+                instruction_classes(inst) & NON_DEVICE,
+                0,
                 "gate {} not in basis",
                 inst.gate
             );

@@ -1,12 +1,15 @@
-//! Property tests for the DAG-native pipeline: the new single-conversion,
-//! change-driven `transpile` must produce **gate-for-gate identical**
-//! output to the retained pre-refactor circuit-roundtrip pipeline
-//! (`reference::transpile_reference`) on the shared circuit families, and
-//! must convert Circuit↔Dag exactly once in each direction.
+//! Property tests for the pipeline driver: `transpile` (one conversion
+//! each way, cached analyses, the change-driven and interest-filtered
+//! fixed point, DAG layout and routing) must produce **bit-identical**
+//! output — equal `canonical_bytes`, so even the sign of a zero angle
+//! agrees — to `reference::transpile_reference`, which runs each pass on
+//! its own over a circuit with the unconditional fixed-point loop, on the
+//! shared circuit families. It must also convert Circuit↔Dag exactly once
+//! in each direction.
 
 use qc_backends::Backend;
 use qc_circuit::testing::{blocked_neighborhood_circuit, random_circuit, toffoli_chain};
-use qc_circuit::{conversion_counts, reset_conversion_counts, Circuit, Dag};
+use qc_circuit::{canonical_bytes, conversion_counts, reset_conversion_counts, Circuit, Dag};
 use qc_transpile::preset::fixpoint_passes;
 use qc_transpile::reference::transpile_reference;
 use qc_transpile::{transpile, FixedPointLoop, PropertySet, TranspileOptions};
@@ -21,6 +24,10 @@ fn assert_pipelines_agree(c: &Circuit, label: &str) {
             assert_eq!(
                 new.circuit, old.circuit,
                 "{label}: level {level} seed {seed} diverged from the reference pipeline"
+            );
+            assert!(
+                canonical_bytes(&new.circuit) == canonical_bytes(&old.circuit),
+                "{label}: level {level} seed {seed}: output bits differ from the reference pipeline"
             );
             assert_eq!(
                 new.final_map, old.final_map,
@@ -83,6 +90,10 @@ fn interest_filtering_never_changes_output() {
                 assert_eq!(
                     filtered.circuit, unfiltered.circuit,
                     "circuit {ci}: level {level} seed {seed}: interest filtering changed output"
+                );
+                assert!(
+                    canonical_bytes(&filtered.circuit) == canonical_bytes(&unfiltered.circuit),
+                    "circuit {ci}: level {level} seed {seed}: interest filtering changed output bits"
                 );
                 assert_eq!(
                     filtered.final_map, unfiltered.final_map,
