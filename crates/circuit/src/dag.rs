@@ -44,6 +44,31 @@
 //! Circuit↔Dag boundary and each bumps a thread-local conversion counter
 //! ([`conversion_counts`]) so tests can assert a pipeline converts exactly
 //! once in each direction.
+//!
+//! # Undo journal
+//!
+//! [`Dag::open_journal`] starts recording the inverse of every mutation, so
+//! [`Dag::rollback_journal`] can restore the exact state at open in time
+//! proportional to the edits since, not to the DAG. This is the pass
+//! guard's checkpoint: a pass that panics, errors or fails validation is
+//! undone by replaying its journal. While a journal is open:
+//!
+//! * every link write of a splice (order neighbours, wire pred/succ) logs
+//!   the field's old value;
+//! * a removed node is *moved* into the journal, never cloned, and its id
+//!   goes onto the free list;
+//! * each allocation logs whether it popped the free list or grew the
+//!   slab;
+//! * [`Dag::replace_all`] moves the old slab and free list into the
+//!   journal in O(1).
+//!
+//! Each entry is logged no later than its mutation with no unwind point
+//! in between, so a panic halfway through [`Dag::apply`] still rolls back.
+//! The scalars (`len`, head, tail, generation, width) and the O(qubits)
+//! per-wire generation stamps and class census are snapshotted at open.
+//! Rollback replays the log backwards, so node ids, free-list order and
+//! generations all come back exactly. [`Dag::commit_journal`] drops the
+//! journal and keeps the edits. Journals do not nest.
 
 use crate::blocks::{Block, BlockTracker, Membership};
 use crate::circuit::{gate_counts_over, Circuit, GateCounts, Instruction};
@@ -320,6 +345,48 @@ struct Node {
     wires: Vec<(usize, usize)>,
 }
 
+/// One link field of a node: an order neighbour, or the wire pred/succ at
+/// a qubit slot (an index into the node's `wires`).
+#[derive(Clone, Copy, Debug)]
+enum Link {
+    OrderPrev,
+    OrderNext,
+    WirePred(usize),
+    WireSucc(usize),
+}
+
+/// The inverse of one journaled mutation (see the module docs).
+#[derive(Clone, Debug)]
+enum Undo {
+    /// Link `link` of node `id` held `old`.
+    Link { id: usize, link: Link, old: usize },
+    /// Node `id` was removed and its id pushed onto the free list; its
+    /// payload is the last of `Journal::removed`.
+    Removed { id: usize },
+    /// Id `id` was allocated: popped off the free list, or pushed onto the
+    /// slab.
+    Allocated { id: usize, from_free: bool },
+    /// The stream was replaced; the old slab and free list are the last of
+    /// `Journal::streams`.
+    ReplacedAll,
+}
+
+/// The undo journal of an open [`Dag::open_journal`]: the state snapshot
+/// at open plus the inverse log of every mutation since.
+#[derive(Clone, Debug)]
+struct Journal {
+    num_qubits: usize,
+    len: usize,
+    head: usize,
+    tail: usize,
+    generation: u64,
+    wire_gen: Vec<u64>,
+    wire_classes: Vec<[u32; gate_class::COUNT]>,
+    log: Vec<Undo>,
+    removed: Vec<Node>,
+    streams: Vec<(Vec<Option<Node>>, Vec<usize>)>,
+}
+
 /// Dependency DAG over the instructions of a circuit — the transpiler's
 /// shared mutable IR (see the module docs).
 ///
@@ -342,6 +409,8 @@ pub struct Dag {
     /// Per-wire census: how many nodes on the wire carry each
     /// [`gate_class`] bit. Maintained incrementally per splice.
     wire_classes: Vec<[u32; gate_class::COUNT]>,
+    /// The open undo journal, if any.
+    journal: Option<Box<Journal>>,
 }
 
 impl Dag {
@@ -359,6 +428,7 @@ impl Dag {
             generation: 1,
             wire_gen: vec![1; circuit.num_qubits()],
             wire_classes: vec![[0; gate_class::COUNT]; circuit.num_qubits()],
+            journal: None,
         };
         dag.rebuild(circuit.instructions().to_vec());
         dag
@@ -631,16 +701,37 @@ impl Dag {
         self.slots[id].as_mut().expect("live node id")
     }
 
-    fn set_wire_pred(&mut self, id: usize, q: usize, v: usize) {
+    /// Appends `undo` to the open journal, if any.
+    fn log(&mut self, undo: Undo) {
+        if let Some(j) = self.journal.as_mut() {
+            j.log.push(undo);
+        }
+    }
+
+    fn link_mut(&mut self, id: usize, link: Link) -> &mut usize {
         let node = self.node_mut(id);
-        let slot = wire_slot(node, q);
-        node.wires[slot].0 = v;
+        match link {
+            Link::OrderPrev => &mut node.order_prev,
+            Link::OrderNext => &mut node.order_next,
+            Link::WirePred(slot) => &mut node.wires[slot].0,
+            Link::WireSucc(slot) => &mut node.wires[slot].1,
+        }
+    }
+
+    /// Writes one link field, journaling its old value.
+    fn set_link(&mut self, id: usize, link: Link, v: usize) {
+        let old = std::mem::replace(self.link_mut(id, link), v);
+        self.log(Undo::Link { id, link, old });
+    }
+
+    fn set_wire_pred(&mut self, id: usize, q: usize, v: usize) {
+        let slot = wire_slot(self.node(id), q);
+        self.set_link(id, Link::WirePred(slot), v);
     }
 
     fn set_wire_succ(&mut self, id: usize, q: usize, v: usize) {
-        let node = self.node_mut(id);
-        let slot = wire_slot(node, q);
-        node.wires[slot].1 = v;
+        let slot = wire_slot(self.node(id), q);
+        self.set_link(id, Link::WireSucc(slot), v);
     }
 
     /// The nearest node at or before `start` (in program order) carrying
@@ -670,24 +761,115 @@ impl Dag {
         NONE
     }
 
-    fn alloc(&mut self, inst: Instruction) -> usize {
+    /// Stores a new node between the given order neighbours (the caller
+    /// links them back), recycling the most recently freed id.
+    fn alloc(&mut self, inst: Instruction, order_prev: usize, order_next: usize) -> usize {
         let wires = vec![(NONE, NONE); inst.qubits.len()];
         let node = Node {
             inst,
-            order_prev: NONE,
-            order_next: NONE,
+            order_prev,
+            order_next,
             wires,
         };
-        match self.free.pop() {
-            Some(id) => {
-                self.slots[id] = Some(node);
-                id
-            }
-            None => {
-                self.slots.push(Some(node));
-                self.slots.len() - 1
+        let recycled = self.free.last().copied();
+        let id = recycled.unwrap_or(self.slots.len());
+        self.log(Undo::Allocated {
+            id,
+            from_free: recycled.is_some(),
+        });
+        if recycled.is_some() {
+            self.free.pop();
+            self.slots[id] = Some(node);
+        } else {
+            self.slots.push(Some(node));
+        }
+        id
+    }
+
+    /// Frees the id of a node just taken out of the slab, moving the node
+    /// into the open journal (or dropping it).
+    fn retire(&mut self, id: usize, node: Node) {
+        if let Some(j) = self.journal.as_mut() {
+            j.log.push(Undo::Removed { id });
+            j.removed.push(node);
+        }
+        self.free.push(id);
+    }
+
+    /// Starts recording the inverse of every mutation, so that
+    /// [`Dag::rollback_journal`] can restore the current state in
+    /// O(edits since). See the module docs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a journal is already open: journals do not nest.
+    pub fn open_journal(&mut self) {
+        assert!(
+            self.journal.is_none(),
+            "a journal is already open (journals do not nest)"
+        );
+        self.journal = Some(Box::new(Journal {
+            num_qubits: self.num_qubits,
+            len: self.len,
+            head: self.head,
+            tail: self.tail,
+            generation: self.generation,
+            wire_gen: self.wire_gen.clone(),
+            wire_classes: self.wire_classes.clone(),
+            log: Vec::new(),
+            removed: Vec::new(),
+            streams: Vec::new(),
+        }));
+    }
+
+    /// Closes the open journal, keeping every edit made since it opened.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no journal is open.
+    pub fn commit_journal(&mut self) {
+        self.journal.take().expect("no open journal to commit");
+    }
+
+    /// Closes the open journal and undoes every edit made since it opened,
+    /// restoring that state exactly: contents, node ids, free-list order,
+    /// generation and per-wire generation stamps. Works on a DAG left
+    /// half-spliced by a panic inside [`Dag::apply`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when no journal is open.
+    pub fn rollback_journal(&mut self) {
+        let mut j = *self.journal.take().expect("no open journal to roll back");
+        while let Some(undo) = j.log.pop() {
+            match undo {
+                Undo::Link { id, link, old } => *self.link_mut(id, link) = old,
+                Undo::Removed { id } => {
+                    let freed = self.free.pop();
+                    debug_assert_eq!(freed, Some(id));
+                    self.slots[id] = j.removed.pop();
+                }
+                Undo::Allocated { id, from_free } => {
+                    if from_free {
+                        self.slots[id] = None;
+                        self.free.push(id);
+                    } else {
+                        self.slots.pop();
+                        debug_assert_eq!(self.slots.len(), id);
+                    }
+                }
+                Undo::ReplacedAll => {
+                    (self.slots, self.free) = j.streams.pop().expect("journaled stream");
+                }
             }
         }
+        self.num_qubits = j.num_qubits;
+        self.len = j.len;
+        self.head = j.head;
+        self.tail = j.tail;
+        self.generation = j.generation;
+        self.wire_gen = j.wire_gen;
+        self.wire_classes = j.wire_classes;
     }
 
     /// Gate statistics over the current nodes (same accounting as
@@ -741,26 +923,8 @@ impl Dag {
     /// whose links were rewritten.
     fn splice(&mut self, node_id: usize, insts: Vec<Instruction>, touched: &mut WireSet) -> usize {
         let removed = self.slots[node_id].take().expect("live node id");
-        self.len -= 1;
-        self.free.push(node_id);
-        let mut relinked = 1usize;
-        let removed_classes = instruction_classes(&removed.inst);
-        for &q in &removed.inst.qubits {
-            touched.insert(q);
-            bump_classes(&mut self.wire_classes[q], removed_classes, -1);
-        }
         let (left, right) = (removed.order_prev, removed.order_next);
-        // Unlink from the order list.
-        if left != NONE {
-            self.node_mut(left).order_next = right;
-        } else {
-            self.head = right;
-        }
-        if right != NONE {
-            self.node_mut(right).order_prev = left;
-        } else {
-            self.tail = left;
-        }
+        let removed_classes = instruction_classes(&removed.inst);
         // `(wire, pred, succ)` triples of the removed node.
         let removed_wires: Vec<(usize, usize, usize)> = removed
             .inst
@@ -769,6 +933,24 @@ impl Dag {
             .zip(&removed.wires)
             .map(|(&q, &(p, s))| (q, p, s))
             .collect();
+        self.retire(node_id, removed);
+        self.len -= 1;
+        let mut relinked = 1usize;
+        for &(q, _, _) in &removed_wires {
+            touched.insert(q);
+            bump_classes(&mut self.wire_classes[q], removed_classes, -1);
+        }
+        // Unlink from the order list.
+        if left != NONE {
+            self.set_link(left, Link::OrderNext, right);
+        } else {
+            self.head = right;
+        }
+        if right != NONE {
+            self.set_link(right, Link::OrderPrev, left);
+        } else {
+            self.tail = left;
+        }
 
         // Allocate the replacements and thread them into the order list.
         let mut new_ids = Vec::with_capacity(insts.len());
@@ -786,20 +968,15 @@ impl Dag {
             for &q in &inst.qubits {
                 bump_classes(&mut self.wire_classes[q], classes, 1);
             }
-            let id = self.alloc(inst);
+            let id = self.alloc(inst, cursor, right);
             self.len += 1;
-            {
-                let node = self.node_mut(id);
-                node.order_prev = cursor;
-                node.order_next = right;
-            }
             if cursor != NONE {
-                self.node_mut(cursor).order_next = id;
+                self.set_link(cursor, Link::OrderNext, id);
             } else {
                 self.head = id;
             }
             if right != NONE {
-                self.node_mut(right).order_prev = id;
+                self.set_link(right, Link::OrderPrev, id);
             } else {
                 self.tail = id;
             }
@@ -867,6 +1044,13 @@ impl Dag {
     pub fn replace_all(&mut self, num_qubits: usize, nodes: Vec<Instruction>) -> ChangeReport {
         let rewrites = self.len.max(nodes.len()).max(1);
         let relink_nodes = nodes.len();
+        if let Some(j) = self.journal.as_mut() {
+            j.log.push(Undo::ReplacedAll);
+            j.streams.push((
+                std::mem::take(&mut self.slots),
+                std::mem::take(&mut self.free),
+            ));
+        }
         self.num_qubits = num_qubits;
         self.rebuild(nodes);
         self.generation += 1;

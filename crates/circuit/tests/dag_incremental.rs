@@ -4,11 +4,15 @@
 //! stream) — same program order, same per-wire links, same wire census —
 //! and [`Dag::to_circuit`] must equal the stream produced by splicing the
 //! instruction list positionally (the pre-refactor `apply` semantics).
+//! The undo-journal tests check that rolling back random batches restores
+//! the pre-journal DAG exactly (`{:?}`-equal: ids, free list, generations)
+//! and that committing leaves what the batches give with no journal open.
 
 use qc_circuit::testing::{blocked_neighborhood_circuit, random_circuit, toffoli_chain};
 use qc_circuit::{instruction_classes, Circuit, Dag, DagEdit, Gate, Instruction};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Asserts `dag` equals a freshly built DAG of the same stream: program
 /// order, wire pred/succ links (compared positionally — ids are not stable
@@ -211,5 +215,159 @@ fn census_tracks_every_gate_class() {
                 "wire {q} census missing bits of {inst:?}"
             );
         }
+    }
+}
+
+/// `count` distinct live node ids of `dag`, in random order.
+fn pick_nodes(rng: &mut StdRng, dag: &Dag, count: usize) -> Vec<usize> {
+    let mut ids: Vec<usize> = dag.iter().map(|(id, _)| id).collect();
+    for k in 0..count {
+        let pick = rng.gen_range(k..ids.len());
+        ids.swap(k, pick);
+    }
+    ids.truncate(count);
+    ids
+}
+
+/// One random mutation: an edit batch of removals and replacements by 0–3
+/// instructions (on random wires, often ones the node does not carry) or,
+/// when `whole_stream` allows it, now and then a `replace_all`, sometimes
+/// one wire wider. Consumes `rng` identically for `{:?}`-equal DAGs.
+fn random_mutation(rng: &mut StdRng, dag: &mut Dag, whole_stream: bool) {
+    if dag.is_empty() || whole_stream && rng.gen_range(0..6u32) == 0 {
+        let n = dag.num_qubits() + rng.gen_range(0..2usize);
+        let insts = (0..rng.gen_range(0..4usize))
+            .flat_map(|_| random_replacement(rng, n))
+            .collect();
+        dag.replace_all(n, insts);
+        return;
+    }
+    let count = rng.gen_range(1..=dag.len().min(4));
+    let mut edit = DagEdit::new();
+    for id in pick_nodes(rng, dag, count) {
+        if rng.gen::<bool>() {
+            edit.remove(id);
+        } else {
+            edit.replace(id, random_replacement(rng, dag.num_qubits()));
+        }
+    }
+    dag.apply(edit);
+}
+
+/// The circuit family of journal test `seed`.
+fn journal_input(seed: u64) -> (Circuit, &'static str) {
+    let n = 3 + (seed % 4) as usize;
+    match seed % 3 {
+        0 => (
+            random_circuit(n, 20 + (seed % 7) as usize * 5, seed),
+            "random_circuit",
+        ),
+        1 => (
+            blocked_neighborhood_circuit(n, 12 + (seed % 5) as usize * 3, seed),
+            "blocked_neighborhood_circuit",
+        ),
+        _ => (toffoli_chain(n, seed), "toffoli_chain"),
+    }
+}
+
+/// The DAG of `c` after a few committed edits, so its free list is not
+/// empty when a journal opens.
+fn edited_dag(c: &Circuit, rng: &mut StdRng) -> Dag {
+    let mut dag = Dag::from_circuit(c);
+    for _ in 0..3 {
+        random_mutation(rng, &mut dag, false);
+    }
+    dag
+}
+
+#[test]
+fn journal_rollback_restores_and_commit_keeps_random_batches() {
+    for seed in 0..200u64 {
+        let (c, family) = journal_input(seed);
+        let label = format!("{family} seed {seed}");
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x10A2);
+        let mut dag = edited_dag(&c, &mut rng);
+        let pristine = dag.clone();
+        let before = format!("{dag:?}");
+        let batches = rng.gen_range(1..=4usize);
+        let batch_seed = rng.gen::<u64>();
+        let run_batches = |dag: &mut Dag| {
+            let mut r = StdRng::seed_from_u64(batch_seed);
+            for _ in 0..batches {
+                random_mutation(&mut r, dag, true);
+            }
+        };
+
+        dag.open_journal();
+        run_batches(&mut dag);
+        dag.rollback_journal();
+        assert_eq!(format!("{dag:?}"), before, "{label}: rollback");
+        dag.check_invariants()
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+
+        // Ids, free-list order and generations came back too: a further
+        // edit lands exactly as on the untouched copy.
+        let mut copy = pristine.clone();
+        let edit_seed = rng.gen::<u64>();
+        random_mutation(&mut StdRng::seed_from_u64(edit_seed), &mut dag, false);
+        random_mutation(&mut StdRng::seed_from_u64(edit_seed), &mut copy, false);
+        assert_eq!(
+            format!("{dag:?}"),
+            format!("{copy:?}"),
+            "{label}: edit after rollback"
+        );
+
+        let mut committed = pristine.clone();
+        committed.open_journal();
+        run_batches(&mut committed);
+        committed.commit_journal();
+        let mut plain = pristine;
+        run_batches(&mut plain);
+        assert_eq!(
+            format!("{committed:?}"),
+            format!("{plain:?}"),
+            "{label}: commit"
+        );
+    }
+}
+
+#[test]
+fn journal_rolls_back_a_panic_inside_apply() {
+    for seed in 0..50u64 {
+        let (c, family) = journal_input(seed);
+        let label = format!("{family} seed {seed}");
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xBAD);
+        let mut dag = edited_dag(&c, &mut rng);
+        let before = format!("{dag:?}");
+        dag.open_journal();
+        for _ in 0..rng.gen_range(0..3usize) {
+            random_mutation(&mut rng, &mut dag, true);
+        }
+        if dag.is_empty() {
+            dag.replace_all(dag.num_qubits(), vec![Instruction::new(Gate::H, vec![0])]);
+        }
+        // Valid splices first; the batch's last replacement then allocates
+        // a node and trips the out-of-range-qubit assert mid-splice.
+        let n = dag.num_qubits();
+        let count = rng.gen_range(1..=dag.len().min(4));
+        let ids = pick_nodes(&mut rng, &dag, count);
+        let (last, valid) = ids.split_last().expect("non-empty");
+        let mut edit = DagEdit::new();
+        for &id in valid {
+            edit.replace(id, random_replacement(&mut rng, n));
+        }
+        edit.replace(
+            *last,
+            vec![
+                Instruction::new(Gate::T, vec![rng.gen_range(0..n)]),
+                Instruction::new(Gate::X, vec![n]),
+            ],
+        );
+        let outcome = catch_unwind(AssertUnwindSafe(|| dag.apply(edit)));
+        assert!(outcome.is_err(), "{label}: apply must panic");
+        dag.rollback_journal();
+        assert_eq!(format!("{dag:?}"), before, "{label}: rollback after panic");
+        dag.check_invariants()
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
     }
 }

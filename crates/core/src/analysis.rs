@@ -101,20 +101,23 @@ impl WireStateCache {
     }
 
     /// The cached trajectories for the DAG, reusing the stored cache when
-    /// it is still valid for **all** wires and recomputing otherwise.
-    /// Callers that only need a subset of wires should check
-    /// [`WireStateCache::valid_for`] on the stored entry first.
-    pub fn fresh<'p>(props: &'p mut PropertySet, dag: &Dag) -> &'p WireStateCache {
-        let needs = match props.get::<WireStateCache>(WIRE_STATES_KEY) {
-            Some(c) => !c.valid_for(dag, 0..dag.num_qubits()),
-            None => true,
-        };
-        if needs {
+    /// it is still valid for `wires` ([`WireStateCache::valid_for`]) and
+    /// recomputing the whole DAG otherwise. Only the trajectories of
+    /// `wires` are guaranteed exact.
+    pub fn fresh<'p>(
+        props: &'p mut PropertySet,
+        dag: &Dag,
+        wires: impl IntoIterator<Item = usize>,
+    ) -> &'p WireStateCache {
+        let valid = props
+            .get::<WireStateCache>(WIRE_STATES_KEY)
+            .is_some_and(|c| c.valid_for(dag, wires));
+        if !valid {
             props.insert(WIRE_STATES_KEY, WireStateCache::compute(dag));
         }
         props
             .get::<WireStateCache>(WIRE_STATES_KEY)
-            .expect("just inserted")
+            .expect("just ensured")
     }
 }
 
@@ -175,15 +178,19 @@ mod tests {
         let mut dag = Dag::from_circuit(&c);
         let mut props = PropertySet::new();
         {
-            let cache = WireStateCache::fresh(&mut props, &dag);
+            let cache = WireStateCache::fresh(&mut props, &dag, [0, 1]);
             assert_eq!(cache.entry(1, 0).0.known(), Some(BasisState::Zero));
         }
         // A clean second call hands back the same snapshot (same gens).
-        let gens_before = WireStateCache::fresh(&mut props, &dag).gens.clone();
+        let gens_before = WireStateCache::fresh(&mut props, &dag, [0, 1]).gens.clone();
         let mut edit = DagEdit::new();
         edit.remove(0);
         dag.apply(edit);
-        let gens_after = WireStateCache::fresh(&mut props, &dag).gens.clone();
+        // The edit dirtied wire 0 only: a wire-1 query keeps the snapshot,
+        // a wire-0 query recomputes.
+        let kept = WireStateCache::fresh(&mut props, &dag, [1]).gens.clone();
+        assert_eq!(gens_before, kept);
+        let gens_after = WireStateCache::fresh(&mut props, &dag, [0]).gens.clone();
         assert_ne!(gens_before, gens_after);
     }
 }

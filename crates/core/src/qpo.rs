@@ -17,7 +17,7 @@
 //!   replaced by an *un-preparation* of the inputs plus a state-preparation
 //!   circuit for `|φ⟩` (one CNOT via the Schmidt decomposition, Fig. 4).
 
-use crate::analysis::{WireStateCache, WIRE_STATES_KEY};
+use crate::analysis::WireStateCache;
 use crate::state::{vector_to_bloch, PureTracked, StateAnalysis};
 use qc_circuit::gate::u3_matrix;
 use qc_circuit::{circuit_unitary, Block, ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
@@ -201,16 +201,8 @@ impl DagPass for Qpo {
             if blocks.is_empty() {
                 return Ok(total);
             }
-            let block_wires: Vec<usize> = blocks.iter().flat_map(|b| b.qubits.clone()).collect();
-            let cache_ok = props
-                .get::<WireStateCache>(WIRE_STATES_KEY)
-                .is_some_and(|c| c.valid_for(dag, block_wires.iter().copied()));
-            if !cache_ok {
-                props.insert(WIRE_STATES_KEY, WireStateCache::compute(dag));
-            }
-            let states = props
-                .get::<WireStateCache>(WIRE_STATES_KEY)
-                .expect("just ensured");
+            let block_wires = blocks.iter().flat_map(|b| b.qubits.iter().copied());
+            let states = WireStateCache::fresh(props, dag, block_wires);
             plan_block_rewrites(dag, &blocks, states)
         };
         let mut edit = DagEdit::new();

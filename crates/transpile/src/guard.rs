@@ -2,9 +2,11 @@
 //!
 //! The failure model of the transpile stack: a pass that panics, returns
 //! an error, or corrupts the DAG must never take the whole compilation
-//! down with it. [`PassGuard`] runs every [`DagPass`] against a pre-pass
-//! checkpoint under [`std::panic::catch_unwind`]; a failing pass is rolled
-//! back and **quarantined** (skipped for the rest of the run), and the
+//! down with it. [`PassGuard`] runs every [`DagPass`] under
+//! [`std::panic::catch_unwind`] with the DAG's undo journal open
+//! ([`Dag::open_journal`]) as the pre-pass checkpoint; a failing pass is
+//! rolled back by replaying the journal, in time proportional to its
+//! edits, and **quarantined** (skipped for the rest of the run), and the
 //! pipeline continues with the remaining passes. The caller always gets
 //! either a typed [`RpoError`] or a valid, semantics-preserving circuit —
 //! plus a [`DegradationReport`] saying exactly what was contained.
@@ -419,9 +421,9 @@ impl PassGuard {
     }
 
     /// Runs one pass under the guard: quarantine filter, deadline filter
-    /// (for `optional` passes), checkpoint, `catch_unwind`, rollback +
-    /// quarantine on panic/error/validation failure, and the hard gate
-    /// ceiling afterwards.
+    /// (for `optional` passes), an undo journal as checkpoint,
+    /// `catch_unwind`, rollback + quarantine on panic/error/validation
+    /// failure, and the hard gate ceiling afterwards.
     ///
     /// `label` is the stage name faults and quarantine are keyed by — for
     /// prefix stages it may differ from `pass.name()` (e.g.
@@ -457,12 +459,12 @@ impl PassGuard {
         // Budget-aware passes read the deadline from the property set.
         props.insert(BUDGET_KEY, self.snapshot());
         let validate = self.should_validate(label);
-        let checkpoint = dag.clone();
         let u_before = if validate {
             spot_check_unitary(dag, pass.preserves_unitary())
         } else {
             None
         };
+        dag.open_journal();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             #[cfg(feature = "fault-inject")]
             crate::fault::fire_before(label);
@@ -475,7 +477,7 @@ impl PassGuard {
         }));
         let report = match outcome {
             Err(payload) => {
-                self.rollback(dag, props, checkpoint);
+                self.rollback(dag, props);
                 self.quarantine(
                     label,
                     format!("panicked: {}", panic_message(payload.as_ref())),
@@ -483,7 +485,7 @@ impl PassGuard {
                 return Ok(GuardedRun::Skipped);
             }
             Ok(Err(e)) => {
-                self.rollback(dag, props, checkpoint);
+                self.rollback(dag, props);
                 self.quarantine(label, e.to_string());
                 return Ok(GuardedRun::Skipped);
             }
@@ -491,22 +493,24 @@ impl PassGuard {
         };
         if validate {
             if let Err(why) = validate_dag(dag, u_before.as_ref()) {
-                self.rollback(dag, props, checkpoint);
+                self.rollback(dag, props);
                 self.quarantine(label, format!("post-pass validation failed: {why}"));
                 return Ok(GuardedRun::Skipped);
             }
         }
+        dag.commit_journal();
         self.check_gates(dag)?;
         Ok(GuardedRun::Ran(report))
     }
 
-    /// Restores the checkpoint and drops every cached analysis. The cache
-    /// clear is load-bearing: the rollback rewinds the DAG's generation
-    /// counter, so a later edit could reach an already-cached generation
-    /// number with different content — a stale-cache hit waiting to
-    /// happen.
-    fn rollback(&mut self, dag: &mut Dag, props: &mut PropertySet, checkpoint: Dag) {
-        *dag = checkpoint;
+    /// Replays the pass's undo journal, restoring the DAG exactly as it
+    /// was before the pass in O(edit), and drops every cached analysis.
+    /// The cache clear is load-bearing: the rollback rewinds the DAG's
+    /// generation counter, so a later edit could reach an already-cached
+    /// generation number with different content — a stale-cache hit
+    /// waiting to happen.
+    fn rollback(&mut self, dag: &mut Dag, props: &mut PropertySet) {
+        dag.rollback_journal();
         props.clear();
     }
 }
@@ -678,6 +682,37 @@ mod tests {
         }
     }
 
+    /// A pass whose single edit replaces one node and removes another,
+    /// then panics inside `Dag::apply` on an out-of-range replacement
+    /// qubit — rollback must undo a half-applied batch.
+    struct PanicInsideApply;
+    impl DagPass for PanicInsideApply {
+        fn name(&self) -> &'static str {
+            "PanicInsideApply"
+        }
+        fn run_on_dag(
+            &self,
+            dag: &mut Dag,
+            _props: &mut PropertySet,
+        ) -> Result<ChangeReport, RpoError> {
+            let ids: Vec<usize> = dag.iter().map(|(id, _)| id).collect();
+            let mut edit = DagEdit::new();
+            edit.replace(
+                ids[0],
+                vec![
+                    Instruction::new(Gate::X, vec![0]),
+                    Instruction::new(Gate::H, vec![2]),
+                ],
+            );
+            edit.remove(ids[1]);
+            edit.replace(
+                ids[2],
+                vec![Instruction::new(Gate::X, vec![dag.num_qubits()])],
+            );
+            Ok(dag.apply(edit))
+        }
+    }
+
     /// A pass that corrupts semantics: replaces the first node with a
     /// non-unitary embedded matrix.
     struct CorruptSemantics;
@@ -740,6 +775,27 @@ mod tests {
         assert!(report.is_quarantined("MutateThenPanic"));
         assert_eq!(dag.len(), 3, "mutation must be rolled back");
         assert_eq!(dag.to_circuit(), c);
+    }
+
+    #[test]
+    fn panic_inside_apply_restores_pre_pass_dag() {
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1).t(1).cx(1, 2).h(2);
+        let mut dag = Dag::from_circuit(&c);
+        // A committed edit first: the splices recycle its freed id.
+        let mut edit = DagEdit::new();
+        edit.remove(4);
+        dag.apply(edit);
+        let before = format!("{dag:?}");
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let (run, report) = guarded(&PanicInsideApply, &mut dag);
+        std::panic::set_hook(hook);
+        assert!(matches!(run, GuardedRun::Skipped));
+        assert!(report.is_quarantined("PanicInsideApply"));
+        assert!(report.quarantined[0].reason.contains("out of range"));
+        assert_eq!(format!("{dag:?}"), before, "half-applied batch rolled back");
+        dag.check_invariants().unwrap();
     }
 
     #[test]
