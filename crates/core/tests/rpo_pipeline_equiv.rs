@@ -72,30 +72,6 @@ fn ancilla_annotated_circuit_matches_reference_rpo() {
 }
 
 #[test]
-fn rpo_interest_filtering_never_changes_output() {
-    let backend = Backend::melbourne();
-    for (n, g, seed) in [(4, 40, 5), (5, 50, 77)] {
-        let c = random_circuit(n, g, seed);
-        for seed in [1u64, 9] {
-            let opts = RpoOptions::new().with_seed(seed);
-            let mut unfiltered_opts = opts;
-            unfiltered_opts.base = unfiltered_opts.base.without_interest_filtering();
-            let filtered = transpile_rpo(&c, &backend, &opts).expect("filtered rpo");
-            let unfiltered = transpile_rpo(&c, &backend, &unfiltered_opts).expect("unfiltered rpo");
-            assert_eq!(
-                filtered.circuit, unfiltered.circuit,
-                "random_circuit({n},{g}) seed {seed}: interest filtering changed RPO output"
-            );
-            assert!(
-                canonical_bytes(&filtered.circuit) == canonical_bytes(&unfiltered.circuit),
-                "random_circuit({n},{g}) seed {seed}: interest filtering changed RPO output bits"
-            );
-            assert_eq!(filtered.final_map, unfiltered.final_map);
-        }
-    }
-}
-
-#[test]
 fn rpo_transpile_converts_exactly_once_each_way() {
     let backend = Backend::melbourne();
     let c = random_circuit(5, 40, 31);

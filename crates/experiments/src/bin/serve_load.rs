@@ -42,8 +42,8 @@
 //!   response to be a warm cache hit (the restart-survival assertion).
 //! * `--chaos SECS --fleet-log PATH` — chaos soak against a running
 //!   `qc-fleet`: fill the shard caches, then loop kill -9 of workers
-//!   (pids parsed from the fleet's log file), tearing their snapshot
-//!   files on alternate kills (`--persist-dir`), probing every filled
+//!   (pids parsed from the fleet's log file), tearing their segment
+//!   logs on alternate kills (`--persist-dir`), probing every filled
 //!   key through the router, and waiting for the supervisor to revive
 //!   the victim. Gates (reported as `"chaos_pass"` with `--json`): zero
 //!   router panics, zero failed probes, every worker revived, a clean
@@ -809,7 +809,7 @@ fn wait_for_full_fleet(conn: &mut LineConn, timeout: Duration) -> bool {
 
 /// `--chaos SECS`: kill/respawn soak against a running `qc-fleet`. Fills
 /// the shard caches through the router, then loops: kill -9 one worker
-/// (round-robin), tear its snapshot file on alternate kills, probe every
+/// (round-robin), tear its segment log on alternate kills, probe every
 /// filled key (each must still answer ok, overwhelmingly warm via its
 /// replica), and wait for the supervisor to revive the victim. Finishes
 /// with a fresh-compile burst and a full-fleet drain.
@@ -871,19 +871,18 @@ fn run_chaos(args: &Args, addr: &str) -> i32 {
                     .status();
                 kills += 1;
                 println!("serve_load: chaos round {round}: killed worker {victim} (pid {pid})");
-                // Alternate kills also tear the victim's snapshot, so the
-                // respawn exercises the fallback chain (snap.prev +
-                // log.prev + log) rather than the happy path.
+                // Alternate kills also tear the victim's segment log, so
+                // the respawn exercises torn-tail truncation rather than
+                // the happy path.
                 if kills.is_multiple_of(2) {
                     if let Some(dir) = &args.persist_dir {
-                        let snap =
-                            std::path::Path::new(dir).join(format!("shard-{victim}.seglog.snap"));
-                        if let Ok(mut f) = std::fs::OpenOptions::new().append(true).open(&snap) {
+                        let log = std::path::Path::new(dir).join(format!("shard-{victim}.seglog"));
+                        if let Ok(mut f) = std::fs::OpenOptions::new().append(true).open(&log) {
                             let _ = f.write_all(&[0xAB; 48]);
                             torn += 1;
                             println!(
-                                "serve_load: chaos round {round}: tore snapshot {}",
-                                snap.display()
+                                "serve_load: chaos round {round}: tore segment log {}",
+                                log.display()
                             );
                         }
                     }
@@ -912,8 +911,8 @@ fn run_chaos(args: &Args, addr: &str) -> i32 {
             }
         }
         // Every round ends with the fleet whole again — the revival path
-        // (respawn + segment-log replay, possibly through a torn
-        // snapshot) is as much under test as the failover path.
+        // (respawn + segment-log replay, possibly of a torn log) is as
+        // much under test as the failover path.
         if !wait_for_full_fleet(&mut conn, Duration::from_secs(60)) {
             eprintln!("serve_load: chaos round {round}: fleet did not re-form in 60 s");
             revive_failures += 1;
@@ -978,7 +977,7 @@ fn run_chaos(args: &Args, addr: &str) -> i32 {
         && drain_panics == 0
         && drained == shards;
     println!(
-        "serve_load: chaos verdict: {} — {} rounds, {} kills ({} torn snapshots), \
+        "serve_load: chaos verdict: {} — {} rounds, {} kills ({} torn logs), \
          {}/{} probes ok, warm-failover {}/{} ({:.1}%), {} router panics, {}/{} drained",
         if pass { "PASS" } else { "FAIL" },
         round,
@@ -997,7 +996,7 @@ fn run_chaos(args: &Args, addr: &str) -> i32 {
     if let Some(path) = &args.json {
         let out = format!(
             "{{\n  \"chaos_secs\": {},\n  \"rounds\": {round},\n  \"kills\": {kills},\n  \
-             \"torn_snapshots\": {torn},\n  \"probes\": {probes},\n  \
+             \"torn_logs\": {torn},\n  \"probes\": {probes},\n  \
              \"probe_failures\": {probe_failures},\n  \"burst_failures\": {burst_failures},\n  \
              \"revive_failures\": {revive_failures},\n  \"failover_served\": {served},\n  \
              \"warm_failover_hits\": {warm},\n  \"warm_failover_ratio\": {ratio:.4},\n  \

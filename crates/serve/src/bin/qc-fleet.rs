@@ -48,7 +48,7 @@ fn usage() -> ! {
          [--worker-bin PATH] [--tick-ms MS] [--replicas N] [--max-concurrent N] \
          [--queue N] [--cache N] [--compact-every N] [--verify-every N] [--seed N] \
          [--chaos-replication-drop P] [--chaos-partition-every N]\n\
-         (--gossip-ms is an accepted alias of --tick-ms; default 500 ms, min 10. \
+         (--tick-ms defaults to 500 ms, min 10. \
          --replicas defaults to 1 next-ranked warm copy per fill.)"
     );
     std::process::exit(2);
@@ -59,7 +59,7 @@ struct Options {
     listen: Option<String>,
     persist_dir: Option<PathBuf>,
     worker_bin: Option<PathBuf>,
-    gossip_ms: u64,
+    tick_ms: u64,
     worker_flags: Vec<String>,
     seed: u64,
     replicas: usize,
@@ -73,7 +73,7 @@ fn parse_args() -> Options {
         listen: None,
         persist_dir: None,
         worker_bin: None,
-        gossip_ms: 500,
+        tick_ms: 500,
         worker_flags: Vec::new(),
         seed: 0,
         replicas: 1,
@@ -94,8 +94,8 @@ fn parse_args() -> Options {
             "--listen" => opts.listen = Some(value()),
             "--persist-dir" => opts.persist_dir = Some(PathBuf::from(value())),
             "--worker-bin" => opts.worker_bin = Some(PathBuf::from(value())),
-            "--gossip-ms" | "--tick-ms" => {
-                opts.gossip_ms = value()
+            "--tick-ms" => {
+                opts.tick_ms = value()
                     .parse()
                     .ok()
                     .filter(|n| *n >= 10)
@@ -484,7 +484,6 @@ fn main() {
             chaos_replication_drop: opts.chaos_replication_drop,
             chaos_partition_every: opts.chaos_partition_every,
             seed: opts.seed,
-            ..FleetConfig::default()
         },
     ));
     println!("qc-fleet ready with {} shards", fleet.num_shards());
@@ -495,7 +494,7 @@ fn main() {
     {
         let fleet = Arc::clone(&fleet);
         let no_revive = Arc::clone(&no_revive);
-        let period = Duration::from_millis(opts.gossip_ms);
+        let period = Duration::from_millis(opts.tick_ms);
         std::thread::spawn(move || loop {
             std::thread::sleep(period);
             if no_revive.load(Ordering::SeqCst) {

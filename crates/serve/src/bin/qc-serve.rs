@@ -164,13 +164,8 @@ fn main() {
             // actually replayed (and, after a compaction, that replay
             // stayed O(live entries)); keep new info after the prefix.
             println!(
-                "qc-serve persistence: restored {} entries, truncated {} bytes, invalidated {}, \
-                 snapshot {} entries, fallback {}",
-                r.restored,
-                r.truncated_bytes,
-                r.invalidated,
-                r.snapshot_entries,
-                r.snapshot_fallback
+                "qc-serve persistence: restored {} entries, truncated {} bytes, invalidated {}",
+                r.restored, r.truncated_bytes, r.invalidated
             );
             Arc::new(svc)
         }

@@ -39,17 +39,22 @@
 //!   acceptable trade for a cache whose entries are recomputable.
 //!
 //! Compaction keeps replay O(live entries) instead of O(appends-ever):
-//! [`SegmentLog::compact`] writes a snapshot of the live cache
-//! (`<log>.snap`, `QCSEGSNP` magic, same checksummed record framing plus
-//! a declared entry count) via temp-file + atomic rename, then rotates
-//! the log tail aside and starts a fresh one. The pre-compaction
-//! snapshot and tail are kept as `<log>.snap.prev` / `<log>.prev`: if
-//! the current snapshot is ever torn or corrupted, recovery unions the
-//! previous chain with the live tail instead. Union replay in any order
-//! is safe because records are content-addressed — the same key always
-//! maps to an equivalent entry, so duplicates are harmless — which makes
-//! every crash point in the compaction sequence lossless for
-//! still-cached entries.
+//! [`SegmentLog::compact`] writes the log header plus one framed record
+//! per live cache entry to `<log>.tmp`, flushes it, renames it over
+//! `<log>` and keeps appending through the handle that wrote it. The
+//! rename is the only commit point, so every crash leaves either the
+//! complete old log or the complete new one under `<log>`; the three
+//! `persist:compact:*` fire points cover each side of it:
+//!
+//! * `begin` — before writing: the old log is untouched.
+//! * `written` — after the flush, before the rename: the old log is
+//!   untouched and a complete `<log>.tmp` sits beside it, which
+//!   [`SegmentLog::open`] deletes.
+//! * `committed` — after the rename and the handle swap: the new log,
+//!   already taking appends.
+//!
+//! Garbage after the compacted records is a torn tail like any other and
+//! truncates on replay.
 
 use crate::cache::CompiledEntry;
 use qc_circuit::qasm::to_qasm;
@@ -62,17 +67,11 @@ use std::sync::Arc;
 
 /// Identifies a qc-serve cache segment file.
 pub const MAGIC: &[u8; 8] = b"QCSEGLOG";
-/// Identifies a qc-serve cache snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"QCSEGSNP";
 /// Bumped whenever the record payload layout changes; a mismatch
 /// invalidates the file cleanly.
 pub const FORMAT_VERSION: u32 = 1;
 
 const HEADER_LEN: u64 = 8 + 4 + 4;
-/// Snapshot header: magic, format version, pass count, declared entry
-/// count. The count lets recovery tell a complete snapshot from one
-/// whose tail was torn off.
-const SNAP_HEADER_LEN: usize = 8 + 4 + 4 + 8;
 /// Defensive ceiling for one record: a corrupt length prefix must not
 /// drive a huge allocation. Far above any real compiled circuit.
 const MAX_PAYLOAD: u32 = 64 << 20;
@@ -90,53 +89,30 @@ fn fault_point(label: &str) {
 /// What a replay recovered, and how.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplayReport {
-    /// Records restored into the cache (later duplicates of a key win).
+    /// Distinct keys recovered: records replayed, with every record of
+    /// an already-seen key dropped (the first one wins).
     pub restored: usize,
     /// Bytes truncated off a corrupt or torn tail (0 for a clean log).
     pub truncated_bytes: u64,
     /// Whether the whole file was discarded (bad header / version skew).
     pub invalidated: bool,
-    /// Records restored from a snapshot (current or previous).
-    pub snapshot_entries: usize,
-    /// Whether the current snapshot was torn/corrupt and recovery fell
-    /// back to the previous snapshot + rotated log tail.
-    pub snapshot_fallback: bool,
 }
 
 /// The append-only segment log behind one shard's cache.
 pub struct SegmentLog {
     file: File,
     path: PathBuf,
-    /// Records appended to the live tail since open or the last
+    /// Records replayed at open or appended since, reset by each
     /// compaction — the entry-count half of the compaction trigger.
     tail_records: u64,
-    /// Bytes in the live tail past the header — the size half.
+    /// The bytes of those records — the size half.
     tail_bytes: u64,
 }
 
-/// `<log>.snap`: the current snapshot.
-fn snap_path(base: &Path) -> PathBuf {
-    suffixed(base, ".snap")
-}
-
-/// `<log>.snap.prev`: the previous snapshot, kept as the fallback chain.
-fn snap_prev_path(base: &Path) -> PathBuf {
-    suffixed(base, ".snap.prev")
-}
-
-/// `<log>.prev`: the pre-compaction log tail backing `<log>.snap.prev`.
-fn log_prev_path(base: &Path) -> PathBuf {
-    suffixed(base, ".prev")
-}
-
-/// `<log>.snap.tmp`: in-progress snapshot; never read at recovery.
-fn snap_tmp_path(base: &Path) -> PathBuf {
-    suffixed(base, ".snap.tmp")
-}
-
-fn suffixed(base: &Path, suffix: &str) -> PathBuf {
+/// `<log>.tmp`: a compaction in progress; never read at recovery.
+fn tmp_path(base: &Path) -> PathBuf {
     let mut s = base.as_os_str().to_os_string();
-    s.push(suffix);
+    s.push(".tmp");
     PathBuf::from(s)
 }
 
@@ -294,61 +270,9 @@ fn replay_records(buf: &[u8], entries: &mut Vec<(u128, Arc<CompiledEntry>)>) -> 
     }
 }
 
-/// Outcome of reading one snapshot file.
-enum SnapRead {
-    /// No file at that path.
-    Missing,
-    /// Header valid, every declared record verified, nothing trailing.
-    Complete { restored: usize },
-    /// Torn, corrupt, or version-skewed; any good prefix was *not* kept
-    /// (the fallback chain covers it).
-    Damaged,
-}
-
-/// Best-effort read of a snapshot. Only a byte-perfect snapshot counts
-/// as `Complete`: the declared entry count must match and the file must
-/// contain nothing past the last record, so appended garbage (a "torn"
-/// snapshot in the chaos harness's sense) is detected even though every
-/// individual record still verifies.
-fn read_snapshot(path: &Path, entries: &mut Vec<(u128, Arc<CompiledEntry>)>) -> SnapRead {
-    let buf = match std::fs::read(path) {
-        Ok(buf) => buf,
-        Err(_) => return SnapRead::Missing,
-    };
-    if buf.len() < SNAP_HEADER_LEN
-        || &buf[..8] != SNAP_MAGIC
-        || u32::from_le_bytes(buf[8..12].try_into().unwrap()) != FORMAT_VERSION
-        || u32::from_le_bytes(buf[12..16].try_into().unwrap()) != DISABLEABLE_PASSES.len() as u32
-    {
-        return SnapRead::Damaged;
-    }
-    let declared = u64::from_le_bytes(buf[16..24].try_into().unwrap());
-    let mut read = Vec::new();
-    let (consumed, restored) = replay_records(&buf[SNAP_HEADER_LEN..], &mut read);
-    if restored as u64 != declared || SNAP_HEADER_LEN + consumed != buf.len() {
-        return SnapRead::Damaged;
-    }
-    entries.append(&mut read);
-    SnapRead::Complete { restored }
-}
-
 /// What `SegmentLog::open` recovers: the log positioned for appending,
 /// the restored `(key, entry)` pairs in file order, and the replay report.
 pub type Replayed = (SegmentLog, Vec<(u128, Arc<CompiledEntry>)>, ReplayReport);
-
-/// Reads a rotated log tail (`<log>.prev`) for union replay: returns the
-/// record bytes past a valid header, or `None` for missing/skewed files.
-fn read_log_tail(path: &Path) -> Option<Vec<u8>> {
-    let buf = std::fs::read(path).ok()?;
-    if buf.len() < HEADER_LEN as usize
-        || &buf[..8] != MAGIC
-        || u32::from_le_bytes(buf[8..12].try_into().unwrap()) != FORMAT_VERSION
-        || u32::from_le_bytes(buf[12..16].try_into().unwrap()) != DISABLEABLE_PASSES.len() as u32
-    {
-        return None;
-    }
-    Some(buf[HEADER_LEN as usize..].to_vec())
-}
 
 fn log_header() -> Vec<u8> {
     let mut header = Vec::with_capacity(HEADER_LEN as usize);
@@ -361,50 +285,16 @@ fn log_header() -> Vec<u8> {
 impl SegmentLog {
     /// Opens (or creates) the segment log at `path` and replays it:
     /// returns the log positioned for appending, the recovered
-    /// `(key, entry)` pairs in replay order, and a report of what
-    /// recovery did. Never fails on *content* — a bad header or corrupt
-    /// tail truncates, a damaged snapshot falls back to the previous
-    /// chain — only on real I/O errors.
+    /// `(key, entry)` pairs in file order, and a report of what recovery
+    /// did. Never fails on *content* — a bad header invalidates the file,
+    /// a corrupt tail truncates — only on real I/O errors.
     pub fn open(path: &Path) -> std::io::Result<Replayed> {
         fault_point("persist:replay");
-        // A leftover `.snap.tmp` is an interrupted compaction that never
-        // committed; the live log still covers its entries.
-        let _ = std::fs::remove_file(snap_tmp_path(path));
+        // A leftover `.tmp` is a compaction that never reached its
+        // rename; the log still holds everything it would have.
+        let _ = std::fs::remove_file(tmp_path(path));
         let mut report = ReplayReport::default();
         let mut entries: Vec<(u128, Arc<CompiledEntry>)> = Vec::new();
-
-        // Snapshot chain first. A complete current snapshot covers
-        // everything up to the last compaction. Anything less degrades to
-        // the union of the previous snapshot and the rotated log tail —
-        // replay order and duplicates don't matter because records are
-        // content-addressed (same key ⇒ equivalent entry).
-        match read_snapshot(&snap_path(path), &mut entries) {
-            SnapRead::Complete { restored } => {
-                report.snapshot_entries = restored;
-                // Replay the rotated tail even under a complete snapshot:
-                // if a compaction died between rotating the log and
-                // swapping the append handle, acknowledged appends sit in
-                // `.prev` — duplicates collapse below, so this only costs
-                // one compaction interval of records.
-                if let Some(tail) = read_log_tail(&log_prev_path(path)) {
-                    let _ = replay_records(&tail, &mut entries);
-                }
-            }
-            status => {
-                let mut fell_back = matches!(status, SnapRead::Damaged);
-                if let SnapRead::Complete { restored } =
-                    read_snapshot(&snap_prev_path(path), &mut entries)
-                {
-                    report.snapshot_entries += restored;
-                    fell_back = true;
-                }
-                if let Some(tail) = read_log_tail(&log_prev_path(path)) {
-                    let (_, restored) = replay_records(&tail, &mut entries);
-                    fell_back = fell_back || restored > 0;
-                }
-                report.snapshot_fallback = fell_back;
-            }
-        }
 
         let mut file = OpenOptions::new()
             .read(true)
@@ -455,9 +345,8 @@ impl SegmentLog {
             }
         }
         file.seek(SeekFrom::Start(good_end.min(file.metadata()?.len())))?;
-        // Duplicate keys across the chain (a key re-filled after an
-        // eviction, or the union replay paths) collapse to one entry:
-        // records are content-addressed, so first wins.
+        // A key re-filled after an eviction appears twice; records are
+        // content-addressed, so its first record wins.
         let mut seen = std::collections::HashSet::new();
         entries.retain(|(key, _)| seen.insert(*key));
         report.restored = entries.len();
@@ -486,74 +375,47 @@ impl SegmentLog {
         Ok(())
     }
 
-    /// Records appended to the live tail since open or the last
+    /// Records replayed at open or appended since, reset by each
     /// compaction.
     pub fn tail_records(&self) -> u64 {
         self.tail_records
     }
 
-    /// Bytes in the live tail past the header.
+    /// Bytes of the records [`SegmentLog::tail_records`] counts.
     pub fn tail_bytes(&self) -> u64 {
         self.tail_bytes
     }
 
-    /// Rewrites persistence as a snapshot of `live` plus a fresh, empty
-    /// log tail: restart replay becomes O(live entries), not
-    /// O(appends-ever). Crash-safe at every step — the snapshot is
-    /// staged in a temp file and renamed into place, and the previous
-    /// snapshot + pre-compaction tail survive as the `.prev` fallback
-    /// chain, so recovery after a crash (or a later torn snapshot) can
-    /// always union an intact chain. Returns the snapshot's byte size.
-    pub fn compact(&mut self, live: &[(u128, Arc<CompiledEntry>)]) -> std::io::Result<u64> {
+    /// Rewrites the log as one record per `live` entry, so restart replay
+    /// is O(live entries), not O(appends-ever). The new log is staged in
+    /// `<log>.tmp` and renamed over `<log>`, and appends continue through
+    /// the handle that wrote it: a crash at any step leaves one complete
+    /// log, old or new (see the module docs).
+    pub fn compact(&mut self, live: &[(u128, Arc<CompiledEntry>)]) -> std::io::Result<()> {
         fault_point("persist:compact:begin");
-        let tmp = snap_tmp_path(&self.path);
-        let snap = snap_path(&self.path);
-        let bytes;
-        {
-            let mut out = Vec::with_capacity(SNAP_HEADER_LEN);
-            out.extend_from_slice(SNAP_MAGIC);
-            out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            out.extend_from_slice(&(DISABLEABLE_PASSES.len() as u32).to_le_bytes());
-            out.extend_from_slice(&(live.len() as u64).to_le_bytes());
-            for (key, entry) in live {
-                out.extend_from_slice(&encode_record(*key, entry));
-            }
-            bytes = out.len() as u64;
-            let mut f = File::create(&tmp)?;
-            f.write_all(&out)?;
-            f.flush()?;
+        let tmp = tmp_path(&self.path);
+        let mut out = log_header();
+        for (key, entry) in live {
+            out.extend_from_slice(&encode_record(*key, entry));
         }
-        fault_point("persist:compact:written");
-        // Keep the outgoing snapshot as the fallback for a torn new one.
-        if snap.exists() {
-            std::fs::rename(&snap, snap_prev_path(&self.path))?;
-        }
-        fault_point("persist:compact:rotated");
-        std::fs::rename(&tmp, &snap)?;
-        fault_point("persist:compact:committed");
-        // Rotate the tail aside (it backs `.snap.prev`, not the trash):
-        // everything in it that is still cached lives in the new snapshot,
-        // but if that snapshot is later torn, `.snap.prev` + this file
-        // reconstruct the same state.
-        std::fs::rename(&self.path, log_prev_path(&self.path))?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
-            .open(&self.path)?;
-        file.write_all(&log_header())?;
+            .open(&tmp)?;
+        file.write_all(&out)?;
         file.flush()?;
+        fault_point("persist:compact:written");
+        std::fs::rename(&tmp, &self.path)?;
+        // Swap handles before anything that can unwind: the old handle
+        // now writes to an unlinked file, so an append through it would
+        // be lost.
         self.file = file;
         self.tail_records = 0;
         self.tail_bytes = 0;
-        fault_point("persist:compact:truncated");
-        Ok(bytes)
-    }
-
-    /// The file this log appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
+        fault_point("persist:compact:committed");
+        Ok(())
     }
 }
 

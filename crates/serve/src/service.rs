@@ -162,12 +162,10 @@ pub struct ServeConfig {
     pub verify_every: u64,
     /// Seed for the backoff jitter RNG.
     pub seed: u64,
-    /// Compact the segment log after this many appends since the last
-    /// compaction (0 disables the count trigger).
+    /// Compact the segment log once it holds this many records written
+    /// since the last compaction — after a restart, every record in the
+    /// file counts (0 disables the count trigger).
     pub compact_every_records: u64,
-    /// Compact when the live log tail exceeds this many bytes
-    /// (0 disables the size trigger).
-    pub compact_min_bytes: u64,
 }
 
 impl Default for ServeConfig {
@@ -183,7 +181,6 @@ impl Default for ServeConfig {
             verify_every: 16,
             seed: 0,
             compact_every_records: 1024,
-            compact_min_bytes: 8 << 20,
         }
     }
 }
@@ -210,7 +207,6 @@ struct Metrics {
     persist_restored: AtomicU64,
     replicated_entries: AtomicU64,
     compactions: AtomicU64,
-    snapshot_bytes: AtomicU64,
     replay_entries: AtomicU64,
 }
 
@@ -249,19 +245,17 @@ pub struct MetricsSnapshot {
     pub persist_appends: u64,
     /// Segment-log append failures (the fill still served from memory).
     pub persist_errors: u64,
-    /// Distinct keys actually warm in the cache after startup replay
-    /// (replayed records minus key duplicates and capacity-trimmed
-    /// entries — [`ReplayReport::restored`] has the raw record count).
+    /// Entries warm in the cache after startup replay: the
+    /// [`ReplayReport::restored`] keys, less any trimmed to the cache
+    /// capacity.
     pub persist_restored: u64,
     /// Entries admitted from a peer shard's replication push.
     pub replicated_entries: u64,
     /// Segment-log compactions completed by this process.
     pub compactions: u64,
-    /// Byte size of the last snapshot written by this process (a gauge,
-    /// 0 until the first compaction).
-    pub snapshot_bytes: u64,
-    /// Raw records processed at startup replay (snapshot + log tail,
-    /// before key dedup) — the number compaction keeps O(live).
+    /// Distinct keys recovered at startup replay
+    /// ([`ReplayReport::restored`], before trimming to the cache
+    /// capacity) — the number compaction keeps O(live).
     pub replay_entries: u64,
 }
 
@@ -402,8 +396,8 @@ impl TranspileService {
                 }
             }
         };
-        // File order is append order; keep the newest `cache_capacity`
-        // records, later duplicates of a key winning over earlier ones.
+        // `entries` holds distinct keys in file order (a key's first
+        // record won); keep the last `cache_capacity` of them.
         let skip = entries.len().saturating_sub(cfg.cache_capacity);
         let mut retained = std::collections::HashSet::new();
         for (key, entry) in entries.into_iter().skip(skip) {
@@ -449,20 +443,22 @@ impl TranspileService {
 
     /// Compacts the log when a trigger threshold is crossed. Perimetered:
     /// a compaction failure (or an injected `persist:compact:*` panic) is
-    /// counted and the fill still serves — the log keeps appending and
-    /// recovery unions whatever chain the interruption left intact.
+    /// counted and the fill still serves — the log keeps appending to
+    /// whichever complete file the interruption left in place.
     fn maybe_compact(&self, log: &mut SegmentLog) {
+        /// Compact once the records since the last compaction pass this
+        /// many bytes, whatever their count.
+        const COMPACT_MIN_BYTES: u64 = 8 << 20;
         let due = (self.cfg.compact_every_records > 0
             && log.tail_records() >= self.cfg.compact_every_records)
-            || (self.cfg.compact_min_bytes > 0 && log.tail_bytes() >= self.cfg.compact_min_bytes);
+            || log.tail_bytes() >= COMPACT_MIN_BYTES;
         if !due {
             return;
         }
         let live = self.cache.entries();
         match catch_unwind(AssertUnwindSafe(|| log.compact(&live))) {
-            Ok(Ok(bytes)) => {
+            Ok(Ok(())) => {
                 self.metrics.compactions.fetch_add(1, Ordering::Relaxed);
-                self.metrics.snapshot_bytes.store(bytes, Ordering::Relaxed);
             }
             Ok(Err(_)) | Err(_) => {
                 self.metrics.persist_errors.fetch_add(1, Ordering::Relaxed);
@@ -890,7 +886,6 @@ impl TranspileService {
             persist_restored: self.metrics.persist_restored.load(Ordering::Relaxed),
             replicated_entries: self.metrics.replicated_entries.load(Ordering::Relaxed),
             compactions: self.metrics.compactions.load(Ordering::Relaxed),
-            snapshot_bytes: self.metrics.snapshot_bytes.load(Ordering::Relaxed),
             replay_entries: self.metrics.replay_entries.load(Ordering::Relaxed),
         }
     }

@@ -134,11 +134,6 @@ pub trait ShardBackend {
 /// Router tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct FleetConfig {
-    /// Whether a dead owner's keys fail over to the next-ranked live
-    /// shard (off = refuse with [`RpoError::Shed`] immediately).
-    pub failover: bool,
-    /// Gossip rounds a breaker label stays merged after its last report.
-    pub gossip_ttl_rounds: u64,
     /// Cache fills pushed to this many next-ranked live shards so a
     /// dead owner's keyspace fails over warm (0 disables replication).
     pub replicas: usize,
@@ -156,8 +151,6 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            failover: true,
-            gossip_ttl_rounds: 3,
             replicas: 1,
             chaos_replication_drop: 0.0,
             chaos_partition_every: 0,
@@ -178,6 +171,8 @@ struct Tracked {
     pending: HashSet<u128>,
 }
 
+/// Gossip rounds a breaker label stays merged after its last report.
+pub const GOSSIP_TTL_ROUNDS: u64 = 3;
 /// Upper bound on router-side replication bookkeeping.
 const MAX_TRACKED: usize = 4096;
 /// Pending replica pushes drained per health tick — bounds tick latency.
@@ -252,7 +247,7 @@ impl<B: ShardBackend> Fleet<B> {
         Fleet {
             shards,
             health: Mutex::new(health),
-            gossip: Mutex::new(GossipState::new(cfg.gossip_ttl_rounds)),
+            gossip: Mutex::new(GossipState::new(GOSSIP_TTL_ROUNDS)),
             routed: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -413,9 +408,6 @@ impl<B: ShardBackend> Fleet<B> {
                     // it dead so its whole keyspace fails over until a
                     // tick revives it, then walk down the ranking.
                     self.mark_outcome(i, false);
-                    if !self.cfg.failover {
-                        break;
-                    }
                 }
             }
         }

@@ -482,8 +482,7 @@ pub fn encode_metrics(m: &MetricsSnapshot) -> String {
             "\"retries\":{},\"degraded\":{},\"integrity_checks\":{},",
             "\"integrity_failures\":{},\"handler_panics\":{},\"breaker_trips\":{},",
             "\"persist_appends\":{},\"persist_errors\":{},\"persist_restored\":{},",
-            "\"replicated_entries\":{},\"compactions\":{},\"snapshot_bytes\":{},",
-            "\"replay_entries\":{}}}"
+            "\"replicated_entries\":{},\"compactions\":{},\"replay_entries\":{}}}"
         ),
         m.served_ok,
         m.served_err,
@@ -504,7 +503,6 @@ pub fn encode_metrics(m: &MetricsSnapshot) -> String {
         m.persist_restored,
         m.replicated_entries,
         m.compactions,
-        m.snapshot_bytes,
         m.replay_entries,
     )
 }

@@ -217,119 +217,105 @@ fn compacting_config(every: u64) -> ServeConfig {
     }
 }
 
-/// Removes the whole persistence family for `path` (log, snapshot, and
-/// their previous-generation siblings).
-fn cleanup(path: &std::path::Path) {
-    for suffix in ["", ".prev", ".snap", ".snap.prev", ".snap.tmp"] {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(suffix);
-        let _ = std::fs::remove_file(PathBuf::from(os));
-    }
+/// `<log>.tmp`, where a compaction stages the rewritten log.
+fn tmp_sibling(path: &std::path::Path) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(".tmp");
+    PathBuf::from(os)
 }
 
-fn sibling(path: &std::path::Path, suffix: &str) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(suffix);
-    PathBuf::from(os)
+/// Removes the log and any compaction temp file beside it.
+fn cleanup(path: &std::path::Path) {
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(tmp_sibling(path));
+}
+
+fn assert_warm(svc: &TranspileService, salts: impl IntoIterator<Item = u64>) {
+    for salt in salts {
+        assert_eq!(
+            svc.handle(request(salt)).result.unwrap().cache,
+            CacheClass::Warm,
+            "salt {salt} must replay warm"
+        );
+    }
 }
 
 #[test]
 fn compaction_keeps_replay_o_live_and_serves_warm() {
     let path = temp_log("compact");
     cleanup(&path);
+    let cfg = ServeConfig {
+        cache_capacity: 4,
+        ..compacting_config(8)
+    };
     {
-        let svc = TranspileService::with_persistence(compacting_config(4), &path).unwrap();
+        let svc = TranspileService::with_persistence(cfg, &path).unwrap();
         fill(&svc, 0..8);
         let m = svc.metrics();
         assert_eq!(m.persist_appends, 8);
-        assert_eq!(m.compactions, 2, "a compaction every 4 appends");
-        assert!(m.snapshot_bytes > 0);
+        assert_eq!(m.compactions, 1, "one compaction at the 8th append");
         assert_eq!(m.persist_errors, 0);
     }
-    // After the second compaction every live entry sits in the snapshot
-    // and the segment log is back to a bare header: replay work is
-    // bounded by live entries, not by append history.
-    assert_eq!(
-        std::fs::metadata(&path).unwrap().len(),
-        16,
-        "the rotated log holds only its header"
+    assert!(
+        !tmp_sibling(&path).exists(),
+        "the compaction renamed its temp file over the log"
     );
-    assert!(sibling(&path, ".snap").exists());
-
-    let svc = TranspileService::with_persistence(compacting_config(4), &path).unwrap();
+    // The cache dropped salts 0..4 when it filled up, and the compaction
+    // kept only the live 4: replay work is bounded by live entries, not
+    // by append history.
+    let svc = TranspileService::with_persistence(cfg, &path).unwrap();
     let r = svc.replay_report();
-    assert_eq!(r.restored, 8);
-    assert_eq!(r.snapshot_entries, 8, "all entries come from the snapshot");
-    assert!(!r.snapshot_fallback);
+    assert_eq!(r.restored, 4);
     assert_eq!(r.truncated_bytes, 0);
     assert!(!r.invalidated);
-    assert_eq!(svc.metrics().replay_entries, 8);
-    for salt in 0..8 {
-        assert_eq!(
-            svc.handle(request(salt)).result.unwrap().cache,
-            CacheClass::Warm,
-            "salt {salt} must survive compaction + restart"
-        );
-    }
+    assert_eq!(svc.metrics().replay_entries, 4, "not the 8 appends");
+    assert_warm(&svc, 4..8);
     assert_eq!(svc.metrics().compiles, 0);
     cleanup(&path);
 }
 
 #[test]
-fn snapshot_plus_log_tail_replays_both() {
-    let path = temp_log("snap-tail");
+fn compacted_log_keeps_appending() {
+    let path = temp_log("compact-append");
     cleanup(&path);
     {
         let svc = TranspileService::with_persistence(compacting_config(3), &path).unwrap();
-        fill(&svc, 0..5); // compacts at 3; salts 3..5 stay in the log tail
+        fill(&svc, 0..5); // compacts at 3; salts 3..5 append to the new log
         assert_eq!(svc.metrics().compactions, 1);
+        assert_eq!(svc.metrics().persist_errors, 0);
     }
     let svc = TranspileService::with_persistence(compacting_config(3), &path).unwrap();
     let r = svc.replay_report();
-    assert_eq!(r.snapshot_entries, 3);
-    assert_eq!(r.restored, 5, "snapshot plus the post-compaction tail");
-    assert!(!r.snapshot_fallback);
-    for salt in 0..5 {
-        assert_eq!(
-            svc.handle(request(salt)).result.unwrap().cache,
-            CacheClass::Warm
-        );
-    }
+    assert_eq!(
+        r.restored, 5,
+        "the compacted records plus the appends after them"
+    );
+    assert_eq!(r.truncated_bytes, 0);
+    assert_warm(&svc, 0..5);
     cleanup(&path);
 }
 
 #[test]
-fn torn_snapshot_falls_back_to_previous_chain() {
-    let path = temp_log("torn-snap");
+fn torn_compacted_log_truncates_and_serves_warm() {
+    let path = temp_log("torn-compacted");
     cleanup(&path);
     {
         let svc = TranspileService::with_persistence(compacting_config(3), &path).unwrap();
-        fill(&svc, 0..6); // two compactions: snap={0..6}, snap.prev={0..3}, log.prev={3..6}
+        fill(&svc, 0..6); // compacts at 3 and 6: the log holds 0..6
         assert_eq!(svc.metrics().compactions, 2);
     }
-    // A torn write to the current snapshot (garbage past the declared
-    // entries) must not lose a single acknowledged entry: recovery
-    // unions snap.prev + log.prev + log instead.
+    // Garbage after the compacted records is a torn tail like any other.
     {
-        let mut f = OpenOptions::new()
-            .append(true)
-            .open(sibling(&path, ".snap"))
-            .unwrap();
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[0xAB; 48]).unwrap();
     }
     let svc = TranspileService::with_persistence(compacting_config(3), &path).unwrap();
     let r = svc.replay_report();
-    assert!(r.snapshot_fallback, "the damaged snapshot is not trusted");
-    assert_eq!(r.restored, 6, "the previous chain still covers everything");
+    assert_eq!(r.restored, 6, "every compacted record survives the tear");
+    assert_eq!(r.truncated_bytes, 48, "exactly the garbage is dropped");
     assert!(!r.invalidated);
-    for salt in 0..6 {
-        assert_eq!(
-            svc.handle(request(salt)).result.unwrap().cache,
-            CacheClass::Warm,
-            "salt {salt} must survive a torn snapshot"
-        );
-    }
-    // The recovery itself re-persisted nothing silently: appends resume.
+    assert_warm(&svc, 0..6);
+    // Appends resume at the truncated offset.
     fill(&svc, 6..7);
     drop(svc);
     let svc = TranspileService::with_persistence(compacting_config(3), &path).unwrap();
@@ -338,30 +324,26 @@ fn torn_snapshot_falls_back_to_previous_chain() {
 }
 
 #[test]
-fn truncated_snapshot_header_falls_back_too() {
-    let path = temp_log("stub-snap");
+fn partial_tmp_is_removed_and_the_log_replays() {
+    let path = temp_log("partial-tmp");
     cleanup(&path);
     {
         let svc = TranspileService::with_persistence(compacting_config(3), &path).unwrap();
         fill(&svc, 0..3);
         assert_eq!(svc.metrics().compactions, 1);
     }
-    // Cut the snapshot mid-header — a crash during the very first write.
-    let snap = sibling(&path, ".snap");
-    let f = OpenOptions::new().write(true).open(&snap).unwrap();
-    f.set_len(6).unwrap();
-    drop(f);
+    // A crash mid-compaction leaves a partly written `<log>.tmp` beside
+    // the complete 3-entry log.
+    let tmp = tmp_sibling(&path);
+    let log = std::fs::read(&path).unwrap();
+    std::fs::write(&tmp, &log[..log.len() / 2]).unwrap();
 
     let svc = TranspileService::with_persistence(compacting_config(3), &path).unwrap();
     let r = svc.replay_report();
-    assert!(r.snapshot_fallback);
-    assert_eq!(r.restored, 3, "log.prev still holds the records");
-    for salt in 0..3 {
-        assert_eq!(
-            svc.handle(request(salt)).result.unwrap().cache,
-            CacheClass::Warm
-        );
-    }
+    assert_eq!(r.restored, 3, "the log still holds every record");
+    assert_eq!(r.truncated_bytes, 0);
+    assert!(!tmp.exists(), "open deletes the interrupted compaction");
+    assert_warm(&svc, 0..3);
     cleanup(&path);
 }
 

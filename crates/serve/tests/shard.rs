@@ -8,7 +8,9 @@
 use qc_backends::Backend;
 use qc_circuit::qasm::to_qasm;
 use qc_circuit::Circuit;
-use qc_serve::shard::{rendezvous_ranking, rendezvous_route, routing_key, shard_score, FleetLine};
+use qc_serve::shard::{
+    rendezvous_ranking, rendezvous_route, routing_key, shard_score, FleetLine, GOSSIP_TTL_ROUNDS,
+};
 use qc_serve::wire::escape_json;
 use qc_serve::{
     BreakerState, Fleet, FleetConfig, InProcessShard, ServeConfig, ServeFlow, ServeRequest,
@@ -317,9 +319,9 @@ fn gossiped_labels_age_out_after_ttl_rounds() {
     assert!(merged.contains(PASS), "{merged}");
     // Nothing re-reports the label (the shard's open is remote-only and
     // deliberately not gossiped back), so it expires after
-    // gossip_ttl_rounds.
+    // GOSSIP_TTL_ROUNDS.
     fleet.backends()[0].kill();
-    for _ in 0..FleetConfig::default().gossip_ttl_rounds + 1 {
+    for _ in 0..GOSSIP_TTL_ROUNDS + 1 {
         fleet.tick();
     }
     let report = fleet.tick();
@@ -352,7 +354,7 @@ fn pushed_labels_are_not_echoed_and_age_out_while_shards_stay_alive() {
     }
     // No shard has local evidence, so nothing refreshes the TTL: the
     // label must age out despite both shards answering every probe.
-    for _ in 0..FleetConfig::default().gossip_ttl_rounds {
+    for _ in 0..GOSSIP_TTL_ROUNDS {
         fleet.tick();
     }
     let report = fleet.tick();

@@ -355,10 +355,7 @@ pub fn run_timed(
 /// previous run made no rewrites and nothing has touched the DAG since),
 /// or when no dirty wire satisfies its [`PassInterest`] (everything that
 /// changed lives on wires carrying no gate class the pass rewrites, so —
-/// passes being deterministic — running it would change nothing). The
-/// second filter can be disabled with
-/// [`FixedPointLoop::without_interest_filtering`], which the equivalence
-/// tests use to assert filtering never changes output.
+/// passes being deterministic — running it would change nothing).
 ///
 /// Termination mirrors the unconditional reference loop exactly: stop after
 /// `max_iters` iterations, when an iteration performs no rewrites, or when
@@ -366,7 +363,6 @@ pub fn run_timed(
 pub struct FixedPointLoop {
     passes: Vec<Box<dyn DagPass>>,
     interests: Vec<PassInterest>,
-    interest_enabled: bool,
     dirty: Vec<WireSet>,
     /// Per-pass statistics, index-aligned with the pass sequence.
     pub stats: Vec<PassStats>,
@@ -377,8 +373,7 @@ pub struct FixedPointLoop {
 }
 
 impl FixedPointLoop {
-    /// A driver over the given pass sequence, all passes initially dirty,
-    /// interest filtering enabled.
+    /// A driver over the given pass sequence, all passes initially dirty.
     pub fn new(passes: Vec<Box<dyn DagPass>>, num_qubits: usize) -> Self {
         let dirty = passes.iter().map(|_| WireSet::full(num_qubits)).collect();
         let stats = passes.iter().map(|p| PassStats::new(p.name())).collect();
@@ -386,19 +381,10 @@ impl FixedPointLoop {
         FixedPointLoop {
             passes,
             interests,
-            interest_enabled: true,
             dirty,
             stats,
             executed_per_iteration: Vec::new(),
         }
-    }
-
-    /// Disables [`PassInterest`] filtering: dirty passes always run, as in
-    /// the pre-interest driver. The interest-equivalence property tests
-    /// compare this mode against the default.
-    pub fn without_interest_filtering(mut self) -> Self {
-        self.interest_enabled = false;
-        self
     }
 
     /// Runs the loop to its fixed point (or `max_iters`).
@@ -465,8 +451,7 @@ impl FixedPointLoop {
                     self.stats[i].skipped += 1;
                     continue;
                 }
-                if self.interest_enabled && !self.interests[i].any_interesting(dag, &self.dirty[i])
-                {
+                if !self.interests[i].any_interesting(dag, &self.dirty[i]) {
                     // Every dirty wire lacks the pass's gate classes: the
                     // pass provably has nothing to rewrite. Treat it as
                     // clean (a later relevant change re-dirties it).
@@ -620,18 +605,6 @@ mod tests {
         assert_eq!(fp.stats[0].runs, 0);
         assert_eq!(fp.stats[0].skipped_interest, 1);
         assert_eq!(dag.len(), 3);
-    }
-
-    #[test]
-    fn interest_filter_can_be_disabled() {
-        let mut c = Circuit::new(2);
-        c.h(0).cx(0, 1).t(1);
-        let mut dag = Dag::from_circuit(&c);
-        let mut props = PropertySet::new();
-        let mut fp = FixedPointLoop::new(vec![Box::new(DropOneX)], 2).without_interest_filtering();
-        fp.run(&mut dag, &mut props, 10).unwrap();
-        assert_eq!(fp.stats[0].runs, 1);
-        assert_eq!(fp.stats[0].skipped_interest, 0);
     }
 
     #[test]

@@ -39,11 +39,6 @@ pub struct TranspileOptions {
     pub seed: u64,
     /// Number of seeded routing trials; the cheapest is kept.
     pub routing_trials: usize,
-    /// Whether the fixed-point loop filters dirty passes by their declared
-    /// [`crate::manager::PassInterest`] (on by default). Filtering never
-    /// changes output — the off switch exists for the equivalence property
-    /// tests and for A/B timing.
-    pub interest_filtering: bool,
     /// Resource ceilings for the run (unlimited by default). Deadline and
     /// iteration ceilings degrade gracefully (optional passes are skipped,
     /// the best circuit so far is returned); gate/qubit ceilings are hard
@@ -65,7 +60,6 @@ impl TranspileOptions {
             level,
             seed: 0,
             routing_trials: 5,
-            interest_filtering: true,
             budget: TranspileBudget::unlimited(),
             disabled_passes: PassSet::empty(),
         }
@@ -92,13 +86,6 @@ impl TranspileOptions {
     /// Sets the routing trial count.
     pub fn with_routing_trials(mut self, trials: usize) -> Self {
         self.routing_trials = trials;
-        self
-    }
-
-    /// Disables [`crate::manager::PassInterest`] filtering in the
-    /// fixed-point loop.
-    pub fn without_interest_filtering(mut self) -> Self {
-        self.interest_filtering = false;
         self
     }
 }
@@ -304,7 +291,6 @@ pub fn run_pipeline(
         guard,
         props: PropertySet::new(),
         stats: Vec::new(),
-        interest_filtering: opts.interest_filtering,
     };
     run.stages(before_layout, &mut dag)?;
     // Layout and routing are mandatory and run even past the deadline.
@@ -341,7 +327,6 @@ struct StageRunner {
     guard: PassGuard,
     props: PropertySet,
     stats: Vec<PassStats>,
-    interest_filtering: bool,
 }
 
 impl StageRunner {
@@ -364,9 +349,6 @@ impl StageRunner {
                 Stage::FixedPoint { consolidate } => {
                     let passes = fixpoint_passes(consolidate);
                     let mut fp = FixedPointLoop::new(passes, dag.num_qubits());
-                    if !self.interest_filtering {
-                        fp = fp.without_interest_filtering();
-                    }
                     fp.run_guarded(dag, &mut self.props, 10, &mut self.guard)?;
                     self.stats.extend(fp.stats);
                 }

@@ -69,42 +69,6 @@ fn measured_circuits_match_reference_pipeline() {
 }
 
 #[test]
-fn interest_filtering_never_changes_output() {
-    // The PassInterest filter may only skip provably no-op executions:
-    // filtered and unfiltered pipelines must agree gate-for-gate on every
-    // family × level × seed.
-    let backend = Backend::melbourne();
-    let circuits = [
-        random_circuit(4, 40, 5),
-        random_circuit(6, 50, 2),
-        blocked_neighborhood_circuit(5, 25, 21),
-        toffoli_chain(5, 4),
-    ];
-    for (ci, c) in circuits.iter().enumerate() {
-        for level in 0..=3u8 {
-            for seed in [1u64, 9] {
-                let opts = TranspileOptions::level(level).with_seed(seed);
-                let filtered = transpile(c, &backend, &opts).expect("filtered transpile");
-                let unfiltered = transpile(c, &backend, &opts.without_interest_filtering())
-                    .expect("unfiltered transpile");
-                assert_eq!(
-                    filtered.circuit, unfiltered.circuit,
-                    "circuit {ci}: level {level} seed {seed}: interest filtering changed output"
-                );
-                assert!(
-                    canonical_bytes(&filtered.circuit) == canonical_bytes(&unfiltered.circuit),
-                    "circuit {ci}: level {level} seed {seed}: interest filtering changed output bits"
-                );
-                assert_eq!(
-                    filtered.final_map, unfiltered.final_map,
-                    "circuit {ci}: level {level} seed {seed}: final map diverged"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn transpile_converts_exactly_once_each_way() {
     let backend = Backend::melbourne();
     for level in 0..=3u8 {
