@@ -231,8 +231,8 @@ fn bench_kernels(c: &mut Criterion) {
     // Whole-pipeline benches: a 20-qubit quantum-volume model circuit
     // transpiled for the 20-qubit almaden grid at level 3, and through the
     // RPO-extended pipeline. These track the pass-manager architecture
-    // (conversion consolidation, cached analyses, change-driven fixed
-    // point), not any single kernel.
+    // (conversion consolidation, change-driven fixed point), not any
+    // single kernel.
     let almaden = Backend::almaden();
     let qv20 = quantum_volume_with_depth(20, 10, 5);
     c.bench_function("transpile_level3_qv20", |b| {

@@ -23,14 +23,14 @@
 //!   it touches (falling back to a local order-list walk for a replacement
 //!   wire the removed node did not carry).
 //!
-//! Every mutation bumps a monotone generation counter and stamps the
-//! **wires** the edit touched ([`Dag::wire_gen`]), which is what lets
-//! cached analyses (block membership, per-wire state automata) invalidate
-//! only the wires a pass actually rewrote. The [`ChangeReport`] returned by
-//! `apply` is the currency of the change-driven fixed-point loop: a pass
-//! that reports no rewrites is skipped until another pass dirties a wire;
-//! its `relink_nodes` field counts the nodes whose links the splice patched
-//! (the observable for the O(edit) claim).
+//! The [`ChangeReport`] returned by `apply` is the currency of the
+//! change-driven fixed-point loop: its `touched` set names the **wires**
+//! the edit touched, a pass that reports no rewrites is skipped until
+//! another pass dirties a wire, and its `relink_nodes` field counts the
+//! nodes whose links the splice patched (the observable for the O(edit)
+//! claim). Passes compute what they read (block membership, state
+//! trajectories) from the DAG in front of them; the only derived data the
+//! DAG maintains is the wire census below.
 //!
 //! The `Dag` additionally maintains a per-wire census of the
 //! [gate classes](gate_class) of the nodes currently on each wire
@@ -64,11 +64,10 @@
 //!
 //! Each entry is logged no later than its mutation with no unwind point
 //! in between, so a panic halfway through [`Dag::apply`] still rolls back.
-//! The scalars (`len`, head, tail, generation, width) and the O(qubits)
-//! per-wire generation stamps and class census are snapshotted at open.
-//! Rollback replays the log backwards, so node ids, free-list order and
-//! generations all come back exactly. [`Dag::commit_journal`] drops the
-//! journal and keeps the edits. Journals do not nest.
+//! The scalars (`len`, head, tail, width) and the O(qubits) per-wire class
+//! census are snapshotted at open. Rollback replays the log backwards, so
+//! node ids and free-list order come back exactly. [`Dag::commit_journal`]
+//! drops the journal and keeps the edits. Journals do not nest.
 
 use crate::blocks::{Block, BlockTracker, Membership};
 use crate::circuit::{gate_counts_over, Circuit, GateCounts, Instruction};
@@ -190,7 +189,8 @@ pub fn instruction_classes(inst: &Instruction) -> u16 {
     m
 }
 
-/// A set of wires (qubit indices), the unit of analysis invalidation.
+/// A set of wires (qubit indices): the wires an edit touched, and the
+/// fixed-point driver's per-pass dirty sets.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireSet {
     bits: Vec<bool>,
@@ -379,8 +379,6 @@ struct Journal {
     len: usize,
     head: usize,
     tail: usize,
-    generation: u64,
-    wire_gen: Vec<u64>,
     wire_classes: Vec<[u32; gate_class::COUNT]>,
     log: Vec<Undo>,
     removed: Vec<Node>,
@@ -402,10 +400,6 @@ pub struct Dag {
     len: usize,
     head: usize,
     tail: usize,
-    /// Monotone mutation counter; bumped by every non-empty [`Dag::apply`].
-    generation: u64,
-    /// Per-wire stamp of the generation that last touched the wire.
-    wire_gen: Vec<u64>,
     /// Per-wire census: how many nodes on the wire carry each
     /// [`gate_class`] bit. Maintained incrementally per splice.
     wire_classes: Vec<[u32; gate_class::COUNT]>,
@@ -425,8 +419,6 @@ impl Dag {
             len: 0,
             head: NONE,
             tail: NONE,
-            generation: 1,
-            wire_gen: vec![1; circuit.num_qubits()],
             wire_classes: vec![[0; gate_class::COUNT]; circuit.num_qubits()],
             journal: None,
         };
@@ -435,8 +427,7 @@ impl Dag {
     }
 
     /// Dense slab construction from an instruction stream: id `i` is the
-    /// `i`-th instruction. Resets the free list and the wire census; does
-    /// not touch generations.
+    /// `i`-th instruction. Resets the free list and the wire census.
     fn rebuild(&mut self, insts: Vec<Instruction>) {
         let n = insts.len();
         self.free.clear();
@@ -512,17 +503,6 @@ impl Dag {
     /// length for id-indexed scratch tables (`vec![...; dag.capacity()]`).
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The monotone mutation counter (1 at construction).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The generation that last touched wire `q` — the key cached analyses
-    /// compare against to invalidate per wire.
-    pub fn wire_gen(&self, q: usize) -> u64 {
-        self.wire_gen[q]
     }
 
     /// The [`gate_class`] bits present on wire `q`: the union of the
@@ -813,8 +793,6 @@ impl Dag {
             len: self.len,
             head: self.head,
             tail: self.tail,
-            generation: self.generation,
-            wire_gen: self.wire_gen.clone(),
             wire_classes: self.wire_classes.clone(),
             log: Vec::new(),
             removed: Vec::new(),
@@ -832,9 +810,9 @@ impl Dag {
     }
 
     /// Closes the open journal and undoes every edit made since it opened,
-    /// restoring that state exactly: contents, node ids, free-list order,
-    /// generation and per-wire generation stamps. Works on a DAG left
-    /// half-spliced by a panic inside [`Dag::apply`].
+    /// restoring that state exactly: contents, node ids, free-list order
+    /// and the wire census. Works on a DAG left half-spliced by a panic
+    /// inside [`Dag::apply`].
     ///
     /// # Panics
     ///
@@ -867,8 +845,6 @@ impl Dag {
         self.len = j.len;
         self.head = j.head;
         self.tail = j.tail;
-        self.generation = j.generation;
-        self.wire_gen = j.wire_gen;
         self.wire_classes = j.wire_classes;
     }
 
@@ -880,9 +856,9 @@ impl Dag {
 
     /// Applies a batched edit: removals and replacements splice in at
     /// their node's position, patching only the order links and wire
-    /// chains around each splice (O(edit) amortized). The wires of every
-    /// removed, replaced or inserted instruction are stamped with a fresh
-    /// generation; freed node ids are recycled for later insertions.
+    /// chains around each splice (O(edit) amortized). The report's
+    /// `touched` set holds the wires of every removed, replaced or inserted
+    /// instruction; freed node ids are recycled for later insertions.
     ///
     /// # Panics
     ///
@@ -906,10 +882,6 @@ impl Dag {
                 "node {node} edited twice in one batch"
             );
             relink_nodes += self.splice(node, op.unwrap_or_default(), &mut touched);
-        }
-        self.generation += 1;
-        for q in touched.iter() {
-            self.wire_gen[q] = self.generation;
         }
         ChangeReport {
             rewrites,
@@ -1053,8 +1025,6 @@ impl Dag {
         }
         self.num_qubits = num_qubits;
         self.rebuild(nodes);
-        self.generation += 1;
-        self.wire_gen = vec![self.generation; num_qubits];
         ChangeReport {
             rewrites,
             touched: WireSet::full(num_qubits),
@@ -1491,23 +1461,41 @@ mod tests {
     }
 
     #[test]
-    fn wire_generations_track_touched_wires_only() {
+    fn apply_reports_touched_wires_only() {
         let mut c = Circuit::new(4);
         c.h(0).cx(2, 3);
         let mut dag = Dag::from_circuit(&c);
-        assert_eq!(dag.generation(), 1);
         let mut edit = DagEdit::new();
         edit.remove(1);
-        dag.apply(edit);
-        assert_eq!(dag.generation(), 2);
-        assert_eq!(dag.wire_gen(0), 1);
-        assert_eq!(dag.wire_gen(1), 1);
-        assert_eq!(dag.wire_gen(2), 2);
-        assert_eq!(dag.wire_gen(3), 2);
-        // An empty edit is a no-op at generation level.
+        let report = dag.apply(edit);
+        assert_eq!(report.touched.iter().collect::<Vec<_>>(), vec![2, 3]);
+        // An empty edit touches nothing.
         let report = dag.apply(DagEdit::new());
         assert!(!report.changed());
-        assert_eq!(dag.generation(), 2);
+        assert!(report.touched.is_empty());
+    }
+
+    #[test]
+    fn edit_on_other_wires_moves_block_membership() {
+        // A block is not a function of its own wires: removing cx(2,3)
+        // touches only wires 2 and 3, yet t(1) leaves the (0, 1) block,
+        // because it now joins the still-open (1, 2) block instead.
+        let mut c = Circuit::new(4);
+        c.cx(1, 2).cx(2, 3).t(1).cx(0, 1).h(1).cx(0, 1);
+        let mut dag = Dag::from_circuit(&c);
+        let nodes_on = |dag: &Dag, qubits: [usize; 2]| {
+            let blocks = dag.collect_blocks(2);
+            let block = blocks.iter().find(|b| b.qubits == qubits);
+            block.map(|b| b.nodes.clone()).unwrap_or_default()
+        };
+        assert_eq!(nodes_on(&dag, [0, 1]), vec![2, 3, 4, 5]);
+        assert_eq!(nodes_on(&dag, [1, 2]), vec![0]);
+        let mut edit = DagEdit::new();
+        edit.remove(1);
+        let report = dag.apply(edit);
+        assert_eq!(report.touched.iter().collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(nodes_on(&dag, [0, 1]), vec![3, 4, 5]);
+        assert_eq!(nodes_on(&dag, [1, 2]), vec![0, 2]);
     }
 
     #[test]
@@ -1576,7 +1564,7 @@ mod tests {
         assert!(report.changed());
         assert_eq!(dag.num_qubits(), 3);
         assert_eq!(dag.len(), 2);
-        assert_eq!(dag.wire_gen(1), dag.generation());
+        assert_eq!(report.touched, WireSet::full(3));
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! stream) — same program order, same per-wire links, same wire census —
 //! and [`Dag::to_circuit`] must equal the stream produced by splicing the
 //! instruction list positionally (the pre-refactor `apply` semantics).
-//! The undo-journal tests check that rolling back random batches restores
-//! the pre-journal DAG exactly (`{:?}`-equal: ids, free list, generations)
-//! and that committing leaves what the batches give with no journal open.
+//! Every batch's `ChangeReport::touched` set must be exactly the wires of
+//! the instructions it removed and inserted: the fixed-point driver builds
+//! its dirty sets from it. The undo-journal tests check that rolling back random batches restores
+//! the pre-journal DAG exactly (`{:?}`-equal: ids, free list, census) and
+//! that committing leaves what the batches give with no journal open.
 
 use qc_circuit::testing::{blocked_neighborhood_circuit, random_circuit, toffoli_chain};
-use qc_circuit::{instruction_classes, Circuit, Dag, DagEdit, Gate, Instruction};
+use qc_circuit::{instruction_classes, Circuit, Dag, DagEdit, Gate, Instruction, WireSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -103,12 +105,19 @@ fn check_random_edit_batches(c: &Circuit, seed: u64, batches: usize, label: &str
         // Positional splice plan: per position, the replacement (empty =
         // removal).
         let mut plan: Vec<(usize, Vec<Instruction>)> = Vec::new();
+        // The wires of every removed and inserted instruction.
+        let mut expected_touched = WireSet::empty(dag.num_qubits());
         for &p in &positions {
             let replacement = if rng.gen::<bool>() {
                 Vec::new()
             } else {
                 random_replacement(&mut rng, dag.num_qubits())
             };
+            let removed = &dag.inst(ids[p]).qubits;
+            let inserted = replacement.iter().flat_map(|i| &i.qubits);
+            for &q in removed.iter().chain(inserted) {
+                expected_touched.insert(q);
+            }
             if replacement.is_empty() {
                 edit.remove(ids[p]);
             } else {
@@ -137,11 +146,10 @@ fn check_random_edit_batches(c: &Circuit, seed: u64, batches: usize, label: &str
             "{label} batch {batch}: spliced stream"
         );
         assert_matches_fresh_build(&dag, &format!("{label} batch {batch}"));
-        // Touched wires carry the fresh generation; untouched wires an
-        // older one.
-        for q in report.touched.iter() {
-            assert_eq!(dag.wire_gen(q), dag.generation(), "{label}: stamping");
-        }
+        assert_eq!(
+            report.touched, expected_touched,
+            "{label} batch {batch}: touched wires"
+        );
     }
 }
 
@@ -305,8 +313,8 @@ fn journal_rollback_restores_and_commit_keeps_random_batches() {
         dag.check_invariants()
             .unwrap_or_else(|e| panic!("{label}: {e}"));
 
-        // Ids, free-list order and generations came back too: a further
-        // edit lands exactly as on the untouched copy.
+        // Ids and free-list order came back too: a further edit lands
+        // exactly as on the untouched copy.
         let mut copy = pristine.clone();
         let edit_seed = rng.gen::<u64>();
         random_mutation(&mut StdRng::seed_from_u64(edit_seed), &mut dag, false);

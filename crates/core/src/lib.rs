@@ -46,7 +46,7 @@ pub mod qbo;
 pub mod qpo;
 pub mod state;
 
-pub use analysis::WireStateCache;
+pub use analysis::WireStates;
 #[cfg(any(test, feature = "reference-oracles"))]
 pub use pipeline::transpile_rpo_reference;
 pub use pipeline::{transpile_rpo, transpile_rpo_instrumented, RpoOptions};

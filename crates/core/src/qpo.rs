@@ -17,13 +17,13 @@
 //!   replaced by an *un-preparation* of the inputs plus a state-preparation
 //!   circuit for `|φ⟩` (one CNOT via the Schmidt decomposition, Fig. 4).
 
-use crate::analysis::WireStateCache;
+use crate::analysis::WireStates;
 use crate::state::{vector_to_bloch, PureTracked, StateAnalysis};
 use qc_circuit::gate::u3_matrix;
 use qc_circuit::{circuit_unitary, Block, ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
 use qc_math::{Matrix, C64};
 use qc_synth::{matrix_to_u3_gate, prepare_two_qubit};
-use qc_transpile::{BlocksAnalysis, DagPass, PassInterest, PropertySet, TranspileError};
+use qc_transpile::{DagPass, PassInterest, PropertySet, TranspileError};
 
 /// The QPO pass.
 #[derive(Clone, Debug)]
@@ -184,27 +184,21 @@ impl DagPass for Qpo {
     fn run_on_dag(
         &self,
         dag: &mut Dag,
-        props: &mut PropertySet,
+        _props: &mut PropertySet,
     ) -> Result<ChangeReport, TranspileError> {
         let edit = plan_rewrites(dag);
         let mut total = dag.apply(edit);
         if !self.optimize_blocks {
             return Ok(total);
         }
-        // Phase 2, the two-qubit block state-preparation rewrite, on the
-        // cached analyses: block membership from the shared
-        // BlocksAnalysis, entry states from the per-wire WireStateCache —
-        // recomputed only when a *block* wire (or a swap-coupled
-        // dependency) was dirtied since the cached run.
-        let (drop, replace_at) = {
-            let blocks = BlocksAnalysis::get(props, dag, 2).to_vec();
-            if blocks.is_empty() {
-                return Ok(total);
-            }
-            let block_wires = blocks.iter().flat_map(|b| b.qubits.iter().copied());
-            let states = WireStateCache::fresh(props, dag, block_wires);
-            plan_block_rewrites(dag, &blocks, states)
-        };
+        // Phase 2, the two-qubit block state-preparation rewrite, over the
+        // blocks and per-wire entry states of the DAG phase 1 left.
+        let blocks = dag.collect_blocks(2);
+        if blocks.is_empty() {
+            return Ok(total);
+        }
+        let states = WireStates::compute(dag);
+        let (drop, replace_at) = plan_block_rewrites(dag, &blocks, &states);
         let mut edit = DagEdit::new();
         for (i, r) in replace_at.into_iter().enumerate() {
             if let Some(mapped) = r {
@@ -219,14 +213,14 @@ impl DagPass for Qpo {
 }
 
 /// Section V-D: the plan replacing two-qubit blocks whose inputs are known
-/// pure states (per `states`, valid for every block wire) with an
-/// un-prepare + state-preparation circuit when that lowers the CNOT count,
-/// indexed by node id: `drop[id]` marks block members to delete,
-/// `replace_at[id]` holds the replacement spliced at the block's last node.
+/// pure states (per `states`) with an un-prepare + state-preparation
+/// circuit when that lowers the CNOT count, indexed by node id: `drop[id]`
+/// marks block members to delete, `replace_at[id]` holds the replacement
+/// spliced at the block's last node.
 fn plan_block_rewrites(
     dag: &Dag,
     blocks: &[Block],
-    states: &WireStateCache,
+    states: &WireStates,
 ) -> (Vec<bool>, Vec<Option<Vec<Instruction>>>) {
     // Wire-local position of every node's qubits (indexed by node id), so
     // block-entry states can be looked up in the per-wire trajectories.

@@ -1,7 +1,6 @@
 //! Property tests for the RPO pipeline driver: `transpile_rpo` (one
-//! conversion each way, cached analyses — QPO's block rewrite reads the
-//! per-wire `WireStateCache` — the change-driven fixed point, DAG layout
-//! and routing) must produce **bit-identical** output (equal
+//! conversion each way, the change-driven fixed point, DAG layout and
+//! routing) must produce **bit-identical** output (equal
 //! `canonical_bytes`) to `transpile_rpo_reference`, which runs each pass
 //! on its own over a circuit, on the shared circuit families.
 

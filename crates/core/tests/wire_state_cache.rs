@@ -1,6 +1,6 @@
-//! `WireStateCache` — the per-wire trajectories QPO's block rewrite reads —
+//! `WireStates` — the per-wire trajectories QPO's block rewrite reads —
 //! against the whole-circuit reference `StateAnalysis::entry_states`: the
-//! cached entry state of wire `q` before the `k`-th instruction touching
+//! recorded entry state of wire `q` before the `k`-th instruction touching
 //! it must equal the reference state map before that instruction, in both
 //! the basis and the pure-state domain.
 
@@ -8,16 +8,16 @@ use qc_circuit::testing::{
     blocked_neighborhood_circuit, random_circuit, toffoli_chain, SplitMix64,
 };
 use qc_circuit::{Circuit, Dag};
-use rpo_core::{StateAnalysis, WireStateCache};
+use rpo_core::{StateAnalysis, WireStates};
 
-fn assert_cache_matches_entry_states(c: &Circuit, label: &str) {
-    let cache = WireStateCache::compute(&Dag::from_circuit(c));
+fn assert_states_match_entry_states(c: &Circuit, label: &str) {
+    let states = WireStates::compute(&Dag::from_circuit(c));
     let (entries, _) = StateAnalysis::entry_states(c);
     let mut k = vec![0usize; c.num_qubits()];
     for (i, (inst, entry)) in c.instructions().iter().zip(&entries).enumerate() {
         for &q in &inst.qubits {
             assert_eq!(
-                cache.entry(q, k[q]),
+                states.entry(q, k[q]),
                 (entry.basis(q), entry.pure_state(q)),
                 "{label}: instruction {i} ({}), wire {q}, k = {}",
                 inst.gate,
@@ -58,7 +58,7 @@ fn swap_heavy_circuit(num_qubits: usize, num_gates: usize, seed: u64) -> Circuit
 fn random_circuits_match_entry_states() {
     for (n, g, seed) in [(3, 25, 11), (4, 40, 5), (5, 60, 77), (6, 50, 2)] {
         let c = random_circuit(n, g, seed);
-        assert_cache_matches_entry_states(&c, &format!("random_circuit({n},{g},{seed})"));
+        assert_states_match_entry_states(&c, &format!("random_circuit({n},{g},{seed})"));
     }
 }
 
@@ -66,7 +66,7 @@ fn random_circuits_match_entry_states() {
 fn blocked_neighborhood_circuits_match_entry_states() {
     for (n, g, seed) in [(3, 15, 3), (4, 20, 8), (5, 25, 21)] {
         let c = blocked_neighborhood_circuit(n, g, seed);
-        assert_cache_matches_entry_states(
+        assert_states_match_entry_states(
             &c,
             &format!("blocked_neighborhood_circuit({n},{g},{seed})"),
         );
@@ -77,7 +77,7 @@ fn blocked_neighborhood_circuits_match_entry_states() {
 fn toffoli_chains_match_entry_states() {
     for (n, seed) in [(3, 1), (5, 4), (7, 13)] {
         let c = toffoli_chain(n, seed);
-        assert_cache_matches_entry_states(&c, &format!("toffoli_chain({n},{seed})"));
+        assert_states_match_entry_states(&c, &format!("toffoli_chain({n},{seed})"));
     }
 }
 
@@ -86,6 +86,6 @@ fn swap_heavy_circuits_match_entry_states() {
     for (n, g, seed) in [(3, 40, 1), (4, 60, 6), (6, 80, 42)] {
         let c = swap_heavy_circuit(n, g, seed);
         assert!(c.count_name("swapz") > 0 && c.count_name("swap") > 0);
-        assert_cache_matches_entry_states(&c, &format!("swap_heavy_circuit({n},{g},{seed})"));
+        assert_states_match_entry_states(&c, &format!("swap_heavy_circuit({n},{g},{seed})"));
     }
 }

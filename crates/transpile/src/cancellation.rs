@@ -5,7 +5,7 @@
 //! relationships" that Qiskit's level ≥ 2 pipelines run (Section II-B of the
 //! paper) — the baseline optimizations RPO is measured on top of.
 
-use crate::manager::{CommClass, CommutationAnalysis, DagPass, PassInterest, PropertySet};
+use crate::manager::{DagPass, PassInterest, PropertySet};
 use crate::TranspileError;
 use qc_circuit::{ChangeReport, Dag, DagEdit, Gate};
 
@@ -17,6 +17,28 @@ pub struct CxCancellation;
 
 fn is_self_inverse_1q(g: &Gate) -> bool {
     matches!(g, Gate::X | Gate::Y | Gate::Z | Gate::H)
+}
+
+/// Commutation family of a gate relative to a CNOT on the same wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CommClass {
+    /// Diagonal in Z: commutes with a CNOT control.
+    ZDiagonal,
+    /// An X-axis rotation: commutes with a CNOT target.
+    XRotation,
+    /// Neither.
+    Other,
+}
+
+/// The commutation family of a single-qubit gate.
+pub fn comm_class(g: &Gate) -> CommClass {
+    match g {
+        Gate::Z | Gate::S | Gate::Sdg | Gate::T | Gate::Tdg | Gate::Rz(_) | Gate::U1(_) => {
+            CommClass::ZDiagonal
+        }
+        Gate::X | Gate::Rx(_) => CommClass::XRotation,
+        _ => CommClass::Other,
+    }
 }
 
 impl DagPass for CxCancellation {
@@ -35,17 +57,13 @@ impl DagPass for CxCancellation {
     fn run_on_dag(
         &self,
         dag: &mut Dag,
-        props: &mut PropertySet,
+        _props: &mut PropertySet,
     ) -> Result<ChangeReport, TranspileError> {
         let mut total = ChangeReport::none(dag.num_qubits());
-        // Sweep until no more cancellations fire: each sweep plans over
-        // the cached per-node commutation classes and batches its
+        // Sweep until no more cancellations fire: each sweep batches its
         // removals into one edit.
         for _ in 0..64 {
-            let removed = {
-                let classes = CommutationAnalysis::get(props, dag);
-                plan_cancellations(dag, classes)
-            };
+            let removed = plan_cancellations(dag);
             let mut edit = DagEdit::new();
             for (id, r) in removed.iter().enumerate() {
                 if *r {
@@ -62,10 +80,11 @@ impl DagPass for CxCancellation {
 }
 
 /// One cancellation sweep over a DAG: `removed[id]` marks node ids to
-/// delete. `classes` gives each node id's commutation family (1-qubit
-/// Z-diagonal gates are looked through on CNOT control wires).
-fn plan_cancellations(dag: &Dag, classes: &[CommClass]) -> Vec<bool> {
+/// delete. Z-diagonal gates ([`comm_class`]) are looked through on CNOT
+/// control wires.
+fn plan_cancellations(dag: &Dag) -> Vec<bool> {
     let mut removed = vec![false; dag.capacity()];
+    let z_diagonal = |id: usize| comm_class(&dag.inst(id).gate) == CommClass::ZDiagonal;
 
     // Helper: the next non-removed successor of `node` along wire `q` that
     // is not a Z-diagonal 1q gate when `skip_diagonal` (used to look through
@@ -73,7 +92,7 @@ fn plan_cancellations(dag: &Dag, classes: &[CommClass]) -> Vec<bool> {
     let next_on_wire = |node: usize, q: usize, removed: &[bool], skip_diagonal: bool| {
         let mut cur = dag.wire_succ(node, q);
         while let Some(s) = cur {
-            if removed[s] || (skip_diagonal && classes[s] == CommClass::ZDiagonal) {
+            if removed[s] || (skip_diagonal && z_diagonal(s)) {
                 cur = dag.wire_succ(s, q);
                 continue;
             }
@@ -179,6 +198,14 @@ mod tests {
         let mut c = Circuit::new(2);
         c.cx(0, 1).cx(0, 1).cx(0, 1);
         assert_eq!(cancelled(&c).gate_counts().cx, 1);
+    }
+
+    #[test]
+    fn comm_class_classifies_gates() {
+        assert_eq!(comm_class(&Gate::T), CommClass::ZDiagonal);
+        assert_eq!(comm_class(&Gate::X), CommClass::XRotation);
+        assert_eq!(comm_class(&Gate::Cx), CommClass::Other);
+        assert_eq!(comm_class(&Gate::H), CommClass::Other);
     }
 
     #[test]

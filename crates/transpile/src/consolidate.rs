@@ -8,11 +8,11 @@
 //! this pass preserves the unitary matrix exactly (up to global phase); it
 //! is the *strict* peephole optimization RPO relaxes.
 
-use crate::guard::{BudgetSnapshot, BUDGET_KEY};
-use crate::manager::{BlocksAnalysis, DagPass, PassInterest, PropertySet};
+use crate::guard::BudgetSnapshot;
+use crate::manager::{DagPass, PassInterest, PropertySet};
 use crate::TranspileError;
 use qc_circuit::circuit::gate_counts_of;
-use qc_circuit::{ChangeReport, Circuit, Dag, DagEdit, Instruction, UnitaryAccumulator};
+use qc_circuit::{Block, ChangeReport, Dag, DagEdit, Instruction, UnitaryAccumulator};
 use qc_synth::try_synthesize_two_qubit;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,36 +105,16 @@ pub fn reset_synth_memo() {
     SYNTH_MEMO_MISSES.store(0, Ordering::Relaxed);
 }
 
-/// Generation-keyed memory of qubit pairs whose blocks the pass *declined*
-/// to rewrite: `pairs[(a,b)]` holds both wires' generation stamps at the
-/// decline. A pair whose stamps are unchanged carries the exact same
-/// sub-stream (every gate of, or breaking, a block on `(a,b)` lives on
-/// wire `a` or `b`), so the deterministic decision is still "declined" and
-/// the KAK re-synthesis can be skipped outright. Pairs where any block was
-/// rewritten are evicted — their wires get fresh stamps anyway.
-#[derive(Default)]
-pub struct ConsolidateDeclined {
-    pairs: HashMap<(usize, usize), (u64, u64)>,
-}
-
-/// [`crate::manager::PropertySet`] key of [`ConsolidateDeclined`].
-pub const CONSOLIDATE_DECLINED_KEY: &str = "consolidate_declined";
-
 /// The re-synthesis plan over a DAG and its collected blocks, indexed by
 /// node id: `drop[id]` marks block members to delete, `replace_at[id]`
 /// holds the synthesized replacement spliced at the block's last node.
-/// `declined` is read to skip pairs declined before and updated with this
-/// run's decisions.
 fn plan_consolidation(
     dag: &Dag,
-    blocks: &[qc_circuit::Block],
-    declined: &mut ConsolidateDeclined,
+    blocks: &[Block],
     budget: BudgetSnapshot,
 ) -> (Vec<bool>, Vec<Option<Vec<Instruction>>>) {
     let mut drop = vec![false; dag.capacity()];
     let mut replace_at: Vec<Option<Vec<Instruction>>> = vec![None; dag.capacity()];
-    // Per pair: whether every block seen this run was declined.
-    let mut fresh: HashMap<(usize, usize), bool> = HashMap::new();
     // One engine-backed 4×4 accumulator reused across all blocks: each
     // block's unitary is extended one gate at a time as the block is
     // walked, instead of re-running `circuit_unitary` on a rebuilt
@@ -146,17 +126,8 @@ fn plan_consolidation(
             // leave the remaining blocks as they are (best-effort).
             break;
         }
+        // Accumulate the block's unitary on local wires (a→0, b→1).
         let (a, b) = (block.qubits[0], block.qubits[1]);
-        let key = (a.min(b), a.max(b));
-        let gens = (dag.wire_gen(key.0), dag.wire_gen(key.1));
-        if declined.pairs.get(&key) == Some(&gens) {
-            // Declined last run and both wires untouched since: the block
-            // is bit-identical, the decision still holds.
-            fresh.entry(key).or_insert(true);
-            continue;
-        }
-        // Build the local 2-qubit circuit (a→0, b→1).
-        let mut local = Circuit::new(2);
         let mut cx_before = 0usize;
         acc.reset();
         for &n in &block.nodes {
@@ -170,11 +141,9 @@ fn plan_consolidation(
                 cx_before += two_qubit_cx_cost(&inst.gate);
             }
             acc.push(&inst.gate, &qs);
-            local.push(inst.gate.clone(), &qs);
         }
         if cx_before <= 1 {
             // Cannot improve a 0- or 1-CNOT block (templates need ≥ 0/1).
-            fresh.entry(key).or_insert(true);
             continue;
         }
         let u = acc.matrix();
@@ -183,18 +152,16 @@ fn plan_consolidation(
         // memo makes repeat blocks (warm-edited requests, our own
         // synthesis output re-collected next iteration) a hash lookup.
         let Some(synth) = memoized_synthesize(&u) else {
-            fresh.entry(key).or_insert(true);
             continue;
         };
         let counts_new = gate_counts_of(&synth);
-        let counts_old = local.gate_counts();
+        // Every block node is a unitary, non-directive gate, so the block
+        // counts one gate per node.
         let better = counts_new.cx < cx_before
-            || (counts_new.cx == cx_before && counts_new.total < counts_old.total);
+            || (counts_new.cx == cx_before && counts_new.total < block.nodes.len());
         if !better {
-            fresh.entry(key).or_insert(true);
             continue;
         }
-        *fresh.entry(key).or_insert(true) = false;
         // Map the synthesized circuit back onto (a, b).
         let mapped: Vec<Instruction> = synth
             .iter()
@@ -211,17 +178,6 @@ fn plan_consolidation(
             drop[n] = true;
         }
         replace_at[*block.nodes.last().expect("non-empty block")] = Some(mapped);
-    }
-    for (key, all_declined) in fresh {
-        if all_declined {
-            declined
-                .pairs
-                .insert(key, (dag.wire_gen(key.0), dag.wire_gen(key.1)));
-        } else {
-            // The pair was rewritten; its wires get fresh stamps from the
-            // apply, so any stale entry must go.
-            declined.pairs.remove(&key);
-        }
     }
     (drop, replace_at)
 }
@@ -242,27 +198,8 @@ impl DagPass for ConsolidateBlocks {
         dag: &mut Dag,
         props: &mut PropertySet,
     ) -> Result<ChangeReport, TranspileError> {
-        // The declined-pair memory turns clean re-runs from "KAK every
-        // block again" into a per-pair generation compare. Moved out of
-        // the PropertySet for the plan so the cached block slice can stay
-        // borrowed (no per-run clone of the collection).
-        let budget = props
-            .get::<BudgetSnapshot>(BUDGET_KEY)
-            .copied()
-            .unwrap_or_else(BudgetSnapshot::unlimited);
-        let mut declined: ConsolidateDeclined =
-            std::mem::take(props.entry_mut(CONSOLIDATE_DECLINED_KEY));
-        let (drop, replace_at) = {
-            // Block membership from the shared analysis cache — QPO's block
-            // rewrite and any clean re-run reuse the same collection.
-            let blocks = BlocksAnalysis::get(props, dag, 2);
-            if blocks.is_empty() {
-                props.insert(CONSOLIDATE_DECLINED_KEY, declined);
-                return Ok(ChangeReport::none(dag.num_qubits()));
-            }
-            plan_consolidation(dag, blocks, &mut declined, budget)
-        };
-        props.insert(CONSOLIDATE_DECLINED_KEY, declined);
+        let blocks = dag.collect_blocks(2);
+        let (drop, replace_at) = plan_consolidation(dag, &blocks, props.budget());
         let mut edit = DagEdit::new();
         for (i, r) in replace_at.into_iter().enumerate() {
             if let Some(mapped) = r {
@@ -294,7 +231,7 @@ fn two_qubit_cx_cost(g: &qc_circuit::Gate) -> usize {
 mod tests {
     use super::*;
     use crate::Pass;
-    use qc_circuit::{circuit_unitary, Gate};
+    use qc_circuit::{circuit_unitary, Circuit, Gate};
 
     fn consolidated(c: &Circuit) -> Circuit {
         let mut out = c.clone();

@@ -233,10 +233,11 @@ impl ValidationMode {
     }
 }
 
-/// A `Copy` view of the running budget that budget-aware passes
-/// (`ConsolidateBlocks`, routing) read from the [`PropertySet`] to bail
-/// out of expensive inner loops when the deadline passes.
-#[derive(Clone, Copy, Debug)]
+/// A `Copy` view of the running budget's deadline, polled inside
+/// expensive inner loops to bail out once it passes: `ConsolidateBlocks`
+/// reads it through [`PropertySet::budget`], and routing takes it as an
+/// argument between trials.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct BudgetSnapshot {
     deadline_at: Option<Instant>,
 }
@@ -244,7 +245,7 @@ pub struct BudgetSnapshot {
 impl BudgetSnapshot {
     /// A snapshot with no deadline (inner loops never bail).
     pub fn unlimited() -> Self {
-        BudgetSnapshot { deadline_at: None }
+        BudgetSnapshot::default()
     }
 
     /// Whether the deadline has passed.
@@ -252,9 +253,6 @@ impl BudgetSnapshot {
         self.deadline_at.is_some_and(|t| Instant::now() >= t)
     }
 }
-
-/// [`PropertySet`] key of the [`BudgetSnapshot`].
-pub const BUDGET_KEY: &str = "transpile_budget";
 
 /// The outcome of one guarded pass execution.
 #[derive(Debug)]
@@ -457,7 +455,7 @@ impl PassGuard {
             return Ok(GuardedRun::Skipped);
         }
         // Budget-aware passes read the deadline from the property set.
-        props.insert(BUDGET_KEY, self.snapshot());
+        props.set_budget(self.snapshot());
         let validate = self.should_validate(label);
         let u_before = if validate {
             spot_check_unitary(dag, pass.preserves_unitary())
@@ -477,7 +475,7 @@ impl PassGuard {
         }));
         let report = match outcome {
             Err(payload) => {
-                self.rollback(dag, props);
+                dag.rollback_journal();
                 self.quarantine(
                     label,
                     format!("panicked: {}", panic_message(payload.as_ref())),
@@ -485,7 +483,7 @@ impl PassGuard {
                 return Ok(GuardedRun::Skipped);
             }
             Ok(Err(e)) => {
-                self.rollback(dag, props);
+                dag.rollback_journal();
                 self.quarantine(label, e.to_string());
                 return Ok(GuardedRun::Skipped);
             }
@@ -493,7 +491,7 @@ impl PassGuard {
         };
         if validate {
             if let Err(why) = validate_dag(dag, u_before.as_ref()) {
-                self.rollback(dag, props);
+                dag.rollback_journal();
                 self.quarantine(label, format!("post-pass validation failed: {why}"));
                 return Ok(GuardedRun::Skipped);
             }
@@ -501,17 +499,6 @@ impl PassGuard {
         dag.commit_journal();
         self.check_gates(dag)?;
         Ok(GuardedRun::Ran(report))
-    }
-
-    /// Replays the pass's undo journal, restoring the DAG exactly as it
-    /// was before the pass in O(edit), and drops every cached analysis.
-    /// The cache clear is load-bearing: the rollback rewinds the DAG's
-    /// generation counter, so a later edit could reach an already-cached
-    /// generation number with different content — a stale-cache hit
-    /// waiting to happen.
-    fn rollback(&mut self, dag: &mut Dag, props: &mut PropertySet) {
-        dag.rollback_journal();
-        props.clear();
     }
 }
 

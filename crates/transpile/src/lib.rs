@@ -63,12 +63,9 @@ pub mod unroll;
 
 pub use guard::{
     catch_stage, BudgetHit, BudgetSnapshot, DegradationReport, GuardedRun, PassGuard, PassSet,
-    QuarantineRecord, TranspileBudget, ValidationMode, BUDGET_KEY, DISABLEABLE_PASSES,
+    QuarantineRecord, TranspileBudget, ValidationMode, DISABLEABLE_PASSES,
 };
-pub use manager::{
-    BlocksAnalysis, CommutationAnalysis, DagPass, FixedPointLoop, PassInterest, PassStats,
-    PropertySet,
-};
+pub use manager::{DagPass, FixedPointLoop, PassInterest, PassStats, PropertySet};
 pub use preset::{transpile, TranspileOptions};
 
 use qc_circuit::{Circuit, Dag};

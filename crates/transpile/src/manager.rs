@@ -1,23 +1,18 @@
-//! The DAG-native pass manager: shared-IR passes, cached analyses, and the
-//! change-driven, interest-filtered fixed-point driver.
+//! The DAG-native pass manager: shared-IR passes and the change-driven,
+//! interest-filtered fixed-point driver.
 //!
 //! Every pass is written once, against the shared [`Dag`] IR; running one
 //! pass on its own over a circuit goes through the blanket
-//! [`crate::Pass`] impl. Three pieces make up the manager:
+//! [`crate::Pass`] impl. Two pieces make up the manager:
 //!
 //! * [`DagPass`] — a pass mutates the shared [`Dag`] in place (via
 //!   [`qc_circuit::DagEdit`] batches) and returns a [`ChangeReport`]
 //!   saying how many nodes it rewrote and on which wires. A pass may also
 //!   declare a [`PassInterest`]: the gate classes it rewrites, so the
-//!   driver can prove a re-run pointless without executing it.
-//! * [`PropertySet`] — a keyed store of cached analyses, each revalidated
-//!   against the DAG's generation stamps. [`BlocksAnalysis`] (the
-//!   `Collect2qBlocks`/`BlockTracker` product) and [`CommutationAnalysis`]
-//!   live here and recompute after any mutation ([`GenSnapshot`]); the
-//!   per-wire state automata cache lives with the analyses themselves in
-//!   `rpo-core` and checks per-wire stamps, so a pass that only touched
-//!   wires `{2, 3}` invalidates only trajectories depending on those
-//!   wires.
+//!   driver can prove a re-run pointless without executing it. Each pass
+//!   computes the analyses it reads (block membership, commutation
+//!   classes, the per-wire state automata in `rpo-core`) from the DAG in
+//!   front of it; its [`PropertySet`] carries only the running budget.
 //! * [`FixedPointLoop`] — the paper's Fig. 8 line 9 loop, driven by change
 //!   reports instead of unconditional re-execution. A pass is *skipped*
 //!   when its dirty wire set is empty (its last run made no rewrites and
@@ -36,11 +31,9 @@
 //! collected by the driver and surfaced through
 //! [`crate::preset::run_pipeline`] for the CI timing artifact.
 
-use crate::guard::{GuardedRun, PassGuard};
+use crate::guard::{BudgetSnapshot, GuardedRun, PassGuard};
 use crate::TranspileError;
-use qc_circuit::{Block, ChangeReport, Dag, Gate, WireSet};
-use std::any::Any;
-use std::collections::HashMap;
+use qc_circuit::{ChangeReport, Dag, WireSet};
 use std::time::{Duration, Instant};
 
 /// A pass's declared rewrite interest: which wires could possibly give it
@@ -126,152 +119,34 @@ pub trait DagPass {
     }
 }
 
-/// A keyed store of cached analyses shared by the passes of one pipeline.
+/// What a pipeline hands each pass besides the DAG: the running budget's
+/// deadline, which [`PassGuard::run_pass`] installs before every guarded
+/// pass and budget-aware passes read through [`PropertySet::budget`].
 ///
-/// Values are stored under a string key and downcast on access; each value
-/// type carries its own generation snapshot and decides validity against
-/// the current DAG (see [`BlocksAnalysis`] for the pattern).
-#[derive(Default)]
+/// It holds no analyses. In the fixed point a pass re-runs only after some
+/// pass rewrote the DAG, so an analysis kept from its last run would be
+/// stale anyway; each pass computes what it reads from the DAG in front of
+/// it.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PropertySet {
-    entries: HashMap<&'static str, Box<dyn Any>>,
+    budget: BudgetSnapshot,
 }
 
 impl PropertySet {
-    /// An empty property set.
+    /// A property set with no deadline.
     pub fn new() -> Self {
         PropertySet::default()
     }
 
-    /// The cached value under `key`, if present and of type `T`.
-    pub fn get<T: 'static>(&self, key: &'static str) -> Option<&T> {
-        self.entries.get(key).and_then(|v| v.downcast_ref())
+    /// The deadline budget-aware passes poll inside their inner loops:
+    /// unlimited unless a [`PassGuard`] installed its budget.
+    pub fn budget(&self) -> BudgetSnapshot {
+        self.budget
     }
 
-    /// Stores `value` under `key`, replacing any previous entry.
-    pub fn insert<T: 'static>(&mut self, key: &'static str, value: T) {
-        self.entries.insert(key, Box::new(value));
-    }
-
-    /// Mutable access to the entry under `key`, inserting `T::default()`
-    /// first if absent or of the wrong type.
-    pub fn entry_mut<T: 'static + Default>(&mut self, key: &'static str) -> &mut T {
-        let slot = self
-            .entries
-            .entry(key)
-            .or_insert_with(|| Box::new(T::default()));
-        if !slot.is::<T>() {
-            *slot = Box::new(T::default());
-        }
-        slot.downcast_mut().expect("just ensured the type")
-    }
-
-    /// Drops every cached entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-/// Snapshot of the DAG's mutation state (global generation and width),
-/// the validity key every cached analysis stores alongside its value.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GenSnapshot {
-    gen: u64,
-    num_qubits: usize,
-}
-
-impl GenSnapshot {
-    /// Captures the current generation and width.
-    pub fn of(dag: &Dag) -> Self {
-        GenSnapshot {
-            gen: dag.generation(),
-            num_qubits: dag.num_qubits(),
-        }
-    }
-
-    /// Whether nothing mutated the DAG since the snapshot.
-    pub fn fresh(&self, dag: &Dag) -> bool {
-        *self == GenSnapshot::of(dag)
-    }
-}
-
-/// Cached block collection ([`Dag::collect_blocks`]), keyed by arity.
-/// `ConsolidateBlocks` and QPO's block rewrite both consume arity-2 blocks;
-/// with the cache the second consumer (and any re-run in the fixed-point
-/// loop on a clean DAG) pays nothing.
-#[derive(Default)]
-pub struct BlocksAnalysis {
-    cached: HashMap<usize, (GenSnapshot, Vec<Block>)>,
-}
-
-/// [`PropertySet`] key of [`BlocksAnalysis`].
-pub const BLOCKS_KEY: &str = "blocks";
-
-impl BlocksAnalysis {
-    /// The blocks of `dag` at `max_arity`, recomputed only when the DAG
-    /// changed since the cached collection.
-    pub fn get<'p>(props: &'p mut PropertySet, dag: &Dag, max_arity: usize) -> &'p [Block] {
-        let this: &mut BlocksAnalysis = props.entry_mut(BLOCKS_KEY);
-        let entry = this
-            .cached
-            .entry(max_arity)
-            .or_insert_with(|| (GenSnapshot::default(), Vec::new()));
-        if !entry.0.fresh(dag) {
-            *entry = (GenSnapshot::of(dag), dag.collect_blocks(max_arity));
-        }
-        &this.cached[&max_arity].1
-    }
-}
-
-/// Commutation family of a gate relative to a CNOT on the same wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommClass {
-    /// Diagonal in Z: commutes with a CNOT control.
-    ZDiagonal,
-    /// An X-axis rotation: commutes with a CNOT target.
-    XRotation,
-    /// Neither.
-    Other,
-}
-
-/// The commutation family of a single-qubit gate.
-pub fn comm_class(g: &Gate) -> CommClass {
-    match g {
-        Gate::Z | Gate::S | Gate::Sdg | Gate::T | Gate::Tdg | Gate::Rz(_) | Gate::U1(_) => {
-            CommClass::ZDiagonal
-        }
-        Gate::X | Gate::Rx(_) => CommClass::XRotation,
-        _ => CommClass::Other,
-    }
-}
-
-/// Cached per-node commutation classes, indexed by node id (slab index).
-/// `CxCancellation` consults this when deciding whether a gate sitting on a
-/// CNOT control can be commuted through.
-#[derive(Default)]
-pub struct CommutationAnalysis {
-    snapshot: GenSnapshot,
-    classes: Vec<CommClass>,
-}
-
-/// [`PropertySet`] key of [`CommutationAnalysis`].
-pub const COMMUTATION_KEY: &str = "commutation";
-
-impl CommutationAnalysis {
-    /// Per-node-id commutation classes for `dag`, recomputed only when the
-    /// DAG changed since the cached classification. Dead slab slots hold
-    /// [`CommClass::Other`].
-    pub fn get<'p>(props: &'p mut PropertySet, dag: &Dag) -> &'p [CommClass] {
-        let this: &mut CommutationAnalysis = props.entry_mut(COMMUTATION_KEY);
-        if !this.snapshot.fresh(dag) || this.classes.len() != dag.capacity() {
-            this.snapshot = GenSnapshot::of(dag);
-            this.classes = vec![CommClass::Other; dag.capacity()];
-            for (id, inst) in dag.iter() {
-                if inst.qubits.len() == 1 {
-                    this.classes[id] = comm_class(&inst.gate);
-                }
-            }
-        }
-        &this.classes
+    /// Installs the running budget's deadline.
+    pub(crate) fn set_budget(&mut self, budget: BudgetSnapshot) {
+        self.budget = budget;
     }
 }
 
@@ -498,7 +373,7 @@ impl FixedPointLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qc_circuit::{gate_class, Circuit, DagEdit, Instruction};
+    use qc_circuit::{gate_class, Circuit, DagEdit, Gate};
 
     /// A pass that removes one `x` gate per run, if any remains.
     struct DropOneX;
@@ -620,35 +495,5 @@ mod tests {
         assert!(dag.is_empty());
         assert!(fp.stats[0].runs >= 2);
         assert!(fp.stats[0].skipped_interest >= 1);
-    }
-
-    #[test]
-    fn blocks_analysis_survives_unrelated_wire_edits() {
-        let mut c = Circuit::new(4);
-        c.cx(0, 1).t(1).cx(0, 1).h(3);
-        let mut dag = Dag::from_circuit(&c);
-        let mut props = PropertySet::new();
-        let blocks = BlocksAnalysis::get(&mut props, &dag, 2).to_vec();
-        assert_eq!(blocks.len(), 1);
-        // Editing wire 3 does not invalidate... the snapshot is whole-DAG,
-        // so it recomputes — but the result is identical.
-        let mut edit = DagEdit::new();
-        edit.replace(3, vec![Instruction::new(Gate::X, vec![3])]);
-        dag.apply(edit);
-        let again = BlocksAnalysis::get(&mut props, &dag, 2).to_vec();
-        assert_eq!(blocks, again);
-    }
-
-    #[test]
-    fn commutation_analysis_classifies_nodes() {
-        let mut c = Circuit::new(2);
-        c.t(0).x(1).cx(0, 1).h(0);
-        let dag = Dag::from_circuit(&c);
-        let mut props = PropertySet::new();
-        let classes = CommutationAnalysis::get(&mut props, &dag);
-        assert_eq!(classes[0], CommClass::ZDiagonal);
-        assert_eq!(classes[1], CommClass::XRotation);
-        assert_eq!(classes[2], CommClass::Other);
-        assert_eq!(classes[3], CommClass::Other);
     }
 }

@@ -8,9 +8,9 @@
 //! a fresh `Dag` and [`crate::PropertySet`] per pass, circuit-level layout
 //! and routing, and an unconditional fixed-point loop. What the tests
 //! check is therefore the driver [`crate::preset::run_pipeline`] adds on
-//! top — one conversion each way, cached analyses, the change-driven and
-//! interest-filtered fixed point, DAG layout and routing — and they
-//! assert bit-identical output on random circuit families. Do not
+//! top — one conversion each way, the change-driven and interest-filtered
+//! fixed point, DAG layout and routing — and they assert bit-identical
+//! output on random circuit families. Do not
 //! "optimize" this module; its value is being the plain sequence.
 
 use crate::cancellation::CxCancellation;

@@ -1,11 +1,11 @@
 //! Property tests for the pipeline driver: `transpile` (one conversion
-//! each way, cached analyses, the change-driven and interest-filtered
-//! fixed point, DAG layout and routing) must produce **bit-identical**
-//! output — equal `canonical_bytes`, so even the sign of a zero angle
-//! agrees — to `reference::transpile_reference`, which runs each pass on
-//! its own over a circuit with the unconditional fixed-point loop, on the
-//! shared circuit families. It must also convert Circuit↔Dag exactly once
-//! in each direction.
+//! each way, the change-driven and interest-filtered fixed point, DAG
+//! layout and routing) must produce **bit-identical** output — equal
+//! `canonical_bytes`, so even the sign of a zero angle agrees — to
+//! `reference::transpile_reference`, which runs each pass on its own over
+//! a circuit with the unconditional fixed-point loop, on the shared
+//! circuit families. It must also convert Circuit↔Dag exactly once in
+//! each direction.
 
 use qc_backends::Backend;
 use qc_circuit::testing::{blocked_neighborhood_circuit, random_circuit, toffoli_chain};
