@@ -256,9 +256,9 @@ fn bench_kernels(c: &mut Criterion) {
     // line. Per-gate optimization opportunities are sparse (one
     // cancellable cx pair per segment), so this bench tracks the
     // *asymptotic* pass-manager costs — O(edit) splice relinks and
-    // interest-filtered scheduling — rather than synthesis throughput: a
-    // driver whose edits or dirty tracking scale with circuit size instead
-    // of change size regresses here first.
+    // change-driven scheduling — rather than synthesis throughput: a
+    // driver whose edits scale with circuit size instead of change size
+    // regresses here first.
     let line24 = Backend::linear(24);
     let chain1k = {
         let mut c = Circuit::new(24);

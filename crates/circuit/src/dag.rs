@@ -24,21 +24,12 @@
 //!   wire the removed node did not carry).
 //!
 //! The [`ChangeReport`] returned by `apply` is the currency of the
-//! change-driven fixed-point loop: its `touched` set names the **wires**
-//! the edit touched, a pass that reports no rewrites is skipped until
-//! another pass dirties a wire, and its `relink_nodes` field counts the
-//! nodes whose links the splice patched (the observable for the O(edit)
-//! claim). Passes compute what they read (block membership, state
-//! trajectories) from the DAG in front of them; the only derived data the
-//! DAG maintains is the wire census below.
-//!
-//! The `Dag` additionally maintains a per-wire census of the
-//! [gate classes](gate_class) of the nodes currently on each wire
-//! (incremented/decremented per splice, O(edit)). The census backs the
-//! pass manager's *interest filtering*: a pass can declare which gate
-//! classes it rewrites, and the fixed-point driver consults
-//! [`Dag::wire_class_mask`] to skip the pass when no dirty wire carries
-//! relevant content.
+//! change-driven fixed-point loop: a pass that reports no rewrites is
+//! skipped until another pass rewrites the DAG, and its `relink_nodes`
+//! field counts the nodes whose links the splice patched (the observable
+//! for the O(edit) claim). Passes compute what they read (block
+//! membership, state trajectories) from the DAG in front of them; the DAG
+//! maintains no derived data beyond its links.
 //!
 //! [`Dag::from_circuit`] and [`Dag::to_circuit`] are the *only* sanctioned
 //! Circuit↔Dag boundary and each bumps a thread-local conversion counter
@@ -64,10 +55,10 @@
 //!
 //! Each entry is logged no later than its mutation with no unwind point
 //! in between, so a panic halfway through [`Dag::apply`] still rolls back.
-//! The scalars (`len`, head, tail, width) and the O(qubits) per-wire class
-//! census are snapshotted at open. Rollback replays the log backwards, so
-//! node ids and free-list order come back exactly. [`Dag::commit_journal`]
-//! drops the journal and keeps the edits. Journals do not nest.
+//! The scalars (`len`, head, tail, width) are snapshotted at open.
+//! Rollback replays the log backwards, so node ids and free-list order
+//! come back exactly. [`Dag::commit_journal`] drops the journal and keeps
+//! the edits. Journals do not nest.
 
 use crate::blocks::{Block, BlockTracker, Membership};
 use crate::circuit::{gate_counts_over, Circuit, GateCounts, Instruction};
@@ -95,180 +86,35 @@ pub fn reset_conversion_counts() {
 /// The absent-link sentinel of the intrusive lists.
 const NONE: usize = usize::MAX;
 
-/// Gate-class bits of the per-wire node census ([`Dag::wire_class_mask`]),
-/// the vocabulary passes use to declare their rewrite interest.
-///
-/// A class may over-approximate ("this wire carries *some* CX") but never
-/// under-approximate: interest filtering skips a pass only when no dirty
-/// wire carries a class the pass declared, so a missing bit would change
-/// pipeline output.
+/// Basis-membership bits of an instruction ([`instruction_classes`]): the
+/// `Unroller` names its target basis by the bit of the gates it
+/// decomposes.
 pub mod gate_class {
-    /// Any single-qubit unitary gate.
-    pub const ONE_Q: u16 = 1 << 0;
-    /// Z-diagonal single-qubit gates (`z,s,sdg,t,tdg,rz,u1,id`) — the
-    /// phase family `CommutativeCancellation` merges and `CxCancellation`
-    /// looks through on control wires.
-    pub const ONE_Q_DIAG: u16 = 1 << 1;
-    /// X-axis rotations (`x`, `rx`) — the family that commutes through
-    /// CNOT targets.
-    pub const ONE_Q_X: u16 = 1 << 2;
-    /// Self-inverse single-qubit gates (`x,y,z,h`) whose adjacent pairs
-    /// `CxCancellation` removes.
-    pub const SELF_INVERSE: u16 = 1 << 3;
-    /// A `cx` gate.
-    pub const CX: u16 = 1 << 4;
-    /// Any two-qubit unitary gate (`cx` included).
-    pub const TWO_Q: u16 = 1 << 5;
-    /// Unitary gates on three or more qubits.
-    pub const MULTI_Q: u16 = 1 << 6;
-    /// The swap family (`swap`, `swapz`, `cswap`) — the gates that move
-    /// analysis state between wires.
-    pub const SWAP_FAMILY: u16 = 1 << 7;
     /// Unitary gates outside the device basis `{u1,u2,u3,id,cx}`.
-    pub const NON_DEVICE: u16 = 1 << 8;
+    pub const NON_DEVICE: u16 = 1 << 0;
     /// Unitary gates outside the extended basis (device ∪ `{swap,swapz}`).
-    pub const NON_EXTENDED: u16 = 1 << 9;
-    /// Non-unitary instructions (measure, reset, barriers, annotations).
-    pub const NON_UNITARY: u16 = 1 << 10;
-    /// Number of class bits.
-    pub const COUNT: usize = 11;
+    pub const NON_EXTENDED: u16 = 1 << 1;
 }
 
-/// The [`gate_class`] bits of one instruction.
+/// The [`gate_class`] bits of one instruction; non-unitary instructions
+/// (measure, reset, barriers, annotations) are in every basis.
 pub fn instruction_classes(inst: &Instruction) -> u16 {
     use gate_class::*;
-    let g = &inst.gate;
-    if !g.is_unitary_gate() {
-        return NON_UNITARY;
-    }
-    let mut m = 0u16;
-    match inst.qubits.len() {
-        1 => {
-            m |= ONE_Q;
-            if matches!(
-                g,
-                Gate::Z
-                    | Gate::S
-                    | Gate::Sdg
-                    | Gate::T
-                    | Gate::Tdg
-                    | Gate::Rz(_)
-                    | Gate::U1(_)
-                    | Gate::I
-            ) {
-                m |= ONE_Q_DIAG;
-            }
-            if matches!(g, Gate::X | Gate::Rx(_)) {
-                m |= ONE_Q_X;
-            }
-            if matches!(g, Gate::X | Gate::Y | Gate::Z | Gate::H) {
-                m |= SELF_INVERSE;
-            }
-        }
-        2 => {
-            m |= TWO_Q;
-            if matches!(g, Gate::Cx) {
-                m |= CX;
-            }
-        }
-        _ => m |= MULTI_Q,
-    }
-    if matches!(g, Gate::Swap | Gate::SwapZ | Gate::Cswap) {
-        m |= SWAP_FAMILY;
-    }
-    let device = matches!(
-        g,
-        Gate::I | Gate::U1(_) | Gate::U2(..) | Gate::U3(..) | Gate::Cx
-    );
-    if !device {
-        m |= NON_DEVICE;
-        if !matches!(g, Gate::Swap | Gate::SwapZ) {
-            m |= NON_EXTENDED;
-        }
-    }
-    m
-}
-
-/// A set of wires (qubit indices): the wires an edit touched, and the
-/// fixed-point driver's per-pass dirty sets.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireSet {
-    bits: Vec<bool>,
-}
-
-impl WireSet {
-    /// The empty set over `num_qubits` wires.
-    pub fn empty(num_qubits: usize) -> Self {
-        WireSet {
-            bits: vec![false; num_qubits],
-        }
-    }
-
-    /// The full set over `num_qubits` wires.
-    pub fn full(num_qubits: usize) -> Self {
-        WireSet {
-            bits: vec![true; num_qubits],
-        }
-    }
-
-    /// Number of wires the set ranges over.
-    pub fn num_qubits(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Adds a wire.
-    pub fn insert(&mut self, q: usize) {
-        if q >= self.bits.len() {
-            self.bits.resize(q + 1, false);
-        }
-        self.bits[q] = true;
-    }
-
-    /// Whether the set contains `q`.
-    pub fn contains(&self, q: usize) -> bool {
-        self.bits.get(q).copied().unwrap_or(false)
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        !self.bits.iter().any(|&b| b)
-    }
-
-    /// Removes every wire.
-    pub fn clear(&mut self) {
-        self.bits.iter_mut().for_each(|b| *b = false);
-    }
-
-    /// Adds every wire of `other`.
-    pub fn union(&mut self, other: &WireSet) {
-        if other.bits.len() > self.bits.len() {
-            self.bits.resize(other.bits.len(), false);
-        }
-        for (q, &b) in other.bits.iter().enumerate() {
-            if b {
-                self.bits[q] = true;
-            }
-        }
-    }
-
-    /// The contained wires, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bits
-            .iter()
-            .enumerate()
-            .filter_map(|(q, &b)| b.then_some(q))
+    match &inst.gate {
+        g if !g.is_unitary_gate() => 0,
+        Gate::I | Gate::U1(_) | Gate::U2(..) | Gate::U3(..) | Gate::Cx => 0,
+        Gate::Swap | Gate::SwapZ => NON_DEVICE,
+        _ => NON_DEVICE | NON_EXTENDED,
     }
 }
 
-/// What a pass did to the DAG: how many nodes it rewrote and which wires
-/// those rewrites touched. The fixed-point driver unions reports into the
-/// other passes' dirty sets; a report with zero rewrites dirties nothing.
+/// What a pass did to the DAG: how many nodes it rewrote and how many
+/// nodes the splices relinked. A report with rewrites re-dirties every
+/// pass of the fixed-point driver; one with zero rewrites dirties nothing.
 #[derive(Clone, Debug)]
 pub struct ChangeReport {
     /// Number of edit operations applied (removals + replacements).
     pub rewrites: usize,
-    /// Wires touched by the rewrites (old and new instructions' qubits).
-    pub touched: WireSet,
     /// Nodes whose link fields the splice-local relink rewrote (removed
     /// nodes, inserted nodes, and the chain neighbours patched around
     /// them) — the per-edit work measure of the O(edit) relink.
@@ -277,10 +123,9 @@ pub struct ChangeReport {
 
 impl ChangeReport {
     /// A report of no changes.
-    pub fn none(num_qubits: usize) -> Self {
+    pub fn none() -> Self {
         ChangeReport {
             rewrites: 0,
-            touched: WireSet::empty(num_qubits),
             relink_nodes: 0,
         }
     }
@@ -293,7 +138,6 @@ impl ChangeReport {
     /// Accumulates `other` into this report.
     pub fn merge(&mut self, other: &ChangeReport) {
         self.rewrites += other.rewrites;
-        self.touched.union(&other.touched);
         self.relink_nodes += other.relink_nodes;
     }
 }
@@ -379,7 +223,6 @@ struct Journal {
     len: usize,
     head: usize,
     tail: usize,
-    wire_classes: Vec<[u32; gate_class::COUNT]>,
     log: Vec<Undo>,
     removed: Vec<Node>,
     streams: Vec<(Vec<Option<Node>>, Vec<usize>)>,
@@ -400,9 +243,6 @@ pub struct Dag {
     len: usize,
     head: usize,
     tail: usize,
-    /// Per-wire census: how many nodes on the wire carry each
-    /// [`gate_class`] bit. Maintained incrementally per splice.
-    wire_classes: Vec<[u32; gate_class::COUNT]>,
     /// The open undo journal, if any.
     journal: Option<Box<Journal>>,
 }
@@ -419,7 +259,6 @@ impl Dag {
             len: 0,
             head: NONE,
             tail: NONE,
-            wire_classes: vec![[0; gate_class::COUNT]; circuit.num_qubits()],
             journal: None,
         };
         dag.rebuild(circuit.instructions().to_vec());
@@ -427,14 +266,13 @@ impl Dag {
     }
 
     /// Dense slab construction from an instruction stream: id `i` is the
-    /// `i`-th instruction. Resets the free list and the wire census.
+    /// `i`-th instruction. Resets the free list.
     fn rebuild(&mut self, insts: Vec<Instruction>) {
         let n = insts.len();
         self.free.clear();
         self.len = n;
         self.head = if n == 0 { NONE } else { 0 };
         self.tail = if n == 0 { NONE } else { n - 1 };
-        self.wire_classes = vec![[0; gate_class::COUNT]; self.num_qubits];
         self.slots = insts
             .into_iter()
             .enumerate()
@@ -467,10 +305,6 @@ impl Dag {
                     pn.wires[slot].1 = i;
                 }
                 last_on_wire[q] = i;
-            }
-            let classes = instruction_classes(&node.inst);
-            for &q in &node.inst.qubits {
-                bump_classes(&mut self.wire_classes[q], classes, 1);
             }
         }
     }
@@ -505,19 +339,6 @@ impl Dag {
         self.slots.len()
     }
 
-    /// The [`gate_class`] bits present on wire `q`: the union of the
-    /// classes of every node currently touching the wire. Maintained
-    /// incrementally (O(edit) per splice); exact, not an over-approximation.
-    pub fn wire_class_mask(&self, q: usize) -> u16 {
-        let mut m = 0u16;
-        for (bit, &count) in self.wire_classes[q].iter().enumerate() {
-            if count > 0 {
-                m |= 1 << bit;
-            }
-        }
-        m
-    }
-
     /// The instruction of node `id`.
     ///
     /// # Panics
@@ -527,9 +348,9 @@ impl Dag {
         &self.node(id).inst
     }
 
-    /// Full structural self-check: program-order links, per-wire links,
-    /// free-list/slab agreement, and the incremental wire census against a
-    /// from-scratch recount. Returns a description of the first violation.
+    /// Full structural self-check: program-order links, per-wire links and
+    /// free-list/slab agreement. Returns a description of the first
+    /// violation.
     ///
     /// This is the post-pass validator's structural half — a corrupted
     /// splice (or a pass that panicked halfway through a mutation) shows up
@@ -596,12 +417,10 @@ impl Dag {
             return Err(format!("tail {} ≠ last walked node {prev}", self.tail));
         }
         // Per-wire links must thread the program-order restriction of each
-        // wire, and the incremental census must match a recount.
+        // wire.
         let mut last_on_wire = vec![NONE; self.num_qubits];
-        let mut census = vec![[0u32; gate_class::COUNT]; self.num_qubits];
         for &id in &order {
             let node = self.slots[id].as_ref().expect("walked above");
-            let classes = instruction_classes(&node.inst);
             for (j, &q) in node.inst.qubits.iter().enumerate() {
                 let expect_pred = last_on_wire[q];
                 if node.wires[j].0 != expect_pred {
@@ -619,7 +438,6 @@ impl Dag {
                     }
                 }
                 last_on_wire[q] = id;
-                bump_classes(&mut census[q], classes, 1);
             }
         }
         for (q, &last) in last_on_wire.iter().enumerate() {
@@ -628,14 +446,6 @@ impl Dag {
                 if node.wires[wire_slot(node, q)].1 != NONE {
                     return Err(format!("node {last} wire {q}: dangling succ at wire end"));
                 }
-            }
-        }
-        for (q, counted) in census.iter().enumerate().take(self.num_qubits) {
-            if *counted != self.wire_classes[q] {
-                return Err(format!(
-                    "wire {q}: census {:?} ≠ recount {:?}",
-                    self.wire_classes[q], counted
-                ));
             }
         }
         Ok(())
@@ -793,7 +603,6 @@ impl Dag {
             len: self.len,
             head: self.head,
             tail: self.tail,
-            wire_classes: self.wire_classes.clone(),
             log: Vec::new(),
             removed: Vec::new(),
             streams: Vec::new(),
@@ -810,9 +619,9 @@ impl Dag {
     }
 
     /// Closes the open journal and undoes every edit made since it opened,
-    /// restoring that state exactly: contents, node ids, free-list order
-    /// and the wire census. Works on a DAG left half-spliced by a panic
-    /// inside [`Dag::apply`].
+    /// restoring that state exactly: contents, node ids and free-list
+    /// order. Works on a DAG left half-spliced by a panic inside
+    /// [`Dag::apply`].
     ///
     /// # Panics
     ///
@@ -845,7 +654,6 @@ impl Dag {
         self.len = j.len;
         self.head = j.head;
         self.tail = j.tail;
-        self.wire_classes = j.wire_classes;
     }
 
     /// Gate statistics over the current nodes (same accounting as
@@ -856,9 +664,8 @@ impl Dag {
 
     /// Applies a batched edit: removals and replacements splice in at
     /// their node's position, patching only the order links and wire
-    /// chains around each splice (O(edit) amortized). The report's
-    /// `touched` set holds the wires of every removed, replaced or inserted
-    /// instruction; freed node ids are recycled for later insertions.
+    /// chains around each splice (O(edit) amortized). Freed node ids are
+    /// recycled for later insertions.
     ///
     /// # Panics
     ///
@@ -866,10 +673,9 @@ impl Dag {
     /// or if a replacement instruction uses an out-of-range qubit.
     pub fn apply(&mut self, edit: DagEdit) -> ChangeReport {
         if edit.is_empty() {
-            return ChangeReport::none(self.num_qubits);
+            return ChangeReport::none();
         }
         let rewrites = edit.ops.len();
-        let mut touched = WireSet::empty(self.num_qubits);
         let mut relink_nodes = 0usize;
         let mut edited: HashSet<usize> = HashSet::with_capacity(rewrites);
         for (node, op) in edit.ops {
@@ -881,11 +687,10 @@ impl Dag {
                 edited.insert(node) && self.slots[node].is_some(),
                 "node {node} edited twice in one batch"
             );
-            relink_nodes += self.splice(node, op.unwrap_or_default(), &mut touched);
+            relink_nodes += self.splice(node, op.unwrap_or_default());
         }
         ChangeReport {
             rewrites,
-            touched,
             relink_nodes,
         }
     }
@@ -893,10 +698,9 @@ impl Dag {
     /// Replaces node `node_id` with `insts` (possibly empty), patching the
     /// order list and the wire chains locally. Returns the number of nodes
     /// whose links were rewritten.
-    fn splice(&mut self, node_id: usize, insts: Vec<Instruction>, touched: &mut WireSet) -> usize {
+    fn splice(&mut self, node_id: usize, insts: Vec<Instruction>) -> usize {
         let removed = self.slots[node_id].take().expect("live node id");
         let (left, right) = (removed.order_prev, removed.order_next);
-        let removed_classes = instruction_classes(&removed.inst);
         // `(wire, pred, succ)` triples of the removed node.
         let removed_wires: Vec<(usize, usize, usize)> = removed
             .inst
@@ -908,10 +712,6 @@ impl Dag {
         self.retire(node_id, removed);
         self.len -= 1;
         let mut relinked = 1usize;
-        for &(q, _, _) in &removed_wires {
-            touched.insert(q);
-            bump_classes(&mut self.wire_classes[q], removed_classes, -1);
-        }
         // Unlink from the order list.
         if left != NONE {
             self.set_link(left, Link::OrderNext, right);
@@ -934,11 +734,6 @@ impl Dag {
                     "replacement qubit {q} out of range for {}-qubit dag",
                     self.num_qubits
                 );
-                touched.insert(q);
-            }
-            let classes = instruction_classes(&inst);
-            for &q in &inst.qubits {
-                bump_classes(&mut self.wire_classes[q], classes, 1);
             }
             let id = self.alloc(inst, cursor, right);
             self.len += 1;
@@ -1011,8 +806,7 @@ impl Dag {
 
     /// Replaces the whole node stream (and possibly the width) — the tool
     /// of structural passes like layout application and routing that
-    /// reconstruct the circuit rather than rewrite nodes in place. Touches
-    /// every wire.
+    /// reconstruct the circuit rather than rewrite nodes in place.
     pub fn replace_all(&mut self, num_qubits: usize, nodes: Vec<Instruction>) -> ChangeReport {
         let rewrites = self.len.max(nodes.len()).max(1);
         let relink_nodes = nodes.len();
@@ -1027,7 +821,6 @@ impl Dag {
         self.rebuild(nodes);
         ChangeReport {
             rewrites,
-            touched: WireSet::full(num_qubits),
             relink_nodes,
         }
     }
@@ -1159,16 +952,6 @@ impl Dag {
             .collect();
         blocks.sort_by_key(|b| pos_of[b.nodes[0]]);
         blocks
-    }
-}
-
-fn bump_classes(counts: &mut [u32; gate_class::COUNT], classes: u16, delta: i32) {
-    for (bit, count) in counts.iter_mut().enumerate() {
-        if classes & (1 << bit) != 0 {
-            *count = count
-                .checked_add_signed(delta)
-                .expect("class census underflow");
-        }
     }
 }
 
@@ -1390,8 +1173,6 @@ mod tests {
         let report = dag.apply(edit);
         assert_eq!(report.rewrites, 2);
         assert!(report.relink_nodes >= 5); // 2 removed + 3 inserted
-        assert!(report.touched.contains(0) && report.touched.contains(1));
-        assert!(!report.touched.contains(2));
         let names: Vec<&str> = dag.iter().map(|(_, i)| i.gate.name()).collect();
         assert_eq!(names, vec!["h", "h", "cz", "h", "cx"]);
         // Links patched: the final cx depends on the last h through wire 1.
@@ -1461,21 +1242,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_reports_touched_wires_only() {
-        let mut c = Circuit::new(4);
-        c.h(0).cx(2, 3);
-        let mut dag = Dag::from_circuit(&c);
-        let mut edit = DagEdit::new();
-        edit.remove(1);
-        let report = dag.apply(edit);
-        assert_eq!(report.touched.iter().collect::<Vec<_>>(), vec![2, 3]);
-        // An empty edit touches nothing.
-        let report = dag.apply(DagEdit::new());
-        assert!(!report.changed());
-        assert!(report.touched.is_empty());
-    }
-
-    #[test]
     fn edit_on_other_wires_moves_block_membership() {
         // A block is not a function of its own wires: removing cx(2,3)
         // touches only wires 2 and 3, yet t(1) leaves the (0, 1) block,
@@ -1492,61 +1258,102 @@ mod tests {
         assert_eq!(nodes_on(&dag, [1, 2]), vec![0]);
         let mut edit = DagEdit::new();
         edit.remove(1);
-        let report = dag.apply(edit);
-        assert_eq!(report.touched.iter().collect::<Vec<_>>(), vec![2, 3]);
+        dag.apply(edit);
         assert_eq!(nodes_on(&dag, [0, 1]), vec![3, 4, 5]);
         assert_eq!(nodes_on(&dag, [1, 2]), vec![0, 2]);
     }
 
     #[test]
-    fn wire_class_census_tracks_edits() {
-        use gate_class::*;
-        let mut c = Circuit::new(2);
-        c.h(0).cx(0, 1).t(1);
-        let mut dag = Dag::from_circuit(&c);
-        assert_ne!(dag.wire_class_mask(0) & SELF_INVERSE, 0);
-        assert_ne!(dag.wire_class_mask(0) & CX, 0);
-        assert_ne!(dag.wire_class_mask(1) & ONE_Q_DIAG, 0);
-        // Remove the t: wire 1 keeps the cx, loses the diagonal class.
-        let mut edit = DagEdit::new();
-        edit.remove(2);
-        dag.apply(edit);
-        assert_eq!(dag.wire_class_mask(1) & ONE_Q_DIAG, 0);
-        assert_ne!(dag.wire_class_mask(1) & CX, 0);
-        // Replace the h with a u2: the self-inverse class leaves wire 0.
-        let mut edit = DagEdit::new();
-        edit.replace(
-            0,
-            vec![Instruction::new(
-                Gate::U2(0.0, std::f64::consts::PI),
-                vec![0],
-            )],
-        );
-        dag.apply(edit);
-        assert_eq!(dag.wire_class_mask(0) & SELF_INVERSE, 0);
-        assert_ne!(dag.wire_class_mask(0) & ONE_Q, 0);
-    }
-
-    #[test]
     fn instruction_class_bits() {
         use gate_class::*;
-        let classes =
-            |g: Gate, qs: &[usize]| instruction_classes(&Instruction::new(g, qs.to_vec()));
-        assert_eq!(
-            classes(Gate::T, &[0]),
-            ONE_Q | ONE_Q_DIAG | NON_DEVICE | NON_EXTENDED
-        );
-        assert_eq!(classes(Gate::Cx, &[0, 1]), CX | TWO_Q);
-        assert_eq!(
-            classes(Gate::Swap, &[0, 1]),
-            TWO_Q | SWAP_FAMILY | NON_DEVICE
-        );
-        assert_eq!(classes(Gate::U3(0.1, 0.2, 0.3), &[0]), ONE_Q);
-        assert_eq!(
-            classes(Gate::Ccx, &[0, 1, 2]),
-            MULTI_Q | NON_DEVICE | NON_EXTENDED
-        );
-        assert_eq!(classes(Gate::Measure, &[0]), NON_UNITARY);
+        use qc_math::Matrix;
+        let every_gate = [
+            Gate::I,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::H,
+            Gate::S,
+            Gate::Sdg,
+            Gate::T,
+            Gate::Tdg,
+            Gate::Rx(0.1),
+            Gate::Ry(0.2),
+            Gate::Rz(0.3),
+            Gate::U1(0.4),
+            Gate::U2(0.5, 0.6),
+            Gate::U3(0.7, 0.8, 0.9),
+            Gate::Cx,
+            Gate::Cz,
+            Gate::Cp(1.0),
+            Gate::Swap,
+            Gate::SwapZ,
+            Gate::Ccx,
+            Gate::Cswap,
+            Gate::Mcx(3),
+            Gate::Mcz(2),
+            Gate::Cu(Matrix::identity(2)),
+            Gate::Unitary(Matrix::identity(4)),
+            Gate::Reset,
+            Gate::Measure,
+            Gate::Barrier(2),
+            Gate::Annot(0.1, 0.2),
+        ];
+        let device = ["u1", "u2", "u3", "id", "cx"];
+        let extended = ["u1", "u2", "u3", "id", "cx", "swap", "swapz"];
+        let non_unitary = ["reset", "measure", "barrier", "annot"];
+        for g in &every_gate {
+            // Exhaustive: a new `Gate` variant fails to compile here until
+            // it is added to `every_gate` and, if it belongs to a basis,
+            // to the name lists.
+            match g {
+                Gate::I
+                | Gate::X
+                | Gate::Y
+                | Gate::Z
+                | Gate::H
+                | Gate::S
+                | Gate::Sdg
+                | Gate::T
+                | Gate::Tdg
+                | Gate::Rx(_)
+                | Gate::Ry(_)
+                | Gate::Rz(_)
+                | Gate::U1(_)
+                | Gate::U2(..)
+                | Gate::U3(..)
+                | Gate::Cx
+                | Gate::Cz
+                | Gate::Cp(_)
+                | Gate::Swap
+                | Gate::SwapZ
+                | Gate::Ccx
+                | Gate::Cswap
+                | Gate::Mcx(_)
+                | Gate::Mcz(_)
+                | Gate::Cu(_)
+                | Gate::Unitary(_)
+                | Gate::Reset
+                | Gate::Measure
+                | Gate::Barrier(_)
+                | Gate::Annot(..) => {}
+            }
+            let name = g.name();
+            let qubits = (0..g.num_qubits()).collect();
+            let classes = instruction_classes(&Instruction::new(g.clone(), qubits));
+            if non_unitary.contains(&name) {
+                assert_eq!(classes, 0, "{name} is in every basis");
+                continue;
+            }
+            let in_device = classes & NON_DEVICE == 0;
+            let in_extended = classes & NON_EXTENDED == 0;
+            assert_eq!(in_device, device.contains(&name), "{name}: device basis");
+            assert_eq!(
+                in_extended,
+                extended.contains(&name),
+                "{name}: extended basis"
+            );
+        }
     }
 
     #[test]
@@ -1564,7 +1371,6 @@ mod tests {
         assert!(report.changed());
         assert_eq!(dag.num_qubits(), 3);
         assert_eq!(dag.len(), 2);
-        assert_eq!(report.touched, WireSet::full(3));
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use blocks::{Block, BlockTracker, Membership};
 pub use circuit::{Circuit, GateCounts, Instruction};
 pub use dag::{
     conversion_counts, gate_class, instruction_classes, reset_conversion_counts, ChangeReport, Dag,
-    DagEdit, WireSet,
+    DagEdit,
 };
 pub use error::{BudgetKind, RpoError};
 pub use fusion::{

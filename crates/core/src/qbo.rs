@@ -29,7 +29,7 @@
 use crate::state::{basis_transform_gates, eigenphase_of, eigenphase_of_2x2, StateAnalysis};
 use qc_circuit::{BasisState, ChangeReport, Dag, DagEdit, Gate, Instruction};
 use qc_math::C64;
-use qc_transpile::{DagPass, PassInterest, PropertySet, TranspileError};
+use qc_transpile::{DagPass, PropertySet, TranspileError};
 use std::collections::VecDeque;
 
 /// The QBO pass.
@@ -386,15 +386,6 @@ impl DagPass for Qbo {
         // from the prepared initial state is preserved — the guard must
         // not spot-check QBO's matrix.
         false
-    }
-
-    fn interest(&self) -> PassInterest {
-        // QBO's rewrites depend on the basis-state analysis, which flows
-        // along wires (and across them through the swap family): a gate
-        // far upstream of the rewrite site enables or disables a rule, so
-        // the pass must over-approximate to every wire (see the
-        // PassInterest contract).
-        PassInterest::all_wires()
     }
 
     fn run_on_dag(

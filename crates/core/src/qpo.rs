@@ -23,7 +23,7 @@ use qc_circuit::gate::u3_matrix;
 use qc_circuit::{circuit_unitary, Block, ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
 use qc_math::{Matrix, C64};
 use qc_synth::{matrix_to_u3_gate, prepare_two_qubit};
-use qc_transpile::{DagPass, PassInterest, PropertySet, TranspileError};
+use qc_transpile::{DagPass, PropertySet, TranspileError};
 
 /// The QPO pass.
 #[derive(Clone, Debug)]
@@ -171,14 +171,6 @@ impl DagPass for Qpo {
         // Relaxed rewrites (like QBO): unitary equivalence is deliberately
         // given up, so the guard's spot check does not apply.
         false
-    }
-
-    fn interest(&self) -> PassInterest {
-        // Like QBO, QPO rewrites where the *flowing* pure-state analysis
-        // proves a known state — upstream gates on any wire (coupled
-        // across wires by the swap family) enable rules, so the pass
-        // over-approximates to every wire.
-        PassInterest::all_wires()
     }
 
     fn run_on_dag(

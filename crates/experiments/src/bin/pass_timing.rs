@@ -22,17 +22,16 @@ use rpo_core::{transpile_rpo_instrumented, RpoOptions};
 fn print_table(title: &str, stats: &[PassStats]) {
     println!("## {title}\n");
     println!(
-        "| pass | runs | skipped (clean) | skipped (interest) | quarantined | pre-disabled | budget skips | rewrites | relink nodes | wall time |"
+        "| pass | runs | skipped (clean) | quarantined | pre-disabled | budget skips | rewrites | relink nodes | wall time |"
     );
-    println!("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|");
+    println!("|---|---:|---:|---:|---:|---:|---:|---:|---:|");
     let mut total = std::time::Duration::ZERO;
     for s in stats {
         println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.3} ms |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {:.3} ms |",
             s.name,
             s.runs,
             s.skipped,
-            s.skipped_interest,
             s.quarantined,
             s.predisabled,
             s.budget_skips,
@@ -43,10 +42,9 @@ fn print_table(title: &str, stats: &[PassStats]) {
         total += s.wall;
     }
     println!(
-        "| **total** | {} | {} | {} | {} | {} | {} | {} | {} | **{:.3} ms** |\n",
+        "| **total** | {} | {} | {} | {} | {} | {} | {} | **{:.3} ms** |\n",
         stats.iter().map(|s| s.runs).sum::<usize>(),
         stats.iter().map(|s| s.skipped).sum::<usize>(),
-        stats.iter().map(|s| s.skipped_interest).sum::<usize>(),
         stats.iter().map(|s| s.quarantined).sum::<usize>(),
         stats.iter().map(|s| s.predisabled).sum::<usize>(),
         stats.iter().map(|s| s.budget_skips).sum::<usize>(),
@@ -59,16 +57,15 @@ fn print_table(title: &str, stats: &[PassStats]) {
 fn print_serve_table(title: &str, passes: &[(&'static str, PassTotals)]) {
     println!("## {title}\n");
     println!(
-        "| pass | runs | skipped (clean) | skipped (interest) | quarantined | pre-disabled | budget skips | rewrites | wall time |"
+        "| pass | runs | skipped (clean) | quarantined | pre-disabled | budget skips | rewrites | wall time |"
     );
-    println!("|---|---:|---:|---:|---:|---:|---:|---:|---:|");
+    println!("|---|---:|---:|---:|---:|---:|---:|---:|");
     for (name, t) in passes {
         println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {:.3} ms |",
+            "| {} | {} | {} | {} | {} | {} | {} | {:.3} ms |",
             name,
             t.runs,
             t.skipped,
-            t.skipped_interest,
             t.quarantined,
             t.predisabled,
             t.budget_skips,

@@ -237,7 +237,6 @@ fn run_in_process(args: &Args) -> i32 {
     let service = Arc::new(TranspileService::new(ServeConfig {
         max_concurrent: args.threads,
         verify_every: 16,
-        seed: args.seed,
         ..ServeConfig::default()
     }));
     let r = args.requests;
@@ -1029,7 +1028,6 @@ fn run_persist_bench(args: &Args, dir: &str) -> i32 {
     let _ = std::fs::remove_file(&path);
     let cfg = ServeConfig {
         verify_every: 0,
-        seed: args.seed,
         ..ServeConfig::default()
     };
     let n = args.requests;

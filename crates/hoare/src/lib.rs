@@ -24,7 +24,7 @@ use qc_circuit::{ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
 use qc_transpile::optimize_1q::Optimize1qGates;
 use qc_transpile::preset::{run_pipeline, Stage, Transpiled};
 use qc_transpile::unroll::Unroller;
-use qc_transpile::{DagPass, PassInterest, PropertySet, TranspileError, TranspileOptions};
+use qc_transpile::{DagPass, PropertySet, TranspileError, TranspileOptions};
 use std::collections::VecDeque;
 
 /// Classical knowledge about one qubit.
@@ -254,12 +254,6 @@ impl DagPass for HoareOptimizer {
         // Removing a gate that acts trivially on the known classical state
         // changes the unitary; only behavior from |0…0⟩ is preserved.
         false
-    }
-
-    fn interest(&self) -> PassInterest {
-        // The classical predicates flow along wires (and across them
-        // through cx/swap), so any change anywhere can enable a rewrite.
-        PassInterest::all_wires()
     }
 
     fn run_on_dag(

@@ -49,7 +49,8 @@ fn usage() -> ! {
          [--queue N] [--cache N] [--compact-every N] [--verify-every N] [--seed N] \
          [--chaos-replication-drop P] [--chaos-partition-every N]\n\
          (--tick-ms defaults to 500 ms, min 10. \
-         --replicas defaults to 1 next-ranked warm copy per fill.)"
+         --replicas defaults to 1 next-ranked warm copy per fill. \
+         --seed seeds the chaos replication-drop coin.)"
     );
     std::process::exit(2);
 }
@@ -463,9 +464,7 @@ fn main() {
     let no_revive = Arc::new(AtomicBool::new(false));
     let mut shards = Vec::new();
     for i in 0..opts.shards {
-        let mut args = opts.worker_flags.clone();
-        args.push("--seed".into());
-        args.push((opts.seed + i as u64).to_string());
+        let args = opts.worker_flags.clone();
         let persist = opts
             .persist_dir
             .as_ref()

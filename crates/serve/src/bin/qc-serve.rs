@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! qc-serve [--listen ADDR:PORT] [--max-concurrent N] [--queue N]
-//!          [--verify-every N] [--seed N]
+//!          [--verify-every N]
 //! ```
 //!
 //! Without `--listen`, reads one JSON request per line from stdin and
@@ -30,7 +30,7 @@ use std::sync::Arc;
 fn usage() -> ! {
     eprintln!(
         "usage: qc-serve [--listen ADDR:PORT] [--persist PATH] [--max-concurrent N] \
-         [--queue N] [--cache N] [--compact-every N] [--verify-every N] [--seed N]"
+         [--queue N] [--cache N] [--compact-every N] [--verify-every N]"
     );
     std::process::exit(2);
 }
@@ -54,7 +54,6 @@ fn parse_args() -> (ServeConfig, Option<String>, Option<String>) {
             "--cache" => cfg.cache_capacity = num(&mut args).max(1),
             "--compact-every" => cfg.compact_every_records = num(&mut args) as u64,
             "--verify-every" => cfg.verify_every = num(&mut args) as u64,
-            "--seed" => cfg.seed = num(&mut args) as u64,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("qc-serve: unknown flag '{other}'");

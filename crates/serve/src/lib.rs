@@ -15,9 +15,9 @@
 //!   disabled passes) share one compile; concurrent duplicates coalesce
 //!   onto the in-flight leader. Sampled integrity re-verification
 //!   recompiles every Nth warm hit and asserts bit-identical output.
-//! * **Retry with bounded decorrelated-jitter backoff** — a compile
-//!   degraded by a quarantined *optional* pass is retried with that pass
-//!   pre-disabled, usually producing a clean (and cacheable) result.
+//! * **Retry** — a compile degraded by a quarantined *optional* pass is
+//!   recompiled at once with that pass pre-disabled, usually producing a
+//!   clean (and cacheable) result.
 //! * **Per-pass circuit breakers** — a pass quarantined in K of the last
 //!   N requests is pre-disabled process-wide until a cooldown and a
 //!   half-open probe show it healthy again.
@@ -28,7 +28,6 @@
 //! JSONL-over-stdin/TCP protocol ([`wire`]); the `serve_load` experiment
 //! binary drives mixed cold/warm workloads against it.
 
-pub mod backoff;
 pub mod breaker;
 pub mod cache;
 pub mod clock;
@@ -38,7 +37,6 @@ pub mod service;
 pub mod shard;
 pub mod wire;
 
-pub use backoff::Backoff;
 pub use breaker::{BreakerConfig, BreakerRegistry, BreakerState};
 pub use cache::{budget_class, cache_key, CacheClass, CompiledEntry, KeyParts, SingleFlightCache};
 pub use clock::{Clock, SystemClock, TestClock};

@@ -9,8 +9,8 @@
 //! cache lookup ── warm hit ──► (sampled integrity re-verify) ──► respond
 //!     │                ── in-flight ──► coalesce onto the leader ──► respond
 //!     │
-//! compile (leader) ──► quarantined optional pass? retry with the pass
-//!     │                pre-disabled, decorrelated-jitter backoff
+//! compile (leader) ──► quarantined optional pass? recompile at once
+//!     │                with the pass pre-disabled
 //!     │
 //! record breaker outcomes, aggregate pass stats ──► respond
 //! ```
@@ -20,7 +20,6 @@
 //! [`TranspileService::handle`] and surfaced as [`RpoError::Internal`] —
 //! the process never dies for one request.
 
-use crate::backoff::Backoff;
 use crate::breaker::{BreakerConfig, BreakerRegistry};
 use crate::cache::{
     budget_class, cache_key, CacheClass, CompiledEntry, KeyParts, Lookup, SingleFlightCache,
@@ -35,7 +34,6 @@ use qc_transpile::preset::{transpile_instrumented, Transpiled};
 use qc_transpile::{
     DegradationReport, PassSet, TranspileBudget, TranspileOptions, DISABLEABLE_PASSES,
 };
-use rand::{rngs::StdRng, SeedableRng};
 use rpo_core::{transpile_rpo_instrumented, RpoOptions};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -138,7 +136,7 @@ pub struct ServeResponse {
 }
 
 /// Service tuning. The defaults suit an interactive process; tests tighten
-/// them (zero backoff, tiny windows) for determinism.
+/// them (no verify sampling, tiny windows) for determinism.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Compiles allowed in flight at once (admission permits).
@@ -150,18 +148,11 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Compile retries per request after an optional-pass quarantine.
     pub max_retries: u32,
-    /// First decorrelated-jitter backoff interval (zero disables sleeping
-    /// entirely — the deterministic-test configuration).
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
     /// Re-verify every Nth warm cache hit by recompiling and asserting
     /// bit-identical output (0 disables sampling).
     pub verify_every: u64,
-    /// Seed for the backoff jitter RNG.
-    pub seed: u64,
     /// Compact the segment log once it holds this many records written
     /// since the last compaction — after a restart, every record in the
     /// file counts (0 disables the count trigger).
@@ -175,11 +166,8 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             cache_capacity: 256,
             max_retries: 2,
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(50),
             breaker: BreakerConfig::default(),
             verify_every: 16,
-            seed: 0,
             compact_every_records: 1024,
         }
     }
@@ -266,10 +254,8 @@ pub struct MetricsSnapshot {
 pub struct PassTotals {
     /// Executions across all compiles.
     pub runs: usize,
-    /// Change-tracking skips (clean dirty set).
+    /// Change-tracking skips (clean passes).
     pub skipped: usize,
-    /// Interest-filter skips.
-    pub skipped_interest: usize,
     /// Quarantines (the breaker input signal).
     pub quarantined: usize,
     /// Budget-deadline skips.
@@ -313,7 +299,6 @@ pub struct TranspileService {
     breakers: BreakerRegistry,
     metrics: Metrics,
     pass_totals: Mutex<HashMap<&'static str, PassTotals>>,
-    rng: Mutex<StdRng>,
     persist: Option<Mutex<SegmentLog>>,
     replay_report: ReplayReport,
 }
@@ -355,7 +340,6 @@ impl TranspileService {
             cache: SingleFlightCache::new(cfg.cache_capacity),
             metrics: Metrics::default(),
             pass_totals: Mutex::new(HashMap::new()),
-            rng: Mutex::new(StdRng::seed_from_u64(cfg.seed)),
             persist: None,
             replay_report: ReplayReport::default(),
         }
@@ -652,8 +636,9 @@ impl TranspileService {
     }
 
     /// One compile attempt, plus up to `max_retries` re-attempts with any
-    /// quarantined optional pass pre-disabled and decorrelated-jitter
-    /// backoff in between.
+    /// quarantined optional pass pre-disabled. A retry is a local,
+    /// deterministic recompile, so it starts at once: there is no
+    /// contended resource to back off from.
     fn compile_with_retry(
         &self,
         req: &ServeRequest,
@@ -663,7 +648,6 @@ impl TranspileService {
         let mut disabled = breaker_disabled;
         let mut retried_after: Vec<String> = Vec::new();
         let mut retries = 0u32;
-        let mut backoff = Backoff::new(self.cfg.backoff_base, self.cfg.backoff_cap);
         loop {
             let remaining = self.remaining(deadline_nanos)?;
             let (out, stats, nanos) = self.compile_once(req, disabled, remaining)?;
@@ -687,13 +671,6 @@ impl TranspileService {
                 for pass in culprits {
                     disabled.insert(&pass);
                     retried_after.push(pass);
-                }
-                let pause = {
-                    let mut rng = self.rng.lock().unwrap_or_else(|e| e.into_inner());
-                    backoff.next(&mut rng)
-                };
-                if !pause.is_zero() {
-                    std::thread::sleep(pause);
                 }
                 continue;
             }
@@ -812,7 +789,6 @@ impl TranspileService {
             let t = totals.entry(s.name).or_default();
             t.runs += s.runs;
             t.skipped += s.skipped;
-            t.skipped_interest += s.skipped_interest;
             t.quarantined += s.quarantined;
             t.budget_skips += s.budget_skips;
             t.predisabled += s.predisabled;

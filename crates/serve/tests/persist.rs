@@ -10,7 +10,6 @@ use qc_serve::{CacheClass, ServeConfig, ServeFlow, ServeRequest, TranspileServic
 use std::fs::OpenOptions;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::time::Duration;
 
 fn temp_log(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -42,7 +41,6 @@ fn request(salt: u64) -> ServeRequest {
 
 fn quiet_config() -> ServeConfig {
     ServeConfig {
-        backoff_base: Duration::ZERO,
         verify_every: 0,
         ..ServeConfig::default()
     }

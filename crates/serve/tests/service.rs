@@ -35,7 +35,6 @@ fn request(id: &str, circuit: Circuit, seed: u64) -> ServeRequest {
 
 fn quiet_config() -> ServeConfig {
     ServeConfig {
-        backoff_base: Duration::ZERO,
         verify_every: 0,
         ..ServeConfig::default()
     }

@@ -17,7 +17,6 @@ use qc_serve::{
     TranspileService,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Rendezvous hashing properties
@@ -170,7 +169,6 @@ fn ghz_request(salt: u64) -> ServeRequest {
 
 fn quiet_config() -> ServeConfig {
     ServeConfig {
-        backoff_base: Duration::ZERO,
         verify_every: 0,
         ..ServeConfig::default()
     }

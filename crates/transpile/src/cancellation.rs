@@ -5,7 +5,8 @@
 //! relationships" that Qiskit's level ≥ 2 pipelines run (Section II-B of the
 //! paper) — the baseline optimizations RPO is measured on top of.
 
-use crate::manager::{DagPass, PassInterest, PropertySet};
+use crate::commutation::{family, Family};
+use crate::manager::{DagPass, PropertySet};
 use crate::TranspileError;
 use qc_circuit::{ChangeReport, Dag, DagEdit, Gate};
 
@@ -19,39 +20,9 @@ fn is_self_inverse_1q(g: &Gate) -> bool {
     matches!(g, Gate::X | Gate::Y | Gate::Z | Gate::H)
 }
 
-/// Commutation family of a gate relative to a CNOT on the same wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommClass {
-    /// Diagonal in Z: commutes with a CNOT control.
-    ZDiagonal,
-    /// An X-axis rotation: commutes with a CNOT target.
-    XRotation,
-    /// Neither.
-    Other,
-}
-
-/// The commutation family of a single-qubit gate.
-pub fn comm_class(g: &Gate) -> CommClass {
-    match g {
-        Gate::Z | Gate::S | Gate::Sdg | Gate::T | Gate::Tdg | Gate::Rz(_) | Gate::U1(_) => {
-            CommClass::ZDiagonal
-        }
-        Gate::X | Gate::Rx(_) => CommClass::XRotation,
-        _ => CommClass::Other,
-    }
-}
-
 impl DagPass for CxCancellation {
     fn name(&self) -> &'static str {
         "CxCancellation"
-    }
-
-    fn interest(&self) -> PassInterest {
-        // Cancellations pair cx gates (connected along the cx's own wires)
-        // or adjacent self-inverse 1q gates; a change on a wire carrying
-        // neither cannot create one.
-        use qc_circuit::gate_class::{CX, SELF_INVERSE};
-        PassInterest::gate_classes(CX | SELF_INVERSE)
     }
 
     fn run_on_dag(
@@ -59,7 +30,7 @@ impl DagPass for CxCancellation {
         dag: &mut Dag,
         _props: &mut PropertySet,
     ) -> Result<ChangeReport, TranspileError> {
-        let mut total = ChangeReport::none(dag.num_qubits());
+        let mut total = ChangeReport::none();
         // Sweep until no more cancellations fire: each sweep batches its
         // removals into one edit.
         for _ in 0..64 {
@@ -80,11 +51,11 @@ impl DagPass for CxCancellation {
 }
 
 /// One cancellation sweep over a DAG: `removed[id]` marks node ids to
-/// delete. Z-diagonal gates ([`comm_class`]) are looked through on CNOT
+/// delete. Gates of the Z-phase [`family`] are looked through on CNOT
 /// control wires.
 fn plan_cancellations(dag: &Dag) -> Vec<bool> {
     let mut removed = vec![false; dag.capacity()];
-    let z_diagonal = |id: usize| comm_class(&dag.inst(id).gate) == CommClass::ZDiagonal;
+    let z_diagonal = |id: usize| matches!(family(&dag.inst(id).gate), Family::ZPhase(_));
 
     // Helper: the next non-removed successor of `node` along wire `q` that
     // is not a Z-diagonal 1q gate when `skip_diagonal` (used to look through
@@ -176,6 +147,16 @@ mod tests {
     }
 
     #[test]
+    fn cx_pair_with_identity_on_control_cancels() {
+        // `id` is in the Z-phase family, so it is looked through too.
+        let mut c = Circuit::new(2);
+        c.cx(0, 1).id(0).cx(0, 1);
+        let out = cancelled(&c);
+        assert_eq!(out.gate_counts().cx, 0);
+        assert_eq!(out.count_name("id"), 1);
+    }
+
+    #[test]
     fn cx_pair_with_gate_on_target_does_not_cancel() {
         let mut c = Circuit::new(2);
         c.cx(0, 1).t(1).cx(0, 1);
@@ -198,14 +179,6 @@ mod tests {
         let mut c = Circuit::new(2);
         c.cx(0, 1).cx(0, 1).cx(0, 1);
         assert_eq!(cancelled(&c).gate_counts().cx, 1);
-    }
-
-    #[test]
-    fn comm_class_classifies_gates() {
-        assert_eq!(comm_class(&Gate::T), CommClass::ZDiagonal);
-        assert_eq!(comm_class(&Gate::X), CommClass::XRotation);
-        assert_eq!(comm_class(&Gate::Cx), CommClass::Other);
-        assert_eq!(comm_class(&Gate::H), CommClass::Other);
     }
 
     #[test]

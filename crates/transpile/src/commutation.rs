@@ -7,7 +7,7 @@
 //! same-wire rotations separated only by such CNOT anchors merge into one
 //! gate (and cancel outright when the angles sum to zero).
 
-use crate::manager::{DagPass, PassInterest, PropertySet};
+use crate::manager::{DagPass, PropertySet};
 use crate::TranspileError;
 use qc_circuit::{ChangeReport, Dag, DagEdit, Gate, Instruction};
 use qc_synth::euler::normalize_angle;
@@ -15,7 +15,7 @@ use std::f64::consts::{FRAC_PI_2, PI};
 
 /// Which commutation family a 1-qubit gate belongs to.
 #[derive(Clone, Copy, Debug, PartialEq)]
-enum Family {
+pub(crate) enum Family {
     /// Diagonal in Z: commutes with a CNOT control on the same wire.
     ZPhase(f64),
     /// X-axis rotation: commutes with a CNOT target on the same wire.
@@ -24,7 +24,8 @@ enum Family {
     Other,
 }
 
-fn family(g: &Gate) -> Family {
+/// The commutation family of a 1-qubit gate, with its rotation angle.
+pub(crate) fn family(g: &Gate) -> Family {
     match g {
         Gate::Z => Family::ZPhase(PI),
         Gate::S => Family::ZPhase(FRAC_PI_2),
@@ -147,14 +148,6 @@ impl DagPass for CommutativeCancellation {
         "CommutativeCancellation"
     }
 
-    fn interest(&self) -> PassInterest {
-        // Runs are per-wire sequences of Z-phase / X-rotation family
-        // gates; a change on a wire carrying neither family cannot create
-        // or connect one.
-        use qc_circuit::gate_class::{ONE_Q_DIAG, ONE_Q_X};
-        PassInterest::gate_classes(ONE_Q_DIAG | ONE_Q_X)
-    }
-
     fn run_on_dag(
         &self,
         dag: &mut Dag,
@@ -194,6 +187,15 @@ mod tests {
             "commutative cancellation changed semantics\n{c}\n{out}"
         );
         out
+    }
+
+    #[test]
+    fn family_classifies_gates() {
+        assert_eq!(family(&Gate::T), Family::ZPhase(PI / 4.0));
+        assert_eq!(family(&Gate::I), Family::ZPhase(0.0));
+        assert_eq!(family(&Gate::X), Family::XRotation(PI));
+        assert_eq!(family(&Gate::Cx), Family::Other);
+        assert_eq!(family(&Gate::H), Family::Other);
     }
 
     #[test]

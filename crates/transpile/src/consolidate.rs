@@ -9,7 +9,7 @@
 //! is the *strict* peephole optimization RPO relaxes.
 
 use crate::guard::BudgetSnapshot;
-use crate::manager::{DagPass, PassInterest, PropertySet};
+use crate::manager::{DagPass, PropertySet};
 use crate::TranspileError;
 use qc_circuit::circuit::gate_counts_of;
 use qc_circuit::{Block, ChangeReport, Dag, DagEdit, Instruction, UnitaryAccumulator};
@@ -185,12 +185,6 @@ fn plan_consolidation(
 impl DagPass for ConsolidateBlocks {
     fn name(&self) -> &'static str {
         "ConsolidateBlocks"
-    }
-
-    fn interest(&self) -> PassInterest {
-        // Blocks are anchored by two-qubit unitary gates on their wires; a
-        // wire carrying no 2q unitary belongs to no block.
-        PassInterest::gate_classes(qc_circuit::gate_class::TWO_Q)
     }
 
     fn run_on_dag(

@@ -719,7 +719,7 @@ mod tests {
                 edit.replace(id, vec![Instruction::new(Gate::Unitary(bad), vec![q])]);
                 return Ok(dag.apply(edit));
             }
-            Ok(ChangeReport::none(dag.num_qubits()))
+            Ok(ChangeReport::none())
         }
     }
 

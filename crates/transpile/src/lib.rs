@@ -65,7 +65,7 @@ pub use guard::{
     catch_stage, BudgetHit, BudgetSnapshot, DegradationReport, GuardedRun, PassGuard, PassSet,
     QuarantineRecord, TranspileBudget, ValidationMode, DISABLEABLE_PASSES,
 };
-pub use manager::{DagPass, FixedPointLoop, PassInterest, PassStats, PropertySet};
+pub use manager::{DagPass, FixedPointLoop, PassStats, PropertySet};
 pub use preset::{transpile, TranspileOptions};
 
 use qc_circuit::{Circuit, Dag};

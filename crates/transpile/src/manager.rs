@@ -1,5 +1,5 @@
-//! The DAG-native pass manager: shared-IR passes and the change-driven,
-//! interest-filtered fixed-point driver.
+//! The DAG-native pass manager: shared-IR passes and the change-driven
+//! fixed-point driver.
 //!
 //! Every pass is written once, against the shared [`Dag`] IR; running one
 //! pass on its own over a circuit goes through the blanket
@@ -7,95 +7,36 @@
 //!
 //! * [`DagPass`] — a pass mutates the shared [`Dag`] in place (via
 //!   [`qc_circuit::DagEdit`] batches) and returns a [`ChangeReport`]
-//!   saying how many nodes it rewrote and on which wires. A pass may also
-//!   declare a [`PassInterest`]: the gate classes it rewrites, so the
-//!   driver can prove a re-run pointless without executing it. Each pass
-//!   computes the analyses it reads (block membership, commutation
-//!   classes, the per-wire state automata in `rpo-core`) from the DAG in
-//!   front of it; its [`PropertySet`] carries only the running budget.
+//!   saying how many nodes it rewrote. Each pass computes the analyses it
+//!   reads (block membership, commutation families, the per-wire state
+//!   automata in `rpo-core`) from the DAG in front of it; its
+//!   [`PropertySet`] carries only the running budget.
 //! * [`FixedPointLoop`] — the paper's Fig. 8 line 9 loop, driven by change
 //!   reports instead of unconditional re-execution. A pass is *skipped*
-//!   when its dirty wire set is empty (its last run made no rewrites and
-//!   nothing touched the DAG since), and — new with interest filtering —
-//!   when every dirty wire fails the pass's [`PassInterest`] (everything
-//!   that changed lives on wires that carry no gate class the pass acts
-//!   on, so the pass provably has nothing to do). The loop exits as soon
-//!   as an iteration executes nothing. The classic gate-count termination
-//!   rule is kept as well, so the loop visits exactly the same rewriting
-//!   pass executions as the unconditional loop of the test-only
-//!   `reference` module — the equivalence tests check that the output is
-//!   bit-identical, just without the wasted clean re-runs.
+//!   when it is clean: its last run made no rewrites and no pass has
+//!   rewritten the DAG since, so (passes being deterministic) running it
+//!   again would change nothing. The loop exits as soon as an iteration
+//!   rewrites nothing. The classic gate-count termination rule is kept as
+//!   well, so the loop visits exactly the same rewriting pass executions
+//!   as the unconditional loop of the test-only `reference` module — the
+//!   equivalence tests check that the output is bit-identical, just
+//!   without the wasted clean re-runs.
 //!
-//! Per-pass execution statistics ([`PassStats`]: runs, change-tracking
-//! skips, interest skips, rewrites, relinked nodes, wall time) are
-//! collected by the driver and surfaced through
-//! [`crate::preset::run_pipeline`] for the CI timing artifact.
+//! Per-pass execution statistics ([`PassStats`]: runs, clean skips,
+//! rewrites, relinked nodes, wall time) are collected by the driver and
+//! surfaced through [`crate::preset::run_pipeline`] for the CI timing
+//! artifact.
 
 use crate::guard::{BudgetSnapshot, GuardedRun, PassGuard};
 use crate::TranspileError;
-use qc_circuit::{ChangeReport, Dag, WireSet};
+use qc_circuit::{ChangeReport, Dag};
 use std::time::{Duration, Instant};
-
-/// A pass's declared rewrite interest: which wires could possibly give it
-/// work, expressed over the DAG's per-wire gate-class census
-/// ([`qc_circuit::gate_class`], [`Dag::wire_class_mask`]).
-///
-/// # Contract
-///
-/// The declaration must be **sound**: whenever the pass would rewrite
-/// anything, at least one wire it rewrites (or whose content enabled the
-/// rewrite) must satisfy the predicate. Over-approximating (declaring more
-/// classes, or [`PassInterest::all_wires`]) costs only wasted re-runs;
-/// under-approximating changes pipeline output. Passes whose rewrites
-/// depend on state that *flows along* wires (QBO/QPO: a gate far upstream
-/// changes the reachable state at the rewrite site, and the swap family
-/// carries state across wires) must over-approximate with
-/// [`PassInterest::all_wires`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PassInterest {
-    /// `None` = every wire is interesting regardless of content;
-    /// `Some(mask)` = a wire is interesting iff its class census
-    /// intersects `mask`.
-    classes: Option<u16>,
-}
-
-impl PassInterest {
-    /// Interest in every wire — the sound default for passes whose
-    /// rewrites cannot be localized by gate content.
-    pub fn all_wires() -> Self {
-        PassInterest { classes: None }
-    }
-
-    /// Interest in wires whose node census intersects `mask`
-    /// ([`qc_circuit::gate_class`] bits).
-    pub fn gate_classes(mask: u16) -> Self {
-        PassInterest {
-            classes: Some(mask),
-        }
-    }
-
-    /// Whether any wire of `dirty` satisfies the predicate.
-    pub fn any_interesting(&self, dag: &Dag, dirty: &WireSet) -> bool {
-        match self.classes {
-            None => !dirty.is_empty(),
-            Some(mask) => dirty.iter().any(|q| dag.wire_class_mask(q) & mask != 0),
-        }
-    }
-}
 
 /// A transformation of the shared DAG IR — the unit the DAG-native
 /// pipelines are composed from.
 pub trait DagPass {
     /// Short pass name for logging, statistics and diagnostics.
     fn name(&self) -> &'static str;
-
-    /// The wires this pass could possibly rewrite, by gate-class content.
-    /// Defaults to every wire (always sound); override with a
-    /// [`PassInterest::gate_classes`] mask when the pass only acts on
-    /// specific gate classes (see the [`PassInterest`] contract).
-    fn interest(&self) -> PassInterest {
-        PassInterest::all_wires()
-    }
 
     /// Mutates the DAG in place, reporting what changed.
     ///
@@ -157,11 +98,10 @@ pub struct PassStats {
     pub name: &'static str,
     /// Times the pass actually executed.
     pub runs: usize,
-    /// Times the change-tracking driver skipped the pass as clean (empty
-    /// dirty set).
+    /// Times the change-tracking driver skipped the pass as clean.
     pub skipped: usize,
-    /// Times the driver skipped the pass because no dirty wire satisfied
-    /// its [`PassInterest`].
+    /// Always 0: the fixed point skips a pass only when it is clean. Kept
+    /// because `perfbench` still reads the field.
     pub skipped_interest: usize,
     /// Total node rewrites across all runs.
     pub rewrites: usize,
@@ -226,36 +166,33 @@ pub fn run_timed(
 /// Every pass starts dirty. Each iteration runs the dirty passes in order;
 /// a pass's report (when it rewrote anything) re-dirties *every* pass —
 /// including itself — because any rewrite may expose new opportunities
-/// anywhere downstream. A pass is skipped when its dirty set is empty (its
-/// previous run made no rewrites and nothing has touched the DAG since),
-/// or when no dirty wire satisfies its [`PassInterest`] (everything that
-/// changed lives on wires carrying no gate class the pass rewrites, so —
-/// passes being deterministic — running it would change nothing).
+/// anywhere downstream. A pass is skipped when it is clean: its previous
+/// run made no rewrites and nothing has rewritten the DAG since.
 ///
 /// Termination mirrors the unconditional reference loop exactly: stop after
 /// `max_iters` iterations, when an iteration performs no rewrites, or when
 /// an iteration fails to improve the CNOT count or total gate count.
 pub struct FixedPointLoop {
     passes: Vec<Box<dyn DagPass>>,
-    interests: Vec<PassInterest>,
-    dirty: Vec<WireSet>,
+    /// Per pass: whether some pass rewrote the DAG since its last run.
+    dirty: Vec<bool>,
     /// Per-pass statistics, index-aligned with the pass sequence.
     pub stats: Vec<PassStats>,
     /// Passes executed per iteration, appended as the loop runs (the
-    /// change-report plumbing's observable: a clean second iteration
-    /// records `0`).
+    /// change tracking's observable: passes still clean since the last
+    /// rewrite are not executed).
     pub executed_per_iteration: Vec<usize>,
 }
 
 impl FixedPointLoop {
     /// A driver over the given pass sequence, all passes initially dirty.
-    pub fn new(passes: Vec<Box<dyn DagPass>>, num_qubits: usize) -> Self {
-        let dirty = passes.iter().map(|_| WireSet::full(num_qubits)).collect();
+    /// The qubit count is unused; the parameter stays because `perfbench`
+    /// still passes it.
+    pub fn new(passes: Vec<Box<dyn DagPass>>, _num_qubits: usize) -> Self {
+        let dirty = vec![true; passes.len()];
         let stats = passes.iter().map(|p| PassStats::new(p.name())).collect();
-        let interests = passes.iter().map(|p| p.interest()).collect();
         FixedPointLoop {
             passes,
-            interests,
             dirty,
             stats,
             executed_per_iteration: Vec::new(),
@@ -322,19 +259,11 @@ impl FixedPointLoop {
             let mut executed = 0usize;
             let mut any_rewrites = false;
             for i in 0..self.passes.len() {
-                if self.dirty[i].is_empty() {
+                if !self.dirty[i] {
                     self.stats[i].skipped += 1;
                     continue;
                 }
-                if !self.interests[i].any_interesting(dag, &self.dirty[i]) {
-                    // Every dirty wire lacks the pass's gate classes: the
-                    // pass provably has nothing to rewrite. Treat it as
-                    // clean (a later relevant change re-dirties it).
-                    self.stats[i].skipped_interest += 1;
-                    self.dirty[i].clear();
-                    continue;
-                }
-                self.dirty[i].clear();
+                self.dirty[i] = false;
                 let pass = self.passes[i].as_ref();
                 let stats = &mut self.stats[i];
                 let report = match guard.as_deref_mut() {
@@ -347,13 +276,11 @@ impl FixedPointLoop {
                 executed += 1;
                 if report.changed() {
                     any_rewrites = true;
-                    for d in self.dirty.iter_mut() {
-                        d.union(&report.touched);
-                    }
+                    self.dirty.fill(true);
                 }
             }
             self.executed_per_iteration.push(executed);
-            if executed == 0 || !any_rewrites {
+            if !any_rewrites {
                 return Ok(());
             }
             let after = dag.gate_counts();
@@ -373,16 +300,13 @@ impl FixedPointLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qc_circuit::{gate_class, Circuit, DagEdit, Gate};
+    use qc_circuit::{Circuit, DagEdit, Gate};
 
     /// A pass that removes one `x` gate per run, if any remains.
     struct DropOneX;
     impl DagPass for DropOneX {
         fn name(&self) -> &'static str {
             "DropOneX"
-        }
-        fn interest(&self) -> PassInterest {
-            PassInterest::gate_classes(gate_class::ONE_Q_X)
         }
         fn run_on_dag(
             &self,
@@ -409,10 +333,10 @@ mod tests {
         }
         fn run_on_dag(
             &self,
-            dag: &mut Dag,
+            _dag: &mut Dag,
             _props: &mut PropertySet,
         ) -> Result<ChangeReport, TranspileError> {
-            Ok(ChangeReport::none(dag.num_qubits()))
+            Ok(ChangeReport::none())
         }
     }
 
@@ -439,14 +363,13 @@ mod tests {
         let mut props = PropertySet::new();
         let mut fp = FixedPointLoop::new(vec![Box::new(DropOneX), Box::new(Inert)], 1);
         fp.run(&mut dag, &mut props, 10).unwrap();
-        // Iterations: [drop x, inert], [drop x, inert], [both skipped].
+        // Iterations: [drop x, inert], [drop x, inert], [drop nothing,
+        // inert skipped]: Inert ran after the last rewrite, so it is
+        // clean in the final iteration.
         assert!(dag.is_empty());
-        assert!(fp.stats[0].runs >= 2);
-        // Once the last x is gone the wire loses its ONE_Q_X census entry,
-        // so the final iteration proves the re-dirtied DropOneX pointless
-        // and executes nothing at all.
-        assert_eq!(*fp.executed_per_iteration.last().unwrap(), 0);
-        assert!(fp.stats[0].skipped_interest >= 1);
+        assert_eq!(fp.executed_per_iteration, vec![2, 2, 1]);
+        assert_eq!(fp.stats[0].runs, 3);
+        assert_eq!(fp.stats[1].skipped, 1);
     }
 
     #[test]
@@ -460,40 +383,9 @@ mod tests {
         let mut fp = FixedPointLoop::new(vec![Box::new(Inert), Box::new(DropOneX)], 1);
         fp.run(&mut dag, &mut props, 10).unwrap();
         // Iter 1: inert runs (dirty init), drop rewrites → both re-dirty.
-        // Iter 2: inert runs, drop runs... but once the x is gone the wire
-        // loses the ONE_Q_X class and interest filtering skips DropOneX.
+        // Iter 2: inert runs, drop runs and finds no x, so the loop stops.
         assert!(dag.is_empty());
-        assert!(fp.stats[1].runs + fp.stats[1].skipped_interest >= 2);
-    }
-
-    #[test]
-    fn interest_filter_skips_pass_without_relevant_wires() {
-        // The stream carries no x gates at all: DropOneX is interest-
-        // filtered from the very first iteration (its dirty set is full
-        // but no wire carries ONE_Q_X content).
-        let mut c = Circuit::new(2);
-        c.h(0).cx(0, 1).t(1);
-        let mut dag = Dag::from_circuit(&c);
-        let mut props = PropertySet::new();
-        let mut fp = FixedPointLoop::new(vec![Box::new(DropOneX)], 2);
-        fp.run(&mut dag, &mut props, 10).unwrap();
-        assert_eq!(fp.stats[0].runs, 0);
-        assert_eq!(fp.stats[0].skipped_interest, 1);
-        assert_eq!(dag.len(), 3);
-    }
-
-    #[test]
-    fn interest_filter_fires_once_content_appears() {
-        // x gates present: the pass runs (and keeps running) until the
-        // wire's ONE_Q_X census drains, then interest filters it.
-        let mut c = Circuit::new(1);
-        c.x(0).x(0);
-        let mut dag = Dag::from_circuit(&c);
-        let mut props = PropertySet::new();
-        let mut fp = FixedPointLoop::new(vec![Box::new(DropOneX)], 1);
-        fp.run(&mut dag, &mut props, 10).unwrap();
-        assert!(dag.is_empty());
-        assert!(fp.stats[0].runs >= 2);
-        assert!(fp.stats[0].skipped_interest >= 1);
+        assert_eq!(fp.stats[0].runs, 2);
+        assert_eq!(fp.stats[1].runs, 2);
     }
 }

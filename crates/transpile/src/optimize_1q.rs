@@ -5,7 +5,7 @@
 //! single-qubit gates (Section IV), and it prepares single-u3 wires for QPO's
 //! pure-state tracking (Fig. 8, line 7).
 
-use crate::manager::{DagPass, PassInterest, PropertySet};
+use crate::manager::{DagPass, PropertySet};
 use crate::TranspileError;
 use qc_circuit::{ChangeReport, Dag, DagEdit, Gate, Instruction};
 use qc_synth::euler::OneQubitEuler;
@@ -53,14 +53,6 @@ fn plan_runs(dag: &Dag) -> Result<Vec<Option<Option<Gate>>>, TranspileError> {
 impl DagPass for Optimize1qGates {
     fn name(&self) -> &'static str {
         "Optimize1qGates"
-    }
-
-    fn interest(&self) -> PassInterest {
-        // Any wire carrying a 1q unitary is interesting — even a singleton
-        // run rewrites when its gate is not already in the Euler-canonical
-        // u-form, so the pass deliberately over-approximates past "≥ 2
-        // adjacent 1q nodes" (see the PassInterest contract).
-        PassInterest::gate_classes(qc_circuit::gate_class::ONE_Q)
     }
 
     fn run_on_dag(

@@ -5,7 +5,7 @@
 //! that keeps `swap` and `swapz` intact so the QPO pass can reason about
 //! them (Fig. 8, line 6).
 
-use crate::manager::{DagPass, PassInterest, PropertySet};
+use crate::manager::{DagPass, PropertySet};
 use crate::TranspileError;
 use qc_circuit::gate_class::{NON_DEVICE, NON_EXTENDED};
 use qc_circuit::{instruction_classes, ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
@@ -17,8 +17,8 @@ use std::f64::consts::{FRAC_PI_2, PI};
 
 /// Decomposes every unitary gate outside its target basis into basis
 /// gates. The basis is named by the [`qc_circuit::gate_class`] bit of the
-/// gates it decomposes, so membership, [`DagPass::interest`] and the DAG's
-/// per-wire census share one definition.
+/// gates it decomposes, so [`qc_circuit::instruction_classes`] is the one
+/// definition of basis membership.
 pub struct Unroller {
     /// [`NON_DEVICE`] or [`NON_EXTENDED`].
     decomposes: u16,
@@ -125,17 +125,12 @@ impl DagPass for Unroller {
         "Unroller"
     }
 
-    fn interest(&self) -> PassInterest {
-        // The unroller rewrites exactly the gates of its class.
-        PassInterest::gate_classes(self.decomposes)
-    }
-
     fn run_on_dag(
         &self,
         dag: &mut Dag,
         _props: &mut PropertySet,
     ) -> Result<ChangeReport, TranspileError> {
-        let mut total = ChangeReport::none(dag.num_qubits());
+        let mut total = ChangeReport::none();
         // Iterate to a fixpoint, one batched edit per sweep:
         // decompositions may introduce gates that themselves need
         // unrolling (e.g. ccx → h/t/cx).

@@ -1,6 +1,6 @@
 //! Property tests for the pipeline driver: `transpile` (one conversion
-//! each way, the change-driven and interest-filtered fixed point, DAG
-//! layout and routing) must produce **bit-identical** output — equal
+//! each way, the change-driven fixed point, DAG layout and routing) must
+//! produce **bit-identical** output — equal
 //! `canonical_bytes`, so even the sign of a zero angle agrees — to
 //! `reference::transpile_reference`, which runs each pass on its own over
 //! a circuit with the unconditional fixed-point loop, on the shared
@@ -95,9 +95,6 @@ fn fixed_point_loop_runs_zero_rewriting_passes_on_optimized_circuit() {
     fp.run(&mut dag, &mut props, 10).unwrap();
     // Iteration 1 visits every pass (all start dirty) and rewrites
     // nothing, so the change tracking never schedules a second iteration.
-    // Passes whose interest classes are absent from the cx-only stream
-    // (the 1q passes, the device-basis unroller) are proven pointless
-    // without executing at all.
     assert_eq!(
         fp.executed_per_iteration.len(),
         1,
@@ -109,16 +106,7 @@ fn fixed_point_loop_runs_zero_rewriting_passes_on_optimized_circuit() {
             "pass {} rewrote an optimized circuit",
             s.name
         );
-        assert_eq!(
-            s.runs + s.skipped_interest,
-            1,
-            "pass {} must run or be interest-skipped exactly once",
-            s.name
-        );
+        assert_eq!(s.runs, 1, "pass {} must run exactly once", s.name);
     }
-    assert!(
-        fp.stats.iter().any(|s| s.skipped_interest > 0),
-        "a cx-only stream must interest-skip the 1q passes"
-    );
     assert_eq!(dag.to_circuit(), c);
 }

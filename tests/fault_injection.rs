@@ -68,9 +68,8 @@ fn fidelity_vs_reference(t: &Transpiled, reference: &Statevector) -> f64 {
 }
 
 /// One faulted transpile. Returns the result plus whether the fault
-/// actually fired — interest filtering in the fixed-point loop may skip a
-/// pass entirely for a given circuit, in which case the armed plan is
-/// never consumed and no degradation is expected.
+/// actually fired: a plan whose stage the run never reaches stays armed,
+/// and then no degradation is expected.
 fn faulted_run(
     stage: &str,
     kind: FaultKind,
@@ -142,7 +141,8 @@ fn panicking_passes_never_escape_and_output_stays_correct() {
     }
     std::panic::set_hook(hook);
     // The sweep must actually exercise every injection site on at least
-    // one seed — otherwise interest filtering could quietly hollow it out.
+    // one seed — otherwise a stage label that drifts from the pipeline's
+    // could quietly hollow it out.
     for stage in STAGES {
         assert!(
             fired_stages.contains(stage),

@@ -66,7 +66,6 @@ fn request(salt: u64, flow: ServeFlow) -> ServeRequest {
 
 fn quiet_config() -> ServeConfig {
     ServeConfig {
-        backoff_base: Duration::ZERO,
         verify_every: 0,
         ..ServeConfig::default()
     }
