@@ -8,6 +8,7 @@
 use qc_circuit::gate::u3_matrix;
 use qc_circuit::Gate;
 use qc_math::{Matrix, C64};
+use std::f64::consts::{FRAC_PI_2, PI};
 
 /// The result of decomposing a 2×2 unitary as `e^{iα}·u3(θ, φ, λ)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -80,20 +81,37 @@ impl OneQubitEuler {
     /// The [`Gate`] realization, dropping the (unobservable) global phase.
     /// Chooses the cheapest u-gate family member: `u1` for diagonal
     /// rotations, `u2` for θ = π/2, `u3` otherwise, and `I` for identity.
+    /// Every gate it returns other than `I` satisfies [`is_canonical`].
     pub fn to_gate(self) -> Gate {
-        let eps = 1e-9;
-        if self.theta.abs() < eps {
+        if self.theta.abs() < ANGLE_EPS {
             let l = normalize_angle(self.phi + self.lam);
-            if l.abs() < eps {
+            if l.abs() < ANGLE_EPS {
                 Gate::I
             } else {
                 Gate::U1(l)
             }
-        } else if (self.theta - std::f64::consts::FRAC_PI_2).abs() < eps {
+        } else if (self.theta - FRAC_PI_2).abs() < ANGLE_EPS {
             Gate::U2(self.phi, self.lam)
         } else {
             Gate::U3(self.theta, self.phi, self.lam)
         }
+    }
+}
+
+/// How close an angle must be to 0 (θ or λ) or to π/2 (θ) for
+/// [`OneQubitEuler::to_gate`] to pick the cheaper u-gate.
+const ANGLE_EPS: f64 = 1e-9;
+
+/// Whether `gate` is one [`OneQubitEuler::to_gate`] can emit, so already
+/// the cheapest u-form of its matrix: `U1(λ)` with λ ∈ (−π, π] and
+/// |λ| ≥ 1e-9, any `U2`, or `U3(θ, ·, ·)` with 1e-9 ≤ θ ≤ π and
+/// |θ − π/2| ≥ 1e-9.
+pub fn is_canonical(gate: &Gate) -> bool {
+    match *gate {
+        Gate::U1(l) => l > -PI && l <= PI && l.abs() >= ANGLE_EPS,
+        Gate::U2(..) => true,
+        Gate::U3(t, _, _) => (ANGLE_EPS..=PI).contains(&t) && (t - FRAC_PI_2).abs() >= ANGLE_EPS,
+        _ => false,
     }
 }
 
@@ -171,6 +189,40 @@ mod tests {
             let g = matrix_to_u3_gate(&u);
             let m = g.matrix().expect("u-gates have matrices");
             assert!(m.equal_up_to_global_phase(&u, 1e-9), "{g} != input");
+        }
+    }
+
+    #[test]
+    fn to_gate_emits_canonical_gates_or_identity() {
+        let check = |u: &Matrix| {
+            let g = matrix_to_u3_gate(u);
+            assert!(g == Gate::I || is_canonical(&g), "{g:?} is not canonical");
+        };
+        let mut rng = StdRng::seed_from_u64(29);
+        for _ in 0..200 {
+            check(&haar_unitary(2, &mut rng));
+        }
+        for g in [
+            Gate::I,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::H,
+            Gate::S,
+            Gate::Sdg,
+            Gate::T,
+            Gate::Tdg,
+            Gate::Rx(0.3),
+            Gate::Ry(-2.0),
+            Gate::Rz(1.7),
+            Gate::Rz(-std::f64::consts::PI),
+            Gate::U1(0.4),
+            Gate::U1(1.5 * std::f64::consts::PI),
+            Gate::U2(1.0, -0.5),
+            Gate::U3(2.2, 0.1, 3.0),
+            Gate::U3(4.0, 0.1, 0.2),
+        ] {
+            check(&g.matrix().unwrap());
         }
     }
 

@@ -4,11 +4,16 @@
 //! dressing gates that QPO introduces around SWAPZ into neighboring
 //! single-qubit gates (Section IV), and it prepares single-u3 wires for QPO's
 //! pure-state tracking (Fig. 8, line 7).
+//!
+//! A lone gate already in a form [`OneQubitEuler::to_gate`] emits
+//! ([`is_canonical`]) is kept bit for bit: decomposing it again would only
+//! move float bits and re-dirty every pass of the fixed point. So the
+//! pass's output is a bit-exact fixed point of the pass.
 
 use crate::manager::{DagPass, PropertySet};
 use crate::TranspileError;
 use qc_circuit::{ChangeReport, Dag, DagEdit, Gate, Instruction};
-use qc_synth::euler::OneQubitEuler;
+use qc_synth::euler::{is_canonical, OneQubitEuler};
 
 /// Merges maximal single-qubit gate runs into at most one u-gate each.
 #[derive(Default)]
@@ -21,6 +26,9 @@ fn plan_runs(dag: &Dag) -> Result<Vec<Option<Option<Gate>>>, TranspileError> {
     let runs = dag.single_qubit_runs();
     let mut replacement: Vec<Option<Option<Gate>>> = vec![None; dag.capacity()];
     for run in runs {
+        if run.len() == 1 && is_canonical(&dag.inst(run[0]).gate) {
+            continue;
+        }
         // Multiply matrices in time order (later gates on the left),
         // accumulating on the stack; one heap matrix per run, not per
         // gate.
@@ -66,9 +74,6 @@ impl DagPass for Optimize1qGates {
             match r {
                 None => {}
                 Some(None) => edit.remove(i),
-                // A single-gate run that merges back to the identical gate
-                // is not a rewrite.
-                Some(Some(g)) if g == dag.inst(i).gate => {}
                 Some(Some(g)) => {
                     let qs = dag.inst(i).qubits.clone();
                     edit.replace(i, vec![Instruction::new(g, qs)]);
@@ -83,12 +88,82 @@ impl DagPass for Optimize1qGates {
 mod tests {
     use super::*;
     use crate::Pass;
-    use qc_circuit::{circuit_unitary, Circuit};
+    use qc_circuit::testing::{blocked_neighborhood_circuit, random_circuit, toffoli_chain};
+    use qc_circuit::{canonical_bytes, circuit_unitary, Circuit};
+    use std::f64::consts::PI;
 
     fn optimized(c: &Circuit) -> Circuit {
         let mut out = c.clone();
         Optimize1qGates.run(&mut out).unwrap();
         out
+    }
+
+    /// The pass's output on `c` and the rewrites it reported.
+    fn optimized_counting(c: &Circuit) -> (Circuit, usize) {
+        let mut dag = Dag::from_circuit(c);
+        let report = Optimize1qGates
+            .run_on_dag(&mut dag, &mut PropertySet::new())
+            .unwrap();
+        (dag.to_circuit(), report.rewrites)
+    }
+
+    fn single(g: Gate) -> Circuit {
+        let mut c = Circuit::new(1);
+        c.push(g, &[0]);
+        c
+    }
+
+    #[test]
+    fn output_is_a_bit_exact_fixed_point() {
+        for seed in [1, 5, 11, 77, 2024] {
+            for (label, c) in [
+                ("random", random_circuit(5, 60, seed)),
+                ("blocked", blocked_neighborhood_circuit(4, 25, seed)),
+                ("toffoli", toffoli_chain(6, seed)),
+            ] {
+                let (once, _) = optimized_counting(&c);
+                let (twice, rewrites) = optimized_counting(&once);
+                assert_eq!(rewrites, 0, "{label} seed {seed}: second run rewrote");
+                assert!(
+                    canonical_bytes(&twice) == canonical_bytes(&once),
+                    "{label} seed {seed}: second run changed the output bits"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lone_gates_kept_exactly_when_canonical() {
+        for g in [
+            Gate::U1(PI / 4.0),
+            Gate::U1(-3.0),
+            Gate::U1(PI),
+            Gate::U2(0.0, PI),
+            Gate::U2(5.0, -7.0),
+            Gate::U3(1.0, 2.0, 3.0),
+            Gate::U3(0.3, -0.7, 0.2),
+            Gate::U3(PI, 0.4, -1.1),
+        ] {
+            let c = single(g.clone());
+            let (out, rewrites) = optimized_counting(&c);
+            assert_eq!(rewrites, 0, "{g} was rewritten");
+            assert!(
+                canonical_bytes(&out) == canonical_bytes(&c),
+                "{g} changed bits"
+            );
+        }
+        // Out of the canonical ranges: decomposed again.
+        for g in [Gate::U1(1.5 * PI), Gate::U3(4.0, 0.1, 0.2), Gate::U1(1e-12)] {
+            let c = single(g.clone());
+            let (out, rewrites) = optimized_counting(&c);
+            assert_eq!(rewrites, 1, "{g} was kept");
+            assert!(
+                circuit_unitary(&out).equal_up_to_global_phase(&circuit_unitary(&c), 1e-9),
+                "{g} changed semantics"
+            );
+        }
+        // Within the threshold of the identity, the gate is dropped.
+        assert_eq!(optimized(&single(Gate::U1(1e-12))).gate_counts().total, 0);
     }
 
     #[test]

@@ -83,15 +83,13 @@ fn transpile_converts_exactly_once_each_way() {
     }
 }
 
-#[test]
-fn fixed_point_loop_runs_zero_rewriting_passes_on_optimized_circuit() {
-    // A stream that is exactly fixed under every loop pass: CNOTs only, no
-    // adjacent cancelling pair, no consolidatable block.
-    let mut c = Circuit::new(3);
-    c.cx(0, 1).cx(1, 2).cx(0, 1);
-    let mut dag = Dag::from_circuit(&c);
+/// Runs the level-3 fixed point over `c` and asserts that it settles after
+/// one iteration in which every pass runs once and rewrites nothing, so
+/// the output keeps every bit of `c`.
+fn assert_fixed_point_rewrites_nothing(c: &Circuit) {
+    let mut dag = Dag::from_circuit(c);
     let mut props = PropertySet::new();
-    let mut fp = FixedPointLoop::new(fixpoint_passes(true), 3);
+    let mut fp = FixedPointLoop::new(fixpoint_passes(true), c.num_qubits());
     fp.run(&mut dag, &mut props, 10).unwrap();
     // Iteration 1 visits every pass (all start dirty) and rewrites
     // nothing, so the change tracking never schedules a second iteration.
@@ -108,5 +106,31 @@ fn fixed_point_loop_runs_zero_rewriting_passes_on_optimized_circuit() {
         );
         assert_eq!(s.runs, 1, "pass {} must run exactly once", s.name);
     }
-    assert_eq!(dag.to_circuit(), c);
+    let out = dag.to_circuit();
+    assert_eq!(&out, c);
+    assert!(canonical_bytes(&out) == canonical_bytes(c));
+}
+
+#[test]
+fn fixed_point_loop_runs_zero_rewriting_passes_on_optimized_circuit() {
+    // A stream that is exactly fixed under every loop pass: CNOTs only, no
+    // adjacent cancelling pair, no consolidatable block.
+    let mut c = Circuit::new(3);
+    c.cx(0, 1).cx(1, 2).cx(0, 1);
+    assert_fixed_point_rewrites_nothing(&c);
+}
+
+#[test]
+fn fixed_point_loop_runs_zero_rewriting_passes_with_canonical_1q_gates() {
+    // Lone u1/u2/u3 gates in the form Optimize1qGates emits, between
+    // CNOTs: the pass keeps each bit for bit, so the loop settles at once.
+    use std::f64::consts::PI;
+    let mut c = Circuit::new(3);
+    c.u2(0.0, PI, 0)
+        .cx(0, 1)
+        .u1(PI / 4.0, 1)
+        .cx(1, 2)
+        .u3(1.0, 2.0, 3.0, 0)
+        .u3(0.3, -0.7, 0.2, 2);
+    assert_fixed_point_rewrites_nothing(&c);
 }

@@ -17,8 +17,9 @@ use qc_backends::Backend;
 use qc_circuit::testing::{blocked_neighborhood_circuit, random_circuit, toffoli_chain};
 use qc_circuit::{content_hash, Circuit};
 use qc_hoare::transpile_hoare;
+use qc_transpile::optimize_1q::Optimize1qGates;
 use qc_transpile::preset::Transpiled;
-use qc_transpile::{transpile, TranspileError, TranspileOptions};
+use qc_transpile::{transpile, Pass, TranspileError, TranspileOptions};
 use rpo_core::{transpile_rpo, RpoOptions};
 use std::fmt::Write as _;
 
@@ -123,32 +124,65 @@ fn compile(
     }
 }
 
-fn actual_table() -> String {
-    let mut table = format!("{HEADER}\n");
+/// Calls `f` with the line key (`backend circuit flow seed`) and output of
+/// every golden circuit, backend and seed under `flows`, in table order.
+fn for_each_output(flows: &[&str], mut f: impl FnMut(&str, &Transpiled)) {
     let circuits = circuits();
     for backend in [Backend::melbourne(), Backend::almaden()] {
         for (name, c) in &circuits {
-            for flow in FLOWS {
+            for flow in flows {
                 for seed in [1u64, 9] {
-                    let out = compile(flow, c, &backend, seed)
-                        .unwrap_or_else(|e| panic!("{} {name} {flow} {seed}: {e}", backend.name()));
-                    let counts = out.circuit.gate_counts();
-                    let map: Vec<String> = out.final_map.iter().map(usize::to_string).collect();
-                    writeln!(
-                        table,
-                        "{} {name} {flow} {seed} {:032x} {} {} {}",
-                        backend.name(),
-                        content_hash(&out.circuit),
-                        counts.cx,
-                        counts.total,
-                        map.join(",")
-                    )
-                    .unwrap();
+                    let key = format!("{} {name} {flow} {seed}", backend.name());
+                    let out =
+                        compile(flow, c, &backend, seed).unwrap_or_else(|e| panic!("{key}: {e}"));
+                    f(&key, &out);
                 }
             }
         }
     }
+}
+
+fn actual_table() -> String {
+    let mut table = format!("{HEADER}\n");
+    for_each_output(&FLOWS, |key, out| {
+        let counts = out.circuit.gate_counts();
+        let map: Vec<String> = out.final_map.iter().map(usize::to_string).collect();
+        writeln!(
+            table,
+            "{key} {:032x} {} {} {}",
+            content_hash(&out.circuit),
+            counts.cx,
+            counts.total,
+            map.join(",")
+        )
+        .unwrap();
+    });
     table
+}
+
+/// Every flow that ends in the change-driven fixed point ends on a fixed
+/// point of `Optimize1qGates`: one more run keeps every output bit. Level 0
+/// runs no `Optimize1qGates`, and level 1 runs `CxCancellation` after it,
+/// which can join two runs into one, so both are left out.
+#[test]
+fn pipeline_outputs_are_optimize_1q_fixed_points() {
+    let mut moved = Vec::new();
+    let mut outputs = 0usize;
+    for_each_output(&FLOWS[2..], |key, out| {
+        outputs += 1;
+        let mut again = out.circuit.clone();
+        Optimize1qGates.run(&mut again).unwrap();
+        if content_hash(&again) != content_hash(&out.circuit) {
+            moved.push(key.to_string());
+        }
+    });
+    assert_eq!(outputs, 600);
+    assert!(
+        moved.is_empty(),
+        "{} of {outputs} outputs change under one more Optimize1qGates, e.g. {:?}",
+        moved.len(),
+        &moved[..moved.len().min(5)]
+    );
 }
 
 #[test]
