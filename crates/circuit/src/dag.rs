@@ -1089,6 +1089,137 @@ mod tests {
         assert!(pos(3) > pos(2));
     }
 
+    /// The ready order [`Scheduler`] promises, modelled in the plainest
+    /// way: remove the executed node at its linear `position` with
+    /// `swap_remove`, then push each distinct successor whose last
+    /// predecessor ran, in program order.
+    struct ReadyModel {
+        pos: Vec<usize>,
+        remaining: Vec<usize>,
+        ready: Vec<usize>,
+    }
+
+    impl ReadyModel {
+        fn new(dag: &Dag) -> Self {
+            let mut pos = vec![NONE; dag.capacity()];
+            let mut remaining = vec![0; dag.capacity()];
+            let mut ready = Vec::new();
+            for (p, (id, inst)) in dag.iter().enumerate() {
+                pos[id] = p;
+                let mut preds: Vec<usize> = inst
+                    .qubits
+                    .iter()
+                    .filter_map(|&q| dag.wire_pred(id, q))
+                    .collect();
+                preds.sort_unstable();
+                preds.dedup();
+                remaining[id] = preds.len();
+                if preds.is_empty() {
+                    ready.push(id);
+                }
+            }
+            ReadyModel {
+                pos,
+                remaining,
+                ready,
+            }
+        }
+
+        fn execute(&mut self, dag: &Dag, node: usize) {
+            let i = self.ready.iter().position(|&n| n == node).unwrap();
+            self.ready.swap_remove(i);
+            let mut succs: Vec<usize> = dag
+                .inst(node)
+                .qubits
+                .iter()
+                .filter_map(|&q| dag.wire_succ(node, q))
+                .collect();
+            succs.sort_unstable_by_key(|&s| self.pos[s]);
+            succs.dedup();
+            for s in succs {
+                self.remaining[s] -= 1;
+                if self.remaining[s] == 0 {
+                    self.ready.push(s);
+                }
+            }
+        }
+    }
+
+    /// Drives the scheduler and the model over `dag`, executing a
+    /// seeded-random ready node at each step, and checks the ready lists
+    /// agree before every step.
+    fn assert_scheduler_matches_model(dag: &Dag, seed: u64) {
+        let mut rng = crate::testing::SplitMix64::new(seed);
+        let mut sched = dag.scheduler();
+        let mut model = ReadyModel::new(dag);
+        let mut executed = 0usize;
+        loop {
+            assert_eq!(sched.ready(), &model.ready[..], "after {executed} steps");
+            if sched.is_done() {
+                break;
+            }
+            let node = sched.ready()[rng.below(sched.ready().len())];
+            sched.execute(node);
+            model.execute(dag, node);
+            executed += 1;
+        }
+        assert_eq!(executed, dag.len());
+    }
+
+    #[test]
+    fn scheduler_ready_order_matches_model() {
+        use crate::testing::{blocked_neighborhood_circuit, random_circuit, toffoli_chain};
+        let mut dags = Vec::new();
+        for seed in 0..6u64 {
+            dags.push(Dag::from_circuit(&random_circuit(5, 80, seed)));
+            dags.push(Dag::from_circuit(&blocked_neighborhood_circuit(
+                4,
+                30,
+                seed + 100,
+            )));
+        }
+        for n in [3, 6, 9] {
+            dags.push(Dag::from_circuit(&toffoli_chain(n, n as u64)));
+        }
+        // Edit-spliced DAGs: replacements append ids past the stream and
+        // later insertions recycle freed ones, so ids and program order
+        // disagree.
+        for seed in 0..4u64 {
+            let mut dag = Dag::from_circuit(&random_circuit(6, 60, seed + 200));
+            for round in 0..2 {
+                let ids: Vec<usize> = dag.iter().map(|(id, _)| id).collect();
+                let mut edit = DagEdit::new();
+                for (k, &id) in ids.iter().enumerate() {
+                    if (k + round) % 7 == 0 {
+                        edit.remove(id);
+                    } else if (k + round) % 5 == 0 {
+                        let inst = dag.inst(id).clone();
+                        edit.replace(id, vec![inst.clone(), inst]);
+                    }
+                }
+                dag.apply(edit);
+            }
+            dag.check_invariants().unwrap();
+            assert!(order(&dag).windows(2).any(|w| w[0] > w[1]));
+            dags.push(dag);
+        }
+        for (i, dag) in dags.iter().enumerate() {
+            for seed in 0..3u64 {
+                assert_scheduler_matches_model(dag, 1000 * i as u64 + seed);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node must be ready to execute")]
+    fn executing_a_node_that_is_not_ready_panics() {
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1);
+        let dag = Dag::from_circuit(&c);
+        let mut s = dag.scheduler();
+        s.execute(1);
+    }
+
     #[test]
     fn single_qubit_runs_split_by_two_qubit_gates() {
         let mut c = Circuit::new(2);

@@ -128,7 +128,11 @@ fn compile(
 /// every golden circuit, backend and seed under `flows`, in table order.
 fn for_each_output(flows: &[&str], mut f: impl FnMut(&str, &Transpiled)) {
     let circuits = circuits();
-    for backend in [Backend::melbourne(), Backend::almaden()] {
+    for backend in [
+        Backend::melbourne(),
+        Backend::almaden(),
+        Backend::rochester(),
+    ] {
         for (name, c) in &circuits {
             for flow in flows {
                 for seed in [1u64, 9] {
@@ -176,7 +180,7 @@ fn pipeline_outputs_are_optimize_1q_fixed_points() {
             moved.push(key.to_string());
         }
     });
-    assert_eq!(outputs, 600);
+    assert_eq!(outputs, 900);
     assert!(
         moved.is_empty(),
         "{} of {outputs} outputs change under one more Optimize1qGates, e.g. {:?}",
