@@ -830,6 +830,7 @@ impl Dag {
         let cap = self.capacity();
         let mut pos = vec![NONE; cap];
         let mut remaining_preds = vec![0usize; cap];
+        let mut slot = vec![NONE; cap];
         let mut ready = Vec::new();
         for (p, (id, _)) in self.iter().enumerate() {
             pos[id] = p;
@@ -842,6 +843,7 @@ impl Dag {
             }
             remaining_preds[id] = distinct;
             if distinct == 0 {
+                slot[id] = ready.len();
                 ready.push(id);
             }
         }
@@ -850,6 +852,8 @@ impl Dag {
             pos,
             remaining_preds,
             ready,
+            slot,
+            succs: Vec::new(),
         }
     }
 
@@ -984,10 +988,25 @@ impl<'a> Iterator for DagIter<'a> {
 }
 
 /// Incremental topological scheduler over a [`Dag`], used by routing: nodes
-/// become ready once all their wire predecessors have been executed. Ready
-/// promotion follows program order (position, not node id), so scheduling
-/// is identical for a freshly built and an edit-spliced DAG of the same
-/// stream.
+/// become ready once all their wire predecessors have been executed.
+///
+/// # Ready order
+///
+/// Routing executes ready nodes in [`Scheduler::ready`] order and builds
+/// its SWAP candidates from it, so its output depends on that order, and
+/// the order is a contract:
+///
+/// * the initial ready list holds the DAG's sources in program order;
+/// * [`Scheduler::execute`] removes the node the way `Vec::swap_remove`
+///   does at the node's index: the last ready node moves into its place;
+/// * it then appends the node's distinct successors that became ready, in
+///   program order (position at scheduler creation, not node id), so
+///   scheduling is identical for a freshly built and an edit-spliced DAG
+///   of the same stream.
+///
+/// `execute` costs O(arity): a per-node slot index locates the node in the
+/// ready list, and one successor buffer is reused across calls. To restart
+/// from the sources, clone a scheduler that has not executed anything.
 #[derive(Clone, Debug)]
 pub struct Scheduler<'a> {
     dag: &'a Dag,
@@ -995,6 +1014,10 @@ pub struct Scheduler<'a> {
     pos: Vec<usize>,
     remaining_preds: Vec<usize>,
     ready: Vec<usize>,
+    /// Index in `ready` per node id; `NONE` while the node is not ready.
+    slot: Vec<usize>,
+    /// Successor scratch of `execute`.
+    succs: Vec<usize>,
 }
 
 impl<'a> Scheduler<'a> {
@@ -1015,23 +1038,25 @@ impl<'a> Scheduler<'a> {
     ///
     /// Panics if `node` is not currently ready.
     pub fn execute(&mut self, node: usize) {
-        let pos = self
-            .ready
-            .iter()
-            .position(|&n| n == node)
-            .expect("node must be ready to execute");
-        self.ready.swap_remove(pos);
-        let n = self.dag.node(node);
-        let mut succs: Vec<usize> = Vec::with_capacity(n.wires.len());
-        for &(_, ws) in &n.wires {
-            if ws != NONE && !succs.contains(&ws) {
-                succs.push(ws);
+        let i = self.slot.get(node).copied().unwrap_or(NONE);
+        assert!(i != NONE, "node must be ready to execute");
+        self.slot[node] = NONE;
+        self.ready.swap_remove(i);
+        if let Some(&moved) = self.ready.get(i) {
+            self.slot[moved] = i;
+        }
+        self.succs.clear();
+        for &(_, ws) in &self.dag.node(node).wires {
+            if ws != NONE && !self.succs.contains(&ws) {
+                self.succs.push(ws);
             }
         }
-        succs.sort_unstable_by_key(|&s| self.pos[s]);
-        for s in succs {
+        let pos = &self.pos;
+        self.succs.sort_unstable_by_key(|&s| pos[s]);
+        for &s in &self.succs {
             self.remaining_preds[s] -= 1;
             if self.remaining_preds[s] == 0 {
+                self.slot[s] = self.ready.len();
                 self.ready.push(s);
             }
         }

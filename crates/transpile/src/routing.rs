@@ -10,10 +10,46 @@
 //! Inserted SWAPs are left as [`Gate::Swap`] instructions; the RPO pipeline
 //! runs its post-routing QBO over them *before* they are unrolled (Fig. 8,
 //! line 5), which is where SWAP → SWAPZ rewrites happen.
+//!
+//! # One trial
+//!
+//! A trial repeatedly executes every ready gate whose qubits are coupled
+//! under the current wire permutation (measures are deferred to the end,
+//! so no later SWAP moves the measured state away). When every ready gate
+//! is a two-qubit gate on uncoupled qubits — the *front* — it picks one
+//! SWAP among the coupling edges touching a front qubit: with probability
+//! 0.1 a uniformly random candidate, otherwise a uniformly random one
+//! among those minimizing the summed front distance after the SWAP.
+//!
+//! # Tables, buffers and the trial log
+//!
+//! [`route_dag_budgeted`] builds, once per call, a flat `n × n` distance
+//! table, each physical qubit's incident coupling edges in ascending
+//! coupling index (one flat array), and the DAG's [`Scheduler`], which each
+//! trial clones. A trial tracks the wire permutation and its inverse, so a
+//! SWAP updates both in O(1), and reuses its ready, front, candidate and
+//! best-set buffers across steps and trials: a blocked step does O(front)
+//! work and allocates nothing. A trial records only a log of steps
+//! (execute node `i`, or SWAP physical qubits `a` and `b`); the winning
+//! trial's log is replayed once into the routed instruction stream.
+//!
+//! The candidate order and the random draws are those of the plain
+//! formulation, which scans the whole coupling list once per front gate
+//! in ready order and keeps each edge touching the gate's qubits unless
+//! an earlier gate added it. A gate's two incident lists, merged, yield
+//! exactly its edges in coupling order, and an edge stamp per blocked step
+//! replaces the dedup scan, so the candidate list is the same sequence.
+//! Ready gates act on disjoint wires, so a physical qubit carries at most
+//! one front gate, and a SWAP changes the distance of at most two front
+//! gates: each candidate's score is the step's summed front distance
+//! corrected for those two, the same integer as the full sum. Same
+//! candidates and same scores mean every draw has the same range, so a
+//! seed picks the same SWAPs.
 
 use crate::guard::BudgetSnapshot;
 use crate::TranspileError;
 use qc_backends::Backend;
+use qc_circuit::dag::Scheduler;
 use qc_circuit::{Circuit, Dag, Gate, Instruction};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,65 +108,241 @@ pub fn route_dag_budgeted(
             backend.num_qubits(),
         ));
     }
-    let dist = backend.distance_matrix();
-    let mut best: Option<Routed> = None;
+    let tables = Tables::new(dag, backend);
+    let mut bufs = Buffers::new(tables.n, backend.coupling().len());
+    let mut best: Option<(usize, Vec<Step>)> = None;
     let mut ran = 0usize;
     for t in 0..trials.max(1) {
         if t > 0 && budget.exceeded() {
             break;
         }
-        let r = route_once(dag, backend, &dist, seed.wrapping_add(t as u64))?;
+        let swaps = route_once(&tables, &mut bufs, seed.wrapping_add(t as u64))?;
         ran += 1;
-        if best
-            .as_ref()
-            .map(|b| r.swaps_added < b.swaps_added)
-            .unwrap_or(true)
-        {
-            best = Some(r);
+        if best.as_ref().is_none_or(|&(fewest, _)| swaps < fewest) {
+            // Keep this trial's log; the one it beats becomes the buffer.
+            let spare = best.map(|(_, log)| log).unwrap_or_default();
+            best = Some((swaps, std::mem::replace(&mut bufs.log, spare)));
         }
     }
     match best {
-        Some(b) => Ok((b, ran)),
+        Some((_, log)) => Ok((tables.replay(&log), ran)),
         None => Err(TranspileError::Internal("no routing trial ran".into())),
     }
 }
 
-fn route_once(
-    dag: &Dag,
-    backend: &Backend,
-    dist: &[Vec<usize>],
-    seed: u64,
-) -> Result<Routed, TranspileError> {
+/// The absent-entry sentinel of [`Buffers::owner`].
+const NONE: usize = usize::MAX;
+
+/// One step of a trial's log.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// Executed DAG node `id`.
+    Exec(usize),
+    /// Swapped physical qubits `a` and `b` (a canonical coupling edge).
+    Swap(usize, usize),
+}
+
+/// What a routing call computes once and every trial reads.
+struct Tables<'a> {
+    dag: &'a Dag,
+    /// Physical qubit count.
+    n: usize,
+    edges: &'a [(usize, usize)],
+    /// Row-major `n × n` coupling distances; `usize::MAX` if unreachable.
+    dist: Vec<usize>,
+    /// `incident[incident_start[q]..incident_start[q + 1]]`: the coupling
+    /// edges touching physical qubit `q`, in ascending coupling index.
+    incident_start: Vec<usize>,
+    incident: Vec<usize>,
+    /// The scheduler at the DAG's sources.
+    sched: Scheduler<'a>,
+    /// SWAPs in a row without executing a gate before a trial gives up.
+    stall_limit: usize,
+}
+
+impl<'a> Tables<'a> {
+    fn new(dag: &'a Dag, backend: &'a Backend) -> Self {
+        let n = backend.num_qubits();
+        let edges = backend.coupling();
+        let mut incident_start = vec![0usize; n + 1];
+        for &(u, v) in edges {
+            incident_start[u + 1] += 1;
+            incident_start[v + 1] += 1;
+        }
+        for q in 0..n {
+            incident_start[q + 1] += incident_start[q];
+        }
+        let mut fill = incident_start.clone();
+        let mut incident = vec![0usize; 2 * edges.len()];
+        for (e, &(u, v)) in edges.iter().enumerate() {
+            for q in [u, v] {
+                incident[fill[q]] = e;
+                fill[q] += 1;
+            }
+        }
+        Tables {
+            dag,
+            n,
+            edges,
+            dist: backend.distance_matrix().concat(),
+            incident_start,
+            incident,
+            sched: dag.scheduler(),
+            stall_limit: 4 * (dag.len() + n) * n.max(4),
+        }
+    }
+
+    fn dist(&self, a: usize, b: usize) -> usize {
+        self.dist[a * self.n + b]
+    }
+
+    fn incident(&self, q: usize) -> &[usize] {
+        &self.incident[self.incident_start[q]..self.incident_start[q + 1]]
+    }
+
+    /// Builds the routed circuit a trial's log describes.
+    fn replay(&self, log: &[Step]) -> Routed {
+        let mut perm: Vec<usize> = (0..self.n).collect();
+        let mut inv = perm.clone();
+        let mut out = Vec::with_capacity(log.len());
+        let mut measured = Vec::new();
+        let mut swaps_added = 0usize;
+        for &step in log {
+            match step {
+                Step::Exec(node) => {
+                    let inst = self.dag.inst(node);
+                    if matches!(inst.gate, Gate::Measure) {
+                        measured.push(inst.qubits[0]);
+                    } else {
+                        out.push(Instruction {
+                            gate: inst.gate.clone(),
+                            qubits: inst.qubits.iter().map(|&q| perm[q]).collect(),
+                        });
+                    }
+                }
+                Step::Swap(a, b) => {
+                    out.push(Instruction {
+                        gate: Gate::Swap,
+                        qubits: vec![a, b],
+                    });
+                    perm.swap(inv[a], inv[b]);
+                    inv.swap(a, b);
+                    swaps_added += 1;
+                }
+            }
+        }
+        // Deferred measurements, at the wires' final positions.
+        for w in measured {
+            out.push(Instruction {
+                gate: Gate::Measure,
+                qubits: vec![perm[w]],
+            });
+        }
+        let mut circuit = Circuit::new(self.n);
+        circuit.set_instructions(out);
+        Routed {
+            circuit,
+            wire_map: perm,
+            swaps_added,
+        }
+    }
+}
+
+/// Per-trial state, reused across steps and trials.
+struct Buffers {
+    /// `perm[w]` = physical qubit currently holding wire `w`.
+    perm: Vec<usize>,
+    /// `inv[p]` = wire currently on physical qubit `p`.
+    inv: Vec<usize>,
+    /// The ready nodes at the start of a sweep.
+    sweep: Vec<usize>,
+    /// Physical qubit pairs of the front gates, in ready order.
+    front: Vec<(usize, usize)>,
+    /// Front index per physical qubit; `NONE` off the front.
+    owner: Vec<usize>,
+    /// Blocked step that last made each edge a candidate.
+    stamp: Vec<usize>,
+    /// Blocked steps so far, across trials.
+    step: usize,
+    /// Candidate SWAPs as coupling indices.
+    candidates: Vec<usize>,
+    /// The best-scoring candidates.
+    best: Vec<usize>,
+    /// The running trial's log.
+    log: Vec<Step>,
+}
+
+impl Buffers {
+    fn new(n: usize, num_edges: usize) -> Self {
+        Buffers {
+            perm: Vec::with_capacity(n),
+            inv: Vec::with_capacity(n),
+            sweep: Vec::new(),
+            front: Vec::new(),
+            owner: vec![NONE; n],
+            stamp: vec![0; num_edges],
+            step: 0,
+            candidates: Vec::new(),
+            best: Vec::new(),
+            log: Vec::new(),
+        }
+    }
+}
+
+/// Calls `f` on every element of two ascending lists in merged order, once
+/// for an element in both.
+fn merge_ascending(mut x: &[usize], mut y: &[usize], mut f: impl FnMut(usize)) {
+    loop {
+        let e = match (x.first(), y.first()) {
+            (Some(&a), Some(&b)) if a <= b => {
+                x = &x[1..];
+                if a == b {
+                    y = &y[1..];
+                }
+                a
+            }
+            (_, Some(&b)) => {
+                y = &y[1..];
+                b
+            }
+            (Some(&a), None) => {
+                x = &x[1..];
+                a
+            }
+            (None, None) => return,
+        };
+        f(e);
+    }
+}
+
+/// One seeded trial: fills `b.log` and returns the number of SWAPs.
+fn route_once(t: &Tables, b: &mut Buffers, seed: u64) -> Result<usize, TranspileError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = backend.num_qubits();
-    let mut sched = dag.scheduler();
-    let mut out = Circuit::new(n);
-    // perm[w] = physical qubit currently holding wire w.
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut wire_map: Vec<usize> = (0..n).collect();
-    let mut measured = vec![false; n];
-    let mut pending_measures: Vec<usize> = Vec::new();
-    let mut swaps_added = 0usize;
+    let mut sched = t.sched.clone();
+    b.perm.clear();
+    b.perm.extend(0..t.n);
+    b.inv.clear();
+    b.inv.extend(0..t.n);
+    b.log.clear();
+    let mut swaps = 0usize;
     let mut stall = 0usize;
-    let stall_limit = 4 * (dag.len() + n) * n.max(4);
 
     while !sched.is_done() {
         // Execute everything executable.
         let mut progressed = false;
         loop {
-            let ready: Vec<usize> = sched.ready().to_vec();
+            b.sweep.clear();
+            b.sweep.extend_from_slice(sched.ready());
             let mut fired = false;
-            for node in ready {
-                let inst = dag.inst(node);
-                let mapped: Vec<usize> = inst.qubits.iter().map(|&q| perm[q]).collect();
-                let executable = match mapped.len() {
-                    0 | 1 => true,
-                    2 => {
-                        // `dist == 1` ⟺ coupled: O(1) against the BFS
-                        // matrix instead of the backend's edge-list scan.
+            for &node in &b.sweep {
+                let inst = t.dag.inst(node);
+                let executable = match inst.qubits[..] {
+                    [] | [_] => true,
+                    // `dist == 1` ⟺ coupled.
+                    [q0, q1] => {
                         !inst.gate.is_unitary_gate()
                             || inst.gate.is_directive()
-                            || dist[mapped[0]][mapped[1]] == 1
+                            || t.dist(b.perm[q0], b.perm[q1]) == 1
                     }
                     _ => {
                         // Multi-qubit unitary gates must be unrolled before
@@ -138,7 +350,7 @@ fn route_once(
                         if inst.gate.is_unitary_gate() && !inst.gate.is_directive() {
                             return Err(TranspileError::Internal(format!(
                                 "{}-qubit gate {} reached the router",
-                                mapped.len(),
+                                inst.qubits.len(),
                                 inst.gate
                             )));
                         }
@@ -146,15 +358,7 @@ fn route_once(
                     }
                 };
                 if executable {
-                    if matches!(inst.gate, Gate::Measure) {
-                        // Defer to the end of the circuit: a later routing
-                        // SWAP could otherwise move the state away from the
-                        // physical qubit the measure was emitted on.
-                        pending_measures.push(inst.qubits[0]);
-                        measured[inst.qubits[0]] = true;
-                    } else {
-                        out.push_instruction(Instruction::new(inst.gate.clone(), mapped));
-                    }
+                    b.log.push(Step::Exec(node));
                     sched.execute(node);
                     fired = true;
                     progressed = true;
@@ -167,102 +371,94 @@ fn route_once(
         if sched.is_done() {
             break;
         }
-        // Blocked: every ready node is a non-adjacent 2-qubit gate. Pick a
-        // SWAP that reduces the summed front-layer distance.
-        let front: Vec<(usize, usize)> = sched
-            .ready()
-            .iter()
-            .map(|&node| {
-                let q = &dag.inst(node).qubits;
-                (perm[q[0]], perm[q[1]])
-            })
-            .collect();
-        let mut candidates: Vec<(usize, usize)> = Vec::new();
-        for &(a, b) in &front {
-            for &(u, v) in backend.coupling() {
-                if u == a || v == a || u == b || v == b {
-                    let e = (u.min(v), u.max(v));
-                    if !candidates.contains(&e) {
-                        candidates.push(e);
-                    }
+        // Blocked: every ready node is a 2-qubit gate on uncoupled qubits.
+        // Collect the candidate SWAPs and the front's summed distance.
+        b.step += 1;
+        b.front.clear();
+        b.candidates.clear();
+        let mut base = 0usize;
+        for &node in sched.ready() {
+            let q = &t.dag.inst(node).qubits;
+            let (pa, pb) = (b.perm[q[0]], b.perm[q[1]]);
+            b.owner[pa] = b.front.len();
+            b.owner[pb] = b.front.len();
+            b.front.push((pa, pb));
+            base += t.dist(pa, pb);
+            merge_ascending(t.incident(pa), t.incident(pb), |e| {
+                if b.stamp[e] != b.step {
+                    b.stamp[e] = b.step;
+                    b.candidates.push(e);
                 }
-            }
+            });
         }
-        if candidates.is_empty() {
+        if b.candidates.is_empty() {
             return Err(TranspileError::Internal(
                 "router found no candidate swaps (disconnected coupling?)".into(),
             ));
         }
-        let score = |swap: (usize, usize)| -> usize {
-            front
-                .iter()
-                .map(|&(a, b)| {
-                    let m = |q: usize| {
-                        if q == swap.0 {
-                            swap.1
-                        } else if q == swap.1 {
-                            swap.0
-                        } else {
-                            q
-                        }
-                    };
-                    dist[m(a)][m(b)]
-                })
-                .sum()
+        // The front's summed distance after swapping the qubits of edge
+        // `e`: only the (at most two) front gates on those qubits move.
+        let score = |e: usize| -> usize {
+            let (u, v) = t.edges[e];
+            let m = |q: usize| {
+                if q == u {
+                    v
+                } else if q == v {
+                    u
+                } else {
+                    q
+                }
+            };
+            let (gu, gv) = (b.owner[u], b.owner[v]);
+            let moved = [gu, if gv == gu { NONE } else { gv }];
+            let mut s = base;
+            for &g in moved.iter().filter(|&&g| g != NONE) {
+                let (pa, pb) = b.front[g];
+                s -= t.dist(pa, pb);
+            }
+            for &g in moved.iter().filter(|&&g| g != NONE) {
+                let (pa, pb) = b.front[g];
+                s += t.dist(m(pa), m(pb));
+            }
+            s
         };
         let chosen = if rng.gen::<f64>() < 0.1 {
-            candidates[rng.gen_range(0..candidates.len())]
+            b.candidates[rng.gen_range(0..b.candidates.len())]
         } else {
             let mut best_score = usize::MAX;
-            let mut best_set: Vec<(usize, usize)> = Vec::new();
-            for &cand in &candidates {
+            b.best.clear();
+            for &cand in &b.candidates {
                 let s = score(cand);
                 if s < best_score {
                     best_score = s;
-                    best_set = vec![cand];
+                    b.best.clear();
+                    b.best.push(cand);
                 } else if s == best_score {
-                    best_set.push(cand);
+                    b.best.push(cand);
                 }
             }
-            best_set[rng.gen_range(0..best_set.len())]
+            b.best[rng.gen_range(0..b.best.len())]
         };
-        out.swap(chosen.0, chosen.1);
-        swaps_added += 1;
-        // Update the wire permutation.
-        let held_by = |phys: usize| {
-            perm.iter().position(|&p| p == phys).ok_or_else(|| {
-                TranspileError::Internal(format!("physical qubit {phys} held by no wire"))
-            })
-        };
-        let wa = held_by(chosen.0)?;
-        let wb = held_by(chosen.1)?;
-        perm.swap(wa, wb);
+        for &(pa, pb) in &b.front {
+            b.owner[pa] = NONE;
+            b.owner[pb] = NONE;
+        }
+        let (pu, pv) = t.edges[chosen];
+        b.log.push(Step::Swap(pu, pv));
+        swaps += 1;
+        b.perm.swap(b.inv[pu], b.inv[pv]);
+        b.inv.swap(pu, pv);
         stall += 1;
         if progressed {
             stall = 0;
         }
-        if stall > stall_limit {
+        if stall > t.stall_limit {
             return Err(TranspileError::Internal(
                 "router stalled without progress".into(),
             ));
         }
     }
-    // Emit deferred measurements at the final positions, and report final
-    // positions for unmeasured wires too.
-    for w in pending_measures {
-        out.measure(perm[w]);
-        wire_map[w] = perm[w];
-    }
-    for w in 0..n {
-        if !measured[w] {
-            wire_map[w] = perm[w];
-        }
-    }
-    Ok(Routed {
-        circuit: out,
-        wire_map,
-        swaps_added,
-    })
+    Ok(swaps)
 }
 
 #[cfg(test)]
