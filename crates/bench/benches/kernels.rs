@@ -21,12 +21,13 @@ use qc_algos::{quantum_volume, quantum_volume_with_depth, vqe_parameter_batch};
 use qc_backends::Backend;
 use qc_circuit::testing::random_circuit;
 use qc_circuit::{
-    circuit_unitary, circuit_unitary_reference, circuit_unitary_unfused, Circuit, Gate,
+    circuit_unitary, circuit_unitary_reference, circuit_unitary_unfused, Circuit, Dag, Gate,
 };
 use qc_math::haar_unitary;
 use qc_sim::{run_batch, Statevector};
 use qc_synth::{synthesize_two_qubit, OneQubitEuler, TwoQubitWeyl};
-use qc_transpile::routing::route;
+use qc_transpile::guard::BudgetSnapshot;
+use qc_transpile::routing::route_dag_budgeted;
 use qc_transpile::unroll::Unroller;
 use qc_transpile::Pass;
 use rand::rngs::StdRng;
@@ -224,8 +225,9 @@ fn bench_kernels(c: &mut Criterion) {
         wide.extend(&c);
         wide
     };
+    let qv = Dag::from_circuit(&qv);
     c.bench_function("stochastic_route_qv8_melbourne", |b| {
-        b.iter(|| route(&qv, &backend, 3, 5).unwrap())
+        b.iter(|| route_dag_budgeted(&qv, &backend, 3, 5, BudgetSnapshot::unlimited()).unwrap())
     });
 
     // Whole-pipeline benches: a 20-qubit quantum-volume model circuit

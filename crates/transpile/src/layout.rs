@@ -8,7 +8,7 @@
 
 use crate::TranspileError;
 use qc_backends::Backend;
-use qc_circuit::{Circuit, Instruction};
+use qc_circuit::Instruction;
 
 /// The identity layout: logical qubit `i` on physical qubit `i`.
 pub fn trivial_layout(num_logical: usize) -> Vec<usize> {
@@ -16,19 +16,9 @@ pub fn trivial_layout(num_logical: usize) -> Vec<usize> {
 }
 
 /// Chooses a densely connected physical subset and maps the most
-/// interaction-heavy logical qubits onto the best-connected physical qubits
-/// in it.
-///
-/// # Errors
-///
-/// Returns [`crate::RpoError::InvalidInput`] (via
-/// [`crate::RpoError::too_many_qubits`]) when the circuit does not fit.
-pub fn dense_layout(circuit: &Circuit, backend: &Backend) -> Result<Vec<usize>, TranspileError> {
-    dense_layout_insts(circuit.instructions(), circuit.num_qubits(), backend)
-}
-
-/// [`dense_layout`] over a raw instruction stream — the entry the
-/// DAG-native pipeline uses (no intermediate [`Circuit`]).
+/// interaction-heavy logical qubits of `instructions` (on `num_qubits`
+/// wires) onto the best-connected physical qubits in it. Takes a raw
+/// instruction stream, so the pipeline lays out its DAG's nodes directly.
 ///
 /// # Errors
 ///
@@ -138,35 +128,9 @@ fn adjacency_bitmap(backend: &Backend) -> Vec<bool> {
     adj
 }
 
-/// Rewrites a circuit onto physical wires: logical qubit `i` becomes wire
-/// `layout[i]` of a backend-width circuit.
-///
-/// # Errors
-///
-/// Returns [`crate::RpoError::InvalidInput`] (via
-/// [`crate::RpoError::too_many_qubits`]) when the layout does not cover the
-/// circuit.
-pub fn apply_layout(
-    circuit: &Circuit,
-    layout: &[usize],
-    backend_width: usize,
-) -> Result<Circuit, TranspileError> {
-    if layout.len() < circuit.num_qubits() {
-        return Err(TranspileError::too_many_qubits(
-            circuit.num_qubits(),
-            layout.len(),
-        ));
-    }
-    let mut out = Circuit::new(backend_width);
-    for inst in circuit.instructions() {
-        let qs: Vec<usize> = inst.qubits.iter().map(|&q| layout[q]).collect();
-        out.push_instruction(Instruction::new(inst.gate.clone(), qs));
-    }
-    Ok(out)
-}
-
-/// [`apply_layout`] on the shared DAG IR: rewrites every node onto physical
-/// wires and widens the DAG to `backend_width` in one structural edit.
+/// Rewrites the DAG onto physical wires: logical qubit `i` becomes wire
+/// `layout[i]`, and the DAG widens to `backend_width`, in one structural
+/// edit.
 ///
 /// # Errors
 ///
@@ -198,6 +162,11 @@ pub fn apply_layout_dag(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_circuit::{Circuit, Dag};
+
+    fn dense_layout(c: &Circuit, backend: &Backend) -> Result<Vec<usize>, TranspileError> {
+        dense_layout_insts(c.instructions(), c.num_qubits(), backend)
+    }
 
     #[test]
     fn trivial_is_identity() {
@@ -242,9 +211,10 @@ mod tests {
     fn apply_layout_remaps() {
         let mut c = Circuit::new(2);
         c.cx(0, 1).measure_all();
-        let out = apply_layout(&c, &[3, 1], 5).unwrap();
-        assert_eq!(out.num_qubits(), 5);
-        assert_eq!(out.instructions()[0].qubits, vec![3, 1]);
+        let mut dag = Dag::from_circuit(&c);
+        apply_layout_dag(&mut dag, &[3, 1], 5).unwrap();
+        assert_eq!(dag.num_qubits(), 5);
+        assert_eq!(dag.to_circuit().instructions()[0].qubits, vec![3, 1]);
     }
 
     #[test]

@@ -383,7 +383,7 @@ pub fn validate_input(circuit: &Circuit) -> Result<(), TranspileError> {
 ///
 /// # Errors
 ///
-/// Same failure modes as [`crate::routing::route`].
+/// Same failure modes as [`route_dag_budgeted`].
 pub fn dag_stage_route_budgeted(
     dag: &mut Dag,
     backend: &Backend,

@@ -5,25 +5,26 @@
 //!
 //! The passes are the pipelines' own [`crate::DagPass`]es, but each one
 //! runs on its own over a [`Circuit`] through the blanket [`Pass`] impl:
-//! a fresh `Dag` and [`crate::PropertySet`] per pass, circuit-level layout
-//! and routing, and an unconditional fixed-point loop. What the tests
-//! check is therefore the driver [`crate::preset::run_pipeline`] adds on
-//! top — one conversion each way, the change-driven fixed point, DAG
-//! layout and routing — and they assert bit-identical output on random
-//! circuit families. Do not
-//! "optimize" this module; its value is being the plain sequence.
+//! a fresh `Dag` and [`crate::PropertySet`] per pass, a fresh `Dag` for
+//! layout and for routing, and an unconditional fixed-point loop. What
+//! the tests check is therefore what the driver
+//! [`crate::preset::run_pipeline`] adds on top — one conversion each way,
+//! the change-driven fixed point, layout and routing on the pipeline's one
+//! DAG — and they assert bit-identical output on random circuit families.
+//! Do not "optimize" this module; its value is being the plain sequence.
 
 use crate::cancellation::CxCancellation;
 use crate::commutation::CommutativeCancellation;
 use crate::consolidate::ConsolidateBlocks;
-use crate::layout::{apply_layout, dense_layout, trivial_layout};
+use crate::guard::BudgetSnapshot;
+use crate::layout::{apply_layout_dag, dense_layout_insts, trivial_layout};
 use crate::optimize_1q::Optimize1qGates;
 use crate::preset::{TranspileOptions, Transpiled};
-use crate::routing::route;
+use crate::routing::route_dag_budgeted;
 use crate::unroll::Unroller;
 use crate::{Pass, TranspileError};
 use qc_backends::Backend;
-use qc_circuit::Circuit;
+use qc_circuit::{Circuit, Dag};
 
 /// Unrolls into the device basis `{u1, u2, u3, id, cx}`.
 pub fn stage_unroll_device(c: &mut Circuit) -> Result<(), TranspileError> {
@@ -43,7 +44,7 @@ pub fn stage_layout(
     level: u8,
 ) -> Result<Vec<usize>, TranspileError> {
     let layout = if level >= 2 {
-        dense_layout(c, backend)?
+        dense_layout_insts(c.instructions(), c.num_qubits(), backend)?
     } else {
         if c.num_qubits() > backend.num_qubits() {
             return Err(TranspileError::too_many_qubits(
@@ -53,7 +54,9 @@ pub fn stage_layout(
         }
         trivial_layout(c.num_qubits())
     };
-    *c = apply_layout(c, &layout, backend.num_qubits())?;
+    let mut dag = Dag::from_circuit(c);
+    apply_layout_dag(&mut dag, &layout, backend.num_qubits())?;
+    *c = dag.to_circuit();
     Ok(layout)
 }
 
@@ -64,7 +67,8 @@ pub fn stage_route(
     seed: u64,
     trials: usize,
 ) -> Result<Vec<usize>, TranspileError> {
-    let routed = route(c, backend, seed, trials)?;
+    let dag = Dag::from_circuit(c);
+    let (routed, _) = route_dag_budgeted(&dag, backend, seed, trials, BudgetSnapshot::unlimited())?;
     *c = routed.circuit;
     Ok(routed.wire_map)
 }

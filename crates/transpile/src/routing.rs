@@ -67,34 +67,19 @@ pub struct Routed {
     pub swaps_added: usize,
 }
 
-/// Routes `circuit` (already on physical wires) for `backend`, trying
-/// `trials` seeded runs and keeping the one with the fewest SWAPs.
+/// Routes `dag` (already on physical wires) for `backend`, trying
+/// `trials` seeded runs and keeping the one with the fewest SWAPs (the
+/// earliest among equals), under a deadline: trial 0 always runs (routing
+/// is mandatory — there must be *a* routed circuit), later trials are
+/// skipped once the budget's deadline passes and the best result so far is
+/// kept. Returns the routed result and the number of trials actually run,
+/// so the caller can record the degradation.
 ///
 /// # Errors
 ///
-/// Returns an error if the circuit is wider than the backend or if the
-/// router fails to make progress (disconnected coupling graph).
-pub fn route(
-    circuit: &Circuit,
-    backend: &Backend,
-    seed: u64,
-    trials: usize,
-) -> Result<Routed, TranspileError> {
-    let dag = Dag::from_circuit(circuit);
-    route_dag_budgeted(&dag, backend, seed, trials, BudgetSnapshot::unlimited()).map(|(r, _)| r)
-}
-
-/// [`route`] over an existing DAG — the entry the DAG-native pipeline uses,
-/// so routing triggers no Circuit↔Dag conversion of its own — under a
-/// deadline: trial 0 always runs (routing is mandatory — there must be *a*
-/// routed circuit), later trials are skipped once the budget's deadline
-/// passes and the best result so far is kept. Returns the routed result
-/// and the number of trials actually run, so the caller can record the
-/// degradation.
-///
-/// # Errors
-///
-/// Same failure modes as [`route`].
+/// Returns an error if the circuit is wider than the backend, if a
+/// multi-qubit unitary gate reaches the router, or if the router fails to
+/// make progress.
 pub fn route_dag_budgeted(
     dag: &Dag,
     backend: &Backend,
@@ -465,6 +450,17 @@ fn route_once(t: &Tables, b: &mut Buffers, seed: u64) -> Result<usize, Transpile
 mod tests {
     use super::*;
 
+    /// Routes `c` through a fresh DAG with no deadline.
+    fn route_circuit(
+        c: &Circuit,
+        backend: &Backend,
+        seed: u64,
+        trials: usize,
+    ) -> Result<Routed, TranspileError> {
+        let dag = Dag::from_circuit(c);
+        route_dag_budgeted(&dag, backend, seed, trials, BudgetSnapshot::unlimited()).map(|(r, _)| r)
+    }
+
     fn all_two_qubit_gates_adjacent(c: &Circuit, backend: &Backend) -> bool {
         c.instructions().iter().all(|inst| {
             inst.qubits.len() != 2
@@ -478,7 +474,7 @@ mod tests {
         let backend = Backend::linear(3);
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).cx(1, 2);
-        let r = route(&c, &backend, 1, 3).unwrap();
+        let r = route_circuit(&c, &backend, 1, 3).unwrap();
         assert_eq!(r.swaps_added, 0);
         assert_eq!(r.circuit.gate_counts().cx, 2);
     }
@@ -488,7 +484,7 @@ mod tests {
         let backend = Backend::linear(4);
         let mut c = Circuit::new(4);
         c.cx(0, 3);
-        let r = route(&c, &backend, 1, 5).unwrap();
+        let r = route_circuit(&c, &backend, 1, 5).unwrap();
         assert!(r.swaps_added >= 1);
         assert!(all_two_qubit_gates_adjacent(&r.circuit, &backend));
     }
@@ -500,7 +496,7 @@ mod tests {
         let backend = Backend::linear(4);
         let mut c = Circuit::new(4);
         c.h(0).cx(0, 3).cx(1, 2).t(3).cx(3, 0);
-        let r = route(&c, &backend, 7, 5).unwrap();
+        let r = route_circuit(&c, &backend, 7, 5).unwrap();
         // Build: routed + swaps undoing the final permutation.
         let mut undo = r.circuit.clone();
         // r.wire_map[w] = final physical position of wire w (no measures
@@ -527,7 +523,7 @@ mod tests {
         let backend = Backend::linear(3);
         let mut c = Circuit::new(3);
         c.cx(0, 2).measure_all();
-        let r = route(&c, &backend, 3, 5).unwrap();
+        let r = route_circuit(&c, &backend, 3, 5).unwrap();
         // All wire positions are distinct physical qubits.
         let mut wm: Vec<usize> = r.wire_map.clone();
         wm.sort_unstable();
@@ -544,8 +540,8 @@ mod tests {
                 c.cx(i, j);
             }
         }
-        let r1 = route(&c, &backend, 11, 1).unwrap();
-        let r25 = route(&c, &backend, 11, 25).unwrap();
+        let r1 = route_circuit(&c, &backend, 11, 1).unwrap();
+        let r25 = route_circuit(&c, &backend, 11, 25).unwrap();
         assert!(r25.swaps_added <= r1.swaps_added);
     }
 
@@ -554,8 +550,8 @@ mod tests {
         let backend = Backend::melbourne();
         let mut c = Circuit::new(5);
         c.cx(0, 4).cx(1, 3).cx(2, 4).cx(0, 3);
-        let a = route(&c, &backend, 42, 4).unwrap();
-        let b = route(&c, &backend, 42, 4).unwrap();
+        let a = route_circuit(&c, &backend, 42, 4).unwrap();
+        let b = route_circuit(&c, &backend, 42, 4).unwrap();
         assert_eq!(a.circuit, b.circuit);
         assert_eq!(a.wire_map, b.wire_map);
     }
@@ -565,7 +561,7 @@ mod tests {
         let backend = Backend::linear(2);
         let c = Circuit::new(3);
         assert!(matches!(
-            route(&c, &backend, 0, 1),
+            route_circuit(&c, &backend, 0, 1),
             Err(TranspileError::InvalidInput(_))
         ));
     }
