@@ -50,7 +50,9 @@ pub struct Backend {
 }
 
 impl Backend {
-    /// Builds a backend from an explicit edge list.
+    /// Builds a backend from an explicit edge list. The coupling map may be
+    /// disconnected; routing then rejects a two-qubit gate between qubits
+    /// in different components as invalid input.
     ///
     /// # Panics
     ///

@@ -77,9 +77,12 @@ pub struct Routed {
 ///
 /// # Errors
 ///
-/// Returns an error if the circuit is wider than the backend, if a
-/// multi-qubit unitary gate reaches the router, or if the router fails to
-/// make progress.
+/// Returns [`crate::RpoError::InvalidInput`] if the circuit is wider than
+/// the backend, or if a two-qubit gate acts on physical qubits that the
+/// coupling map does not connect (SWAPs move a wire only within its
+/// connected component, so no trial could route it). Returns an internal
+/// error if a multi-qubit unitary gate reaches the router, or if a trial
+/// fails to make progress.
 pub fn route_dag_budgeted(
     dag: &Dag,
     backend: &Backend,
@@ -94,6 +97,18 @@ pub fn route_dag_budgeted(
         ));
     }
     let tables = Tables::new(dag, backend);
+    for (_, inst) in dag.iter() {
+        if let [a, b] = inst.qubits[..] {
+            if needs_coupling(&inst.gate) && tables.dist(a, b) == usize::MAX {
+                return Err(TranspileError::InvalidInput(format!(
+                    "{} on physical qubits {a} and {b}, which the coupling map of backend {} \
+                     does not connect",
+                    inst.gate,
+                    backend.name()
+                )));
+            }
+        }
+    }
     let mut bufs = Buffers::new(tables.n, backend.coupling().len());
     let mut best: Option<(usize, Vec<Step>)> = None;
     let mut ran = 0usize;
@@ -113,6 +128,12 @@ pub fn route_dag_budgeted(
         Some((_, log)) => Ok((tables.replay(&log), ran)),
         None => Err(TranspileError::Internal("no routing trial ran".into())),
     }
+}
+
+/// Whether a two-qubit instruction with this gate must act on coupled
+/// qubits: unitary gates do; directives, measures and resets do not.
+fn needs_coupling(gate: &Gate) -> bool {
+    gate.is_unitary_gate() && !gate.is_directive()
 }
 
 /// The absent-entry sentinel of [`Buffers::owner`].
@@ -324,15 +345,11 @@ fn route_once(t: &Tables, b: &mut Buffers, seed: u64) -> Result<usize, Transpile
                 let executable = match inst.qubits[..] {
                     [] | [_] => true,
                     // `dist == 1` ⟺ coupled.
-                    [q0, q1] => {
-                        !inst.gate.is_unitary_gate()
-                            || inst.gate.is_directive()
-                            || t.dist(b.perm[q0], b.perm[q1]) == 1
-                    }
+                    [q0, q1] => !needs_coupling(&inst.gate) || t.dist(b.perm[q0], b.perm[q1]) == 1,
                     _ => {
                         // Multi-qubit unitary gates must be unrolled before
                         // routing; barriers and the like pass through.
-                        if inst.gate.is_unitary_gate() && !inst.gate.is_directive() {
+                        if needs_coupling(&inst.gate) {
                             return Err(TranspileError::Internal(format!(
                                 "{}-qubit gate {} reached the router",
                                 inst.qubits.len(),
@@ -376,11 +393,9 @@ fn route_once(t: &Tables, b: &mut Buffers, seed: u64) -> Result<usize, Transpile
                 }
             });
         }
-        if b.candidates.is_empty() {
-            return Err(TranspileError::Internal(
-                "router found no candidate swaps (disconnected coupling?)".into(),
-            ));
-        }
+        // Each front gate's qubits are distinct and connected (checked
+        // before the first trial), so each has an incident edge.
+        debug_assert!(!b.candidates.is_empty());
         // The front's summed distance after swapping the qubits of edge
         // `e`: only the (at most two) front gates on those qubits move.
         let score = |e: usize| -> usize {

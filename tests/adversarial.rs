@@ -3,7 +3,7 @@
 //! every one of these yields a typed [`RpoError`] (or a valid result),
 //! never a panic.
 
-use qc_backends::Backend;
+use qc_backends::{Backend, BackendNoise};
 use qc_circuit::qasm::{from_qasm, QasmError};
 use qc_circuit::{BudgetKind, Circuit, Gate, RpoError};
 use qc_hoare::transpile_hoare;
@@ -59,6 +59,42 @@ fn oversized_circuit_is_a_typed_invalid_input() {
     let err = transpile(&c, &Backend::linear(2), &TranspileOptions::level(2)).unwrap_err();
     assert!(matches!(err, RpoError::InvalidInput(_)));
     assert!(err.to_string().contains("20"));
+}
+
+#[test]
+fn two_qubit_gate_across_a_disconnected_coupling_map_is_invalid_input() {
+    // Two chains, 0-1-2 and 3-4-5: no SWAP moves a wire between them.
+    let noise = BackendNoise {
+        p1q: 0.0,
+        p2q: 0.0,
+        readout: 0.0,
+    };
+    let backend = Backend::new("split_6", 6, vec![(0, 1), (1, 2), (3, 4), (4, 5)], noise);
+    // The control in superposition keeps RPO's QBO from deleting the CNOT
+    // before routing.
+    let mut c = Circuit::new(6);
+    c.h(0).cx(0, 5).h(5).cx(5, 0);
+    let level = |l| TranspileOptions::level(l).with_seed(1);
+    for (flow, result) in [
+        ("level 0", transpile(&c, &backend, &level(0))),
+        ("level 3", transpile(&c, &backend, &level(3))),
+        ("rpo", transpile_rpo(&c, &backend, &RpoOptions::new())),
+        ("hoare", transpile_hoare(&c, &backend, &level(3))),
+    ] {
+        match result {
+            Err(RpoError::InvalidInput(msg)) => {
+                assert!(msg.contains("split_6"), "{flow}: {msg}");
+                if flow == "level 0" {
+                    // The trivial layout keeps the logical qubit numbers.
+                    assert!(msg.contains("qubits 0 and 5"), "{flow}: {msg}");
+                }
+            }
+            other => panic!(
+                "{flow}: {:?}",
+                other.map(|t| (t.circuit.len(), t.degradation))
+            ),
+        }
+    }
 }
 
 #[test]
