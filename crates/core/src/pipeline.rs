@@ -23,7 +23,7 @@ use qc_backends::Backend;
 use qc_circuit::Circuit;
 use qc_transpile::manager::PassStats;
 use qc_transpile::optimize_1q::Optimize1qGates;
-use qc_transpile::preset::{run_pipeline, Stage, Transpiled};
+use qc_transpile::preset::{fixpoint_passes, run_pipeline, Stage, Transpiled};
 #[cfg(any(test, feature = "reference-oracles"))]
 use qc_transpile::reference::{
     stage_fixpoint_loop, stage_layout, stage_optimize_1q, stage_route, stage_unroll_device,
@@ -192,7 +192,9 @@ pub fn transpile_rpo_instrumented(
     after_routing.extend([
         Stage::mandatory("Unroller(device)", &device),
         Stage::optional("Optimize1qGates", &Optimize1qGates),
-        Stage::FixedPoint { consolidate: true },
+        Stage::FixedPoint {
+            passes: || fixpoint_passes(true),
+        },
     ]);
     let base = TranspileOptions {
         level: 3,

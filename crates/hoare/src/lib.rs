@@ -22,7 +22,7 @@
 use qc_backends::Backend;
 use qc_circuit::{ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
 use qc_transpile::optimize_1q::Optimize1qGates;
-use qc_transpile::preset::{run_pipeline, Stage, Transpiled};
+use qc_transpile::preset::{fixpoint_passes, run_pipeline, Stage, Transpiled};
 use qc_transpile::unroll::Unroller;
 use qc_transpile::{DagPass, PropertySet, TranspileError, TranspileOptions};
 use std::collections::VecDeque;
@@ -284,7 +284,9 @@ pub fn transpile_hoare(
     let device = Unroller::to_device_basis();
     let unroll = Stage::mandatory("Unroller(device)", &device);
     let optimize_1q = Stage::optional("Optimize1qGates", &Optimize1qGates);
-    let fixpoint = Stage::FixedPoint { consolidate: true };
+    let fixpoint = Stage::FixedPoint {
+        passes: || fixpoint_passes(true),
+    };
     let hoare = HoareOptimizer::new();
     let after_routing = [
         unroll,

@@ -132,6 +132,13 @@ pub fn transpile(
     transpile_instrumented(circuit, backend, opts).map(|(t, _)| t)
 }
 
+/// The pass sequence of the level-1 fixed-point loop: 1q merging and CX
+/// cancellation, which Qiskit 0.18's level 1 repeats until they stop
+/// improving the circuit.
+fn level1_fixpoint_passes() -> Vec<Box<dyn DagPass>> {
+    vec![Box::new(Optimize1qGates), Box::new(CxCancellation)]
+}
+
 /// The pass sequence of the level-2/3 fixed-point loop (`consolidate`
 /// appends the level-3 tail), as boxed DAG passes for [`FixedPointLoop`].
 pub fn fixpoint_passes(consolidate: bool) -> Vec<Box<dyn DagPass>> {
@@ -200,14 +207,22 @@ pub fn transpile_instrumented(
         0 => vec![unroll],
         1 => vec![
             unroll,
-            optimize_1q,
-            Stage::optional("CxCancellation", &CxCancellation),
+            Stage::FixedPoint {
+                passes: level1_fixpoint_passes,
+            },
         ],
-        level => vec![
+        2 => vec![
             unroll,
             optimize_1q,
             Stage::FixedPoint {
-                consolidate: level >= 3,
+                passes: || fixpoint_passes(false),
+            },
+        ],
+        _ => vec![
+            unroll,
+            optimize_1q,
+            Stage::FixedPoint {
+                passes: || fixpoint_passes(true),
             },
         ],
     };
@@ -229,10 +244,12 @@ pub enum Stage<'a> {
         /// Whether the guard may skip the pass.
         optional: bool,
     },
-    /// The level-2/3 fixed-point loop over [`fixpoint_passes`].
+    /// The change-driven fixed-point loop ([`FixedPointLoop`]), as levels 1–3
+    /// run it: over [`fixpoint_passes`] at levels 2 and 3, over
+    /// `Optimize1qGates` and `CxCancellation` at level 1.
     FixedPoint {
-        /// Whether the loop carries the level-3 block-consolidation tail.
-        consolidate: bool,
+        /// Builds the loop's pass sequence.
+        passes: fn() -> Vec<Box<dyn DagPass>>,
     },
 }
 
@@ -346,9 +363,8 @@ impl StageRunner {
                     &mut self.stats,
                     optional,
                 )?,
-                Stage::FixedPoint { consolidate } => {
-                    let passes = fixpoint_passes(consolidate);
-                    let mut fp = FixedPointLoop::new(passes, dag.num_qubits());
+                Stage::FixedPoint { passes } => {
+                    let mut fp = FixedPointLoop::new(passes(), dag.num_qubits());
                     fp.run_guarded(dag, &mut self.props, 10, &mut self.guard)?;
                     self.stats.extend(fp.stats);
                 }

@@ -119,8 +119,16 @@ pub fn transpile_reference(
     match opts.level {
         0 => {}
         1 => {
-            stage_optimize_1q(&mut c)?;
-            CxCancellation.run(&mut c)?;
+            // The level-1 loop: until the gate counts stop improving.
+            for _ in 0..10 {
+                let before = c.gate_counts();
+                stage_optimize_1q(&mut c)?;
+                CxCancellation.run(&mut c)?;
+                let after = c.gate_counts();
+                if after.cx >= before.cx && after.total >= before.total {
+                    break;
+                }
+            }
         }
         2 => {
             stage_optimize_1q(&mut c)?;
