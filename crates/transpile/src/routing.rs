@@ -25,8 +25,7 @@
 //!
 //! [`route_dag_budgeted`] builds, once per call, a flat `n × n` distance
 //! table, each physical qubit's incident coupling edges in ascending
-//! coupling index (one flat array), and the DAG's [`Scheduler`], which each
-//! trial clones. A trial tracks the wire permutation and its inverse, so a
+//! coupling index, and the DAG's [`Scheduler`], which each trial clones. A trial tracks the wire permutation and its inverse, so a
 //! SWAP updates both in O(1), and reuses its ready, front, candidate and
 //! best-set buffers across steps and trials: a blocked step does O(front)
 //! work and allocates nothing. A trial records only a log of steps
@@ -156,10 +155,9 @@ struct Tables<'a> {
     edges: &'a [(usize, usize)],
     /// Row-major `n × n` coupling distances; `usize::MAX` if unreachable.
     dist: Vec<usize>,
-    /// `incident[incident_start[q]..incident_start[q + 1]]`: the coupling
-    /// edges touching physical qubit `q`, in ascending coupling index.
-    incident_start: Vec<usize>,
-    incident: Vec<usize>,
+    /// Per physical qubit, the indices of the coupling edges touching it,
+    /// ascending.
+    incident: Vec<Vec<usize>>,
     /// The scheduler at the DAG's sources.
     sched: Scheduler<'a>,
     /// SWAPs in a row without executing a gate before a trial gives up.
@@ -170,28 +168,16 @@ impl<'a> Tables<'a> {
     fn new(dag: &'a Dag, backend: &'a Backend) -> Self {
         let n = backend.num_qubits();
         let edges = backend.coupling();
-        let mut incident_start = vec![0usize; n + 1];
-        for &(u, v) in edges {
-            incident_start[u + 1] += 1;
-            incident_start[v + 1] += 1;
-        }
-        for q in 0..n {
-            incident_start[q + 1] += incident_start[q];
-        }
-        let mut fill = incident_start.clone();
-        let mut incident = vec![0usize; 2 * edges.len()];
+        let mut incident = vec![Vec::new(); n];
         for (e, &(u, v)) in edges.iter().enumerate() {
-            for q in [u, v] {
-                incident[fill[q]] = e;
-                fill[q] += 1;
-            }
+            incident[u].push(e);
+            incident[v].push(e);
         }
         Tables {
             dag,
             n,
             edges,
             dist: backend.distance_matrix().concat(),
-            incident_start,
             incident,
             sched: dag.scheduler(),
             stall_limit: 4 * (dag.len() + n) * n.max(4),
@@ -200,10 +186,6 @@ impl<'a> Tables<'a> {
 
     fn dist(&self, a: usize, b: usize) -> usize {
         self.dist[a * self.n + b]
-    }
-
-    fn incident(&self, q: usize) -> &[usize] {
-        &self.incident[self.incident_start[q]..self.incident_start[q + 1]]
     }
 
     /// Builds the routed circuit a trial's log describes.
@@ -386,7 +368,7 @@ fn route_once(t: &Tables, b: &mut Buffers, seed: u64) -> Result<usize, Transpile
             b.owner[pb] = b.front.len();
             b.front.push((pa, pb));
             base += t.dist(pa, pb);
-            merge_ascending(t.incident(pa), t.incident(pb), |e| {
+            merge_ascending(&t.incident[pa], &t.incident[pb], |e| {
                 if b.stamp[e] != b.step {
                     b.stamp[e] = b.step;
                     b.candidates.push(e);
@@ -409,16 +391,13 @@ fn route_once(t: &Tables, b: &mut Buffers, seed: u64) -> Result<usize, Transpile
                     q
                 }
             };
-            let (gu, gv) = (b.owner[u], b.owner[v]);
-            let moved = [gu, if gv == gu { NONE } else { gv }];
+            // `u` and `v` are coupled, so no blocked front gate holds both.
             let mut s = base;
-            for &g in moved.iter().filter(|&&g| g != NONE) {
-                let (pa, pb) = b.front[g];
-                s -= t.dist(pa, pb);
-            }
-            for &g in moved.iter().filter(|&&g| g != NONE) {
-                let (pa, pb) = b.front[g];
-                s += t.dist(m(pa), m(pb));
+            for g in [b.owner[u], b.owner[v]] {
+                if g != NONE {
+                    let (pa, pb) = b.front[g];
+                    s = s - t.dist(pa, pb) + t.dist(m(pa), m(pb));
+                }
             }
             s
         };
