@@ -1,32 +1,51 @@
 #!/usr/bin/env bash
-# Interleaved A/B of two revisions on one perfbench workload.
+# Interleaved A/B of two revisions on one perfbench workload, or on the
+# kernel benches.
 #
 # Usage: scripts/ab.sh <rev-a> <rev-b> <workload> [pairs=4] [seconds=30]
+#        scripts/ab.sh <rev-a> <rev-b> kernels:<filter> [pairs=4]
 #   rev-a, rev-b  any git revisions (commit, branch, tag, HEAD~1, ...)
 #   workload      a perfbench workload (paper-compile, fleet-serve)
+#   filter        a `scripts/bench.sh` name filter (substring; empty = all)
 #   pairs         number of (a, b) run pairs; pair i uses --seed i
-#   seconds       --seconds of every run
+#   seconds       --seconds of every perfbench run
 #
 # Both revisions are checked out as detached worktrees in a temporary
 # directory under $TMPDIR (default /tmp), removed again on exit. Each pair
-# runs `perfbench/run.sh --workload W --seed i --seconds S --trace 0` once
-# in each worktree, alternating which side goes first. A side's first run
-# also builds it, into its own worktree.
+# runs once in each worktree, alternating which side goes first: either
+# `perfbench/run.sh --workload W --seed i --seconds S --trace 0`, or, in
+# kernel mode, `BENCH_FEATURES= scripts/bench.sh <filter>` (the
+# single-threaded build; its JSON goes to the temporary directory, not
+# over the worktree's BENCH_kernels.json). A side's first run also builds
+# it, into its own worktree.
 #
-# For every end-to-end metric it prints both medians, the b/a ratio of the
-# medians, each side's min–max, side a's quartiles and in how many pairs b
-# read lower than a; then each side's failed checks and failed runs. Exits
-# 1 if any run exited non-zero or reported a failed check, 2 on bad usage.
+# For every end-to-end metric (in kernel mode: every bench's median_ns) it
+# prints both medians, the b/a ratio of the medians, each side's min–max,
+# side a's quartiles and in how many pairs b read lower than a; then each
+# side's failed checks and failed runs. Exits 1 if any run exited non-zero
+# or reported a failed check, or, in kernel mode, if a bench is missing on
+# one side; 2 on bad usage.
 set -euo pipefail
 
-if [ $# -lt 3 ] || [ $# -gt 5 ]; then
-    sed -n '2,8p' "$0" | sed 's/^# \{0,1\}//' >&2
+usage() {
+    sed -n '5,11p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
+}
+if [ $# -lt 3 ] || [ $# -gt 5 ]; then
+    usage
 fi
 cd "$(dirname "$0")/.."
 W=$3
 PAIRS=${4:-4}
 SECS=${5:-30}
+KERNELS=0
+case "$W" in
+    kernels:*)
+        KERNELS=1
+        FILTER=${W#kernels:}
+        [ $# -le 4 ] || usage
+        ;;
+esac
 a_sha=$(git rev-parse --verify --quiet "$1^{commit}") || { echo "ab: unknown revision $1" >&2; exit 2; }
 b_sha=$(git rev-parse --verify --quiet "$2^{commit}") || { echo "ab: unknown revision $2" >&2; exit 2; }
 
@@ -45,14 +64,32 @@ git worktree add --detach --quiet "$work/a" "$a_sha"
 git worktree add --detach --quiet "$work/b" "$b_sha"
 
 failed_runs=0
+# kernel_run <side> <seed>: one kernel bench run, printed as a perfbench
+# style result line, {"metrics": {name: {"value": median_ns}}}.
+kernel_run() {
+    local out="$work/$1.$2.json"
+    (cd "$work/$1" &&
+        CARGO_TARGET_DIR="$work/$1/.bench_build" BENCH_FEATURES= BENCH_OUT="$out" \
+            bash scripts/bench.sh "$FILTER" >&2) || return
+    python3 -c '
+import json, sys
+benches = json.load(open(sys.argv[1]))
+print(json.dumps({"metrics": {b["name"]: {"value": b["median_ns"]} for b in benches}}))
+' "$out"
+}
+
 # run_side <a|b> <seed>: one benchmark run, its JSON line appended to
 # $work/<side>.jsonl (an empty line when the run printed none).
 run_side() {
     local line rc=0
     echo "ab: pair $2, side $1" >&2
-    line=$(cd "$work/$1" &&
-        CARGO_TARGET_DIR="$work/$1/.bench_build" bash perfbench/run.sh \
-            --workload "$W" --seed "$2" --seconds "$SECS" --trace 0 | tail -n 1) || rc=$?
+    if [ "$KERNELS" -eq 1 ]; then
+        line=$(kernel_run "$1" "$2") || rc=$?
+    else
+        line=$(cd "$work/$1" &&
+            CARGO_TARGET_DIR="$work/$1/.bench_build" bash perfbench/run.sh \
+                --workload "$W" --seed "$2" --seconds "$SECS" --trace 0 | tail -n 1) || rc=$?
+    fi
     if [ "$rc" -ne 0 ]; then
         echo "ab: side $1 seed $2 exited $rc" >&2
         failed_runs=$((failed_runs + 1))
@@ -70,9 +107,13 @@ for i in $(seq 1 "$PAIRS"); do
     fi
 done
 
-echo "# $W: a=$a_sha b=$b_sha, $PAIRS pairs of ${SECS} s"
+if [ "$KERNELS" -eq 1 ]; then
+    echo "# $W: a=$a_sha b=$b_sha, $PAIRS pairs, median_ns per bench"
+else
+    echo "# $W: a=$a_sha b=$b_sha, $PAIRS pairs of ${SECS} s"
+fi
 summary=0
-python3 - "$work/a.jsonl" "$work/b.jsonl" <<'EOF' || summary=$?
+python3 - "$work/a.jsonl" "$work/b.jsonl" "$KERNELS" <<'EOF' || summary=$?
 import json
 import statistics
 import sys
@@ -90,6 +131,9 @@ def load(path):
 
 
 a, b = (load(p) for p in sys.argv[1:3])
+# In kernel mode a bench missing on one side fails the run.
+strict = sys.argv[3] == "1"
+bad = 0
 names = []
 for r in a + b:
     if r:
@@ -113,6 +157,7 @@ for n in names:
     vb = [y for _, y in pairs if y is not None]
     if not va or not vb:
         print(f"{n:<22} missing on one side")
+        bad += strict
         continue
     ma, mb = statistics.median(va), statistics.median(vb)
     ratio = f"{mb / ma:.3f}" if ma else "-"
@@ -121,7 +166,6 @@ for n in names:
     both = sum(1 for x, y in pairs if x is not None and y is not None)
     print(f"{n:<22} {ma:>10.5g} {mb:>10.5g} {ratio:>6}  "
           f"{span(va):<19} {span(vb):<19} {span([q[0], q[2]]):<19} {lower}/{both}")
-bad = 0
 for side, runs in (("a", a), ("b", b)):
     checks = sum(r.get("failed", 0) for r in runs if r)
     missing = sum(1 for r in runs if r is None)
