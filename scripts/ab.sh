@@ -149,14 +149,15 @@ def span(vals):
     return f"{lo:.5g}–{hi:.5g}"
 
 
-print(f"{'metric':<22} {'median a':>10} {'median b':>10} {'b/a':>6}  "
+w = max([22] + [len(n) for n in names])
+print(f"{'metric':<{w}} {'median a':>10} {'median b':>10} {'b/a':>6}  "
       f"{'a min–max':<19} {'b min–max':<19} {'a q1–q3':<19} b<a")
 for n in names:
     pairs = [(value(x, n), value(y, n)) for x, y in zip(a, b)]
     va = [x for x, _ in pairs if x is not None]
     vb = [y for _, y in pairs if y is not None]
     if not va or not vb:
-        print(f"{n:<22} missing on one side")
+        print(f"{n:<{w}} missing on one side")
         bad += strict
         continue
     ma, mb = statistics.median(va), statistics.median(vb)
@@ -164,7 +165,7 @@ for n in names:
     q = statistics.quantiles(va, n=4, method="inclusive") if len(va) > 1 else [va[0]] * 3
     lower = sum(1 for x, y in pairs if x is not None and y is not None and y < x)
     both = sum(1 for x, y in pairs if x is not None and y is not None)
-    print(f"{n:<22} {ma:>10.5g} {mb:>10.5g} {ratio:>6}  "
+    print(f"{n:<{w}} {ma:>10.5g} {mb:>10.5g} {ratio:>6}  "
           f"{span(va):<19} {span(vb):<19} {span([q[0], q[2]]):<19} {lower}/{both}")
 for side, runs in (("a", a), ("b", b)):
     checks = sum(r.get("failed", 0) for r in runs if r)
