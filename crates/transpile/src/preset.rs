@@ -244,9 +244,10 @@ pub enum Stage<'a> {
         /// Whether the guard may skip the pass.
         optional: bool,
     },
-    /// The change-driven fixed-point loop ([`FixedPointLoop`]), as levels 1–3
-    /// run it: over [`fixpoint_passes`] at levels 2 and 3, over
-    /// `Optimize1qGates` and `CxCancellation` at level 1.
+    /// The change-driven fixed-point loop ([`FixedPointLoop`]) over the
+    /// passes `passes` builds: [`fixpoint_passes`] at levels 2 and 3 (and in
+    /// the RPO and Hoare flows), `Optimize1qGates` and `CxCancellation` at
+    /// level 1.
     FixedPoint {
         /// Builds the loop's pass sequence.
         passes: fn() -> Vec<Box<dyn DagPass>>,
