@@ -17,12 +17,13 @@ use rpo::circuit::qasm::to_qasm;
 use rpo::circuit::{Circuit, RpoError};
 use rpo::serve::breaker::BreakerConfig;
 use rpo::serve::shard::{routing_key, FleetLine};
-use rpo::serve::wire::escape_json;
+use rpo::serve::wire::{decode_line, escape_json, WireMsg};
 use rpo::serve::{
     BreakerState, Fleet, FleetConfig, InProcessShard, ServeConfig, ServeFlow, ServeRequest,
     TestClock, TranspileService,
 };
 use rpo::transpile::fault::{arm, disarm, FaultKind, FaultPlan};
+use rpo::transpile::{transpile, PassSet, TranspileOptions};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -387,6 +388,69 @@ fn gossip_merge_faults_abandon_the_round_not_the_router() {
             assert!(resp.contains("\"kind\":\"internal\""), "{resp}");
         }
     }
+}
+
+/// A pass that fails on every request costs each shard exactly its
+/// breaker threshold in retried compiles (default config: 3), after which
+/// the shard's own breaker keeps the pass off. No response depends on
+/// which path served it: every answer is the circuit a compile with the
+/// pass pre-disabled produces.
+#[test]
+fn failing_pass_costs_each_shard_its_breaker_threshold() {
+    const PASS: &str = "Optimize1qGates";
+    const SHARDS: usize = 3;
+    let shards = (0..SHARDS)
+        .map(|_| InProcessShard::new(Arc::new(TranspileService::new(quiet_config()))))
+        .collect();
+    let fleet = Fleet::new(
+        shards,
+        FleetConfig {
+            replicas: 0,
+            ..FleetConfig::default()
+        },
+    );
+    let mut disabled = PassSet::empty();
+    disabled.insert(PASS);
+    for salt in 10_000..10_060u64 {
+        let line = request_line(salt);
+        arm(FaultPlan {
+            pass: PASS.into(),
+            kind: FaultKind::PanicBefore,
+        });
+        let resp = response_of(fleet.handle_line(&line));
+        disarm();
+        assert!(resp.contains("\"status\":\"ok\""), "{resp}");
+        let Ok(WireMsg::Request(req)) = decode_line(&line) else {
+            panic!("request line must decode: {line}");
+        };
+        let opts = TranspileOptions::level(2)
+            .with_seed(req.seed)
+            .with_disabled_passes(disabled);
+        let want = transpile(&req.circuit, &req.backend, &opts).unwrap();
+        let want = format!(
+            "\"qasm\":\"{}\"",
+            escape_json(&to_qasm(&want.circuit).unwrap())
+        );
+        assert!(
+            resp.contains(&want),
+            "salt {salt}: the answer differs from a compile with {PASS} off: {resp}"
+        );
+    }
+    let metrics: Vec<_> = fleet
+        .backends()
+        .iter()
+        .map(|s| s.service().metrics())
+        .collect();
+    assert_eq!(
+        metrics.iter().map(|m| m.retries).sum::<u64>(),
+        9,
+        "{metrics:?}"
+    );
+    assert_eq!(
+        metrics.iter().map(|m| m.breaker_trips).sum::<u64>(),
+        3,
+        "{metrics:?}"
+    );
 }
 
 /// Replay-stage faults degrade to a cold start: a panic while replaying
