@@ -14,9 +14,9 @@
 //! dir is given), parses the announced port off the child's stdout, and
 //! routes every request line to the shard that rendezvous-owns its
 //! content key ([`qc_serve::shard`]). A background ticker health-checks
-//! the workers, replicates breaker state between them, and respawns dead
-//! workers — a respawned worker re-warms from its segment log before
-//! taking its keyspace back.
+//! the workers, respawns dead ones and backfills replicas — a respawned
+//! worker re-warms from its segment log before taking its keyspace back.
+//! Each worker keeps its own circuit breakers.
 //!
 //! Observability lines on stdout (CI parses these):
 //!
@@ -488,8 +488,7 @@ fn main() {
     println!("qc-fleet ready with {} shards", fleet.num_shards());
     let _ = std::io::stdout().flush();
 
-    // Health + gossip ticker: probes workers, merges breaker state,
-    // pushes the union, respawns the dead.
+    // Ticker: probes workers, respawns the dead, backfills replicas.
     {
         let fleet = Arc::clone(&fleet);
         let no_revive = Arc::clone(&no_revive);
@@ -502,11 +501,8 @@ fn main() {
             let report = fleet.tick();
             if report.revived > 0 || report.dead > 0 {
                 eprintln!(
-                    "qc-fleet tick: {} alive, {} dead, {} revived, open=[{}]",
-                    report.alive,
-                    report.dead,
-                    report.revived,
-                    report.open.join(",")
+                    "qc-fleet tick: {} alive, {} dead, {} revived",
+                    report.alive, report.dead, report.revived
                 );
             }
         });

@@ -67,14 +67,6 @@ enum State {
 struct Breaker {
     state: State,
     trips: u64,
-    /// Whether the current non-closed state rests *only* on a remote
-    /// gossip push ([`BreakerRegistry::force_open`]) rather than a
-    /// locally observed trip. Remote opens are excluded from
-    /// [`BreakerRegistry::open_labels`] so a pushed label is never
-    /// echoed back into the gossip round that produced it (which would
-    /// refresh the router's TTL forever and pin the pass open
-    /// fleet-wide).
-    remote: bool,
 }
 
 /// Process-wide registry of per-pass breakers. All methods take `&self`;
@@ -148,7 +140,6 @@ impl BreakerRegistry {
                 outcomes: VecDeque::new(),
             },
             trips: 0,
-            remote: false,
         });
         match &mut b.state {
             State::Closed { outcomes } => {
@@ -162,7 +153,6 @@ impl BreakerRegistry {
                         until_nanos: now.saturating_add(cooldown),
                     };
                     b.trips += 1;
-                    b.remote = false;
                 }
             }
             // An outcome while open belongs to a request admitted before
@@ -174,62 +164,20 @@ impl BreakerRegistry {
                     b.state = State::Closed {
                         outcomes: VecDeque::new(),
                     };
-                    b.remote = false;
                 } else {
-                    // The probe ran locally and failed: whatever opened
-                    // the breaker before, this open is local evidence.
                     b.state = State::Open {
                         until_nanos: now.saturating_add(cooldown),
                     };
                     b.trips += 1;
-                    b.remote = false;
                 }
             }
         }
     }
 
-    /// Force-opens `label`'s breaker for one cooldown — the gossip path: a
-    /// peer shard tripped this pass, so pre-disable it here before paying
-    /// the quarantine cost locally. Only a *closed* breaker transitions
-    /// (an open or half-open breaker already knows more than the gossip
-    /// does); remote opens are not counted as local trips.
-    pub fn force_open(&self, label: &str) {
-        let Some(label) = Self::canonical(label) else {
-            return;
-        };
-        let until = self
-            .clock
-            .now_nanos()
-            .saturating_add(self.cfg.cooldown.as_nanos() as u64);
-        let mut map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let b = map.entry(label).or_insert(Breaker {
-            state: State::Closed {
-                outcomes: VecDeque::new(),
-            },
-            trips: 0,
-            remote: false,
-        });
-        if matches!(b.state, State::Closed { .. }) {
-            b.state = State::Open { until_nanos: until };
-            b.remote = true;
-        }
-    }
-
-    /// Labels whose breaker is open or half-open on *local* evidence (a
-    /// trip observed on this shard's own traffic) — the gossip payload
-    /// replicated between shards. Breakers opened only by a remote
-    /// gossip push are excluded: re-reporting them would echo every
-    /// pushed label back to the router each tick, refreshing its TTL
-    /// forever and keeping a recovered pass quarantined fleet-wide.
+    /// Labels whose breaker is open or half-open, sorted — the
+    /// `{"op":"breakers"}` report.
     pub fn open_labels(&self) -> Vec<String> {
-        let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<String> = map
-            .iter()
-            .filter(|(_, b)| !matches!(b.state, State::Closed { .. }) && !b.remote)
-            .map(|(l, _)| l.to_string())
-            .collect();
-        out.sort();
-        out
+        self.tripped().into_iter().map(|(label, _)| label).collect()
     }
 
     /// The current state of `label`'s breaker (read-only: does not advance
@@ -355,43 +303,6 @@ mod tests {
         assert!(reg.admission_set().contains(PASS));
         clock.advance(Duration::from_secs(6));
         assert!(!reg.admission_set().contains(PASS));
-    }
-
-    #[test]
-    fn remote_opens_are_not_gossiped_back() {
-        let clock = Arc::new(TestClock::new());
-        let reg = registry(Arc::clone(&clock));
-        reg.force_open(PASS);
-        assert_eq!(reg.state(PASS), BreakerState::Open);
-        assert!(reg.admission_set().contains(PASS));
-        // A remote open protects this shard but carries no local
-        // evidence: it must not appear in the gossip payload.
-        assert!(reg.open_labels().is_empty());
-        // The drain/observability view still shows it.
-        assert_eq!(reg.tripped(), vec![(PASS.to_string(), 0)]);
-
-        // A genuine local trip *is* gossiped.
-        clock.advance(Duration::from_secs(11));
-        assert!(!reg.admission_set().contains(PASS)); // probe claimed
-        reg.record(PASS, true); // probe succeeds: closed again
-        assert_eq!(reg.state(PASS), BreakerState::Closed);
-        reg.record(PASS, false);
-        reg.record(PASS, false);
-        assert_eq!(reg.state(PASS), BreakerState::Open);
-        assert_eq!(reg.open_labels(), vec![PASS.to_string()]);
-    }
-
-    #[test]
-    fn failed_probe_after_remote_open_becomes_local_evidence() {
-        let clock = Arc::new(TestClock::new());
-        let reg = registry(Arc::clone(&clock));
-        reg.force_open(PASS);
-        assert!(reg.open_labels().is_empty());
-        clock.advance(Duration::from_secs(11));
-        assert!(!reg.admission_set().contains(PASS)); // probe claimed
-        reg.record(PASS, false); // the probe ran here and failed
-        assert_eq!(reg.state(PASS), BreakerState::Open);
-        assert_eq!(reg.open_labels(), vec![PASS.to_string()]);
     }
 
     #[test]

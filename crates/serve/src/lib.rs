@@ -1,10 +1,10 @@
 //! `qc-serve` — a resilient transpile service around the RPO stack.
 //!
-//! PR 6 made a *single* transpile fault-tolerant: typed errors, pass
-//! quarantine, budgets. This crate makes a *process full of them*
-//! resilient. One [`TranspileService`] (shared `&self` across every worker
-//! thread) wraps `qc_transpile::preset::transpile` and
-//! `rpo_core::transpile_rpo` behind a robustness perimeter:
+//! The transpile stack already makes a *single* compile fault-tolerant:
+//! typed errors, pass quarantine, budgets. This crate makes a *process
+//! full of them* resilient. One [`TranspileService`] (shared `&self`
+//! across every worker thread) wraps `qc_transpile::preset::transpile`
+//! and `rpo_core::transpile_rpo` behind a robustness perimeter:
 //!
 //! * **Admission control & load shedding** — a bounded queue of compile
 //!   permits; requests that cannot get a slot, or whose EWMA-predicted
@@ -20,18 +20,26 @@
 //!   clean (and cacheable) result.
 //! * **Per-pass circuit breakers** — a pass quarantined in K of the last
 //!   N requests is pre-disabled process-wide until a cooldown and a
-//!   half-open probe show it healthy again.
+//!   half-open probe show it healthy again. Each process keeps its own.
 //! * **Graceful drain** — stop admission, finish in-flight work, report
 //!   served/shed/degraded counts and fleet-wide per-pass totals.
 //!
 //! The `qc-serve` binary front-ends the service with a std-only
-//! JSONL-over-stdin/TCP protocol ([`wire`]); the `serve_load` experiment
-//! binary drives mixed cold/warm workloads against it.
+//! JSONL-over-stdin/TCP protocol ([`wire`]); the `qc-fleet` binary
+//! routes that protocol over N worker processes ([`shard`]), each of
+//! which can persist its cache to a segment log ([`persist`]). The
+//! `serve_load` experiment binary drives mixed cold/warm workloads
+//! against either.
+//!
+//! Modules: [`breaker`] (per-pass circuit breakers), [`cache`] (the
+//! single-flight cache and its content key), [`clock`] (injectable
+//! time), [`persist`] (the segment log), [`service`] (the request path),
+//! [`shard`] (rendezvous routing, failover, replication and the fleet
+//! tick) and [`wire`] (the JSONL codec).
 
 pub mod breaker;
 pub mod cache;
 pub mod clock;
-pub mod gossip;
 pub mod persist;
 pub mod service;
 pub mod shard;
@@ -40,10 +48,20 @@ pub mod wire;
 pub use breaker::{BreakerConfig, BreakerRegistry, BreakerState};
 pub use cache::{budget_class, cache_key, CacheClass, CompiledEntry, KeyParts, SingleFlightCache};
 pub use clock::{Clock, SystemClock, TestClock};
-pub use gossip::GossipState;
 pub use persist::{ReplayReport, SegmentLog};
 pub use service::{
     DrainReport, MetricsSnapshot, PassTotals, ServeConfig, ServeFlow, ServeOk, ServeRequest,
     ServeResponse, TranspileService,
 };
 pub use shard::{rendezvous_route, Fleet, FleetConfig, InProcessShard, ShardBackend, ShardHealth};
+
+/// Fires the fault armed for `label`, if any: the serve (`serve:*`),
+/// fleet (`fleet:*`) and persistence (`persist:*`) fault sites. A no-op
+/// outside the `fault-inject` feature.
+#[inline]
+pub(crate) fn fault_point(label: &str) {
+    #[cfg(feature = "fault-inject")]
+    qc_transpile::fault::fire_point(label);
+    #[cfg(not(feature = "fault-inject"))]
+    let _ = label;
+}

@@ -57,6 +57,7 @@
 //! truncates on replay.
 
 use crate::cache::CompiledEntry;
+use crate::fault_point;
 use qc_circuit::qasm::to_qasm;
 use qc_circuit::{canonical_bytes, decode_circuit, fnv1a_128, RpoError};
 use qc_transpile::{DegradationReport, PassSet, DISABLEABLE_PASSES};
@@ -75,16 +76,6 @@ const HEADER_LEN: u64 = 8 + 4 + 4;
 /// Defensive ceiling for one record: a corrupt length prefix must not
 /// drive a huge allocation. Far above any real compiled circuit.
 const MAX_PAYLOAD: u32 = 64 << 20;
-
-/// Fires the armed persistence fault, if any (no-op outside the
-/// `fault-inject` feature).
-#[inline]
-fn fault_point(label: &str) {
-    #[cfg(feature = "fault-inject")]
-    qc_transpile::fault::fire_point(label);
-    #[cfg(not(feature = "fault-inject"))]
-    let _ = label;
-}
 
 /// What a replay recovered, and how.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -25,10 +25,12 @@ use crate::cache::{
     budget_class, cache_key, CacheClass, CompiledEntry, KeyParts, Lookup, SingleFlightCache,
 };
 use crate::clock::{Clock, SystemClock};
+use crate::fault_point;
 use crate::persist::{ReplayReport, SegmentLog};
 use qc_backends::Backend;
 use qc_circuit::qasm::to_qasm;
 use qc_circuit::{canonical_bytes, Circuit, RpoError};
+use qc_transpile::guard::panic_message;
 use qc_transpile::manager::PassStats;
 use qc_transpile::preset::{transpile_instrumented, Transpiled};
 use qc_transpile::{
@@ -40,16 +42,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// Fires the armed serve-perimeter fault, if any (no-op outside the
-/// `fault-inject` feature).
-#[inline]
-fn fault_point(label: &str) {
-    #[cfg(feature = "fault-inject")]
-    qc_transpile::fault::fire_point(label);
-    #[cfg(not(feature = "fault-inject"))]
-    let _ = label;
-}
 
 /// Which pipeline a request compiles through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -879,26 +871,5 @@ impl TranspileService {
     /// The breaker registry (read access for front-ends and tests).
     pub fn breakers(&self) -> &BreakerRegistry {
         &self.breakers
-    }
-
-    /// Applies gossiped breaker state from a peer shard: each label is
-    /// force-opened locally (closed breakers only — see
-    /// [`BreakerRegistry::force_open`]), so one shard's quarantine
-    /// discovery pre-disables the pass fleet-wide before anyone else pays
-    /// for it.
-    pub fn apply_remote_breakers<'a>(&self, labels: impl IntoIterator<Item = &'a str>) {
-        for label in labels {
-            self.breakers.force_open(label);
-        }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }

@@ -15,20 +15,22 @@
 //!   shard's* keys (each key just falls to its second-ranked shard);
 //!   adding a shard steals ~1/N of the keyspace. No ring, no vnode table.
 //!
-//! The router health-checks shards on a gossip tick, fails a dead
-//! shard's keyspace over to the next-ranked live shard, asks the backend
-//! to revive dead shards, and replicates breaker state fleet-wide
-//! ([`crate::gossip`]). When no live shard remains for a key the request
-//! is refused with a typed [`RpoError::Shed`] — the same contract as
-//! single-process overload, so clients need no new error handling.
+//! A send failure fails a dead shard's keyspace over to the next-ranked
+//! live shard. A periodic tick ([`Fleet::tick`]) probes every shard,
+//! asks the backend to revive dead ones, and backfills replicas. When no
+//! live shard remains for a key the request is refused with a typed
+//! [`RpoError::Shed`] — the same contract as single-process overload, so
+//! clients need no new error handling. Each shard keeps its own circuit
+//! breakers; the router holds no breaker state and answers
+//! `{"op":"breakers"}` with the union of its live shards' reports.
 //!
 //! The routing logic is generic over [`ShardBackend`] so the whole
-//! failover/gossip state machine is testable in-process
-//! ([`InProcessShard`]) — fault injection is thread-local and must fire
-//! on the calling thread, which a child process cannot do.
+//! failover state machine is testable in-process ([`InProcessShard`]) —
+//! fault injection is thread-local and must fire on the calling thread,
+//! which a child process cannot do.
 
 use crate::cache::{budget_class, cache_key, KeyParts};
-use crate::gossip::GossipState;
+use crate::fault_point;
 use crate::service::{ServeRequest, TranspileService};
 use crate::wire::{
     decode_hex, decode_line, encode_breakers, encode_drain_report, encode_entry_request,
@@ -38,20 +40,10 @@ use crate::wire::{
 use crate::ServeResponse;
 use qc_circuit::{fnv1a_128, RpoError};
 use qc_transpile::PassSet;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Fires the armed fleet fault, if any (no-op outside the
-/// `fault-inject` feature).
-#[inline]
-fn fault_point(label: &str) {
-    #[cfg(feature = "fault-inject")]
-    qc_transpile::fault::fire_point(label);
-    #[cfg(not(feature = "fault-inject"))]
-    let _ = label;
-}
 
 /// murmur3's 64-bit finalizer: full avalanche over one word.
 fn fmix64(mut k: u64) -> u64 {
@@ -141,8 +133,8 @@ pub struct FleetConfig {
     /// is dropped instead of sent (the key stays pending for
     /// anti-entropy). 0.0 in production.
     pub chaos_replication_drop: f64,
-    /// Chaos knob: skip every Nth health/gossip tick wholesale — a
-    /// simulated gossip partition (0 = never).
+    /// Chaos knob: skip every Nth tick wholesale — a simulated partition
+    /// between the router and its shards (0 = never).
     pub chaos_partition_every: u64,
     /// Seed for the chaos drop RNG (deterministic chaos runs).
     pub seed: u64,
@@ -171,8 +163,6 @@ struct Tracked {
     pending: HashSet<u128>,
 }
 
-/// Gossip rounds a breaker label stays merged after its last report.
-pub const GOSSIP_TTL_ROUNDS: u64 = 3;
 /// Upper bound on router-side replication bookkeeping.
 const MAX_TRACKED: usize = 4096;
 /// Pending replica pushes drained per health tick — bounds tick latency.
@@ -187,8 +177,8 @@ pub struct ShardHealth {
     pub consecutive_failures: u32,
 }
 
-/// What one health/gossip tick did.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// What one tick did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TickReport {
     /// Shards answering their health probe.
     pub alive: usize,
@@ -196,8 +186,6 @@ pub struct TickReport {
     pub dead: usize,
     /// Dead shards the backend revived this tick.
     pub revived: usize,
-    /// The merged fleet-open breaker labels after this round.
-    pub open: Vec<&'static str>,
 }
 
 /// What [`Fleet::handle_line`] resolved to.
@@ -209,12 +197,11 @@ pub enum FleetLine {
     Drained(String),
 }
 
-/// The sharded router: rendezvous routing, health/failover, gossip.
+/// The sharded router: rendezvous routing, health/failover, replication.
 /// Construct once, share by reference across connection threads.
 pub struct Fleet<B> {
     shards: Vec<B>,
     health: Mutex<Vec<ShardHealth>>,
-    gossip: Mutex<GossipState>,
     cfg: FleetConfig,
     routed: AtomicU64,
     failovers: AtomicU64,
@@ -247,7 +234,6 @@ impl<B: ShardBackend> Fleet<B> {
         Fleet {
             shards,
             health: Mutex::new(health),
-            gossip: Mutex::new(GossipState::new(GOSSIP_TTL_ROUNDS)),
             routed: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -322,13 +308,7 @@ impl<B: ShardBackend> Fleet<B> {
         match msg {
             WireMsg::Request(req) => FleetLine::Response(self.route_request(&req, line.trim())),
             WireMsg::Metrics => FleetLine::Response(self.aggregate_metrics()),
-            WireMsg::Breakers { open } => {
-                let mut gossip = self.gossip.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(open) = open {
-                    gossip.merge(open.split(','));
-                }
-                FleetLine::Response(encode_breakers(&gossip.open()))
-            }
+            WireMsg::Breakers => FleetLine::Response(self.aggregate_breakers()),
             WireMsg::Entry { key } => {
                 // Forwarded to the key's live owner, so operators can
                 // inspect replication state over the router port.
@@ -529,11 +509,10 @@ impl<B: ShardBackend> Fleet<B> {
         }
     }
 
-    /// One health + gossip round: probe every shard with
-    /// `{"op":"breakers"}`, merge the reported open labels, ask the
-    /// backend to revive dead shards, then push the merged set to every
-    /// live shard. A panic mid-round (an injected `gossip:merge` fault)
-    /// abandons the round; the router survives and the next tick retries.
+    /// One tick: probe every shard with `{"op":"breakers"}`, ask the
+    /// backend to revive the dead ones, then run anti-entropy. A panic
+    /// mid-round (an injected `fleet:tick` fault) abandons the round; the
+    /// router survives and the next tick retries.
     pub fn tick(&self) -> TickReport {
         match catch_unwind(AssertUnwindSafe(|| self.tick_inner())) {
             Ok(report) => report,
@@ -550,14 +529,10 @@ impl<B: ShardBackend> Fleet<B> {
         if self.cfg.chaos_partition_every > 0
             && round.is_multiple_of(self.cfg.chaos_partition_every)
         {
-            // Simulated gossip partition: this round never happens. Health
-            // state, gossip aging, and anti-entropy all stall one period —
-            // the fleet must absorb that without misrouting.
+            // Simulated partition: this round never happens. Health state
+            // and anti-entropy stall one period — the fleet must absorb
+            // that without misrouting.
             return report;
-        }
-        {
-            let mut gossip = self.gossip.lock().unwrap_or_else(|e| e.into_inner());
-            gossip.begin_round();
         }
         for (i, shard) in self.shards.iter().enumerate() {
             let mut probe = shard.send_line("{\"op\":\"breakers\"}");
@@ -568,35 +543,14 @@ impl<B: ShardBackend> Fleet<B> {
                 }
             }
             match probe {
-                Ok(line) => {
+                Ok(_) => {
                     self.mark_outcome(i, true);
                     report.alive += 1;
-                    if let Some(open) = breaker_report_open(&line) {
-                        let mut gossip = self.gossip.lock().unwrap_or_else(|e| e.into_inner());
-                        gossip.merge(open.split(','));
-                    }
+                    fault_point("fleet:tick");
                 }
                 Err(_) => {
                     self.mark_outcome(i, false);
                     report.dead += 1;
-                }
-            }
-        }
-        let (payload, open) = {
-            let gossip = self.gossip.lock().unwrap_or_else(|e| e.into_inner());
-            (gossip.payload(), gossip.open())
-        };
-        report.open = open;
-        if !payload.is_empty() {
-            let push = format!(
-                "{{\"op\":\"breakers\",\"open\":\"{}\"}}",
-                escape_json(&payload)
-            );
-            for (i, shard) in self.shards.iter().enumerate() {
-                if self.is_alive(i) {
-                    // A push failure is just a missed round; the probe
-                    // side of the next tick will notice a dead shard.
-                    let _ = shard.send_line(&push);
                 }
             }
         }
@@ -676,6 +630,30 @@ impl<B: ShardBackend> Fleet<B> {
         )
     }
 
+    /// The sorted union of every live shard's open breaker labels, as one
+    /// `{"status":"breakers"}` line. Fetched on demand: the router keeps
+    /// no breaker state of its own.
+    fn aggregate_breakers(&self) -> String {
+        let mut open = BTreeSet::new();
+        for (i, shard) in self.shards.iter().enumerate() {
+            if !self.is_alive(i) {
+                continue;
+            }
+            let Ok(line) = shard.send_line("{\"op\":\"breakers\"}") else {
+                self.mark_outcome(i, false);
+                continue;
+            };
+            let Ok(map) = parse_flat_object(&line) else {
+                continue;
+            };
+            if let Some(labels) = map.get("open").and_then(JsonValue::as_str) {
+                let labels = labels.split(',').filter(|l| !l.is_empty());
+                open.extend(labels.map(str::to_string));
+            }
+        }
+        encode_breakers(&open.into_iter().collect::<Vec<_>>())
+    }
+
     /// Sums every live shard's flat metrics line field-by-field and
     /// appends the router's own counters.
     fn aggregate_metrics(&self) -> String {
@@ -739,18 +717,6 @@ fn entry_response_record(line: &str) -> Option<Vec<u8>> {
     decode_hex(map.get("record")?.as_str()?).ok()
 }
 
-/// Extracts the `open` payload from a `{"status":"breakers",...}` line.
-fn breaker_report_open(line: &str) -> Option<String> {
-    let map = parse_flat_object(line).ok()?;
-    if map.get("status").and_then(JsonValue::as_str) != Some("breakers") {
-        return None;
-    }
-    map.get("open")
-        .and_then(JsonValue::as_str)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-}
-
 fn error_line(id: &str, e: &RpoError) -> String {
     encode_response(&ServeResponse {
         id: id.to_string(),
@@ -767,12 +733,7 @@ pub fn respond_msg(svc: &TranspileService, msg: WireMsg) -> Option<String> {
     match msg {
         WireMsg::Drain => None,
         WireMsg::Metrics => Some(encode_metrics(&svc.metrics())),
-        WireMsg::Breakers { open } => {
-            if let Some(open) = open {
-                svc.apply_remote_breakers(open.split(',').map(str::trim));
-            }
-            Some(encode_breakers(&svc.breakers().open_labels()))
-        }
+        WireMsg::Breakers => Some(encode_breakers(&svc.breakers().open_labels())),
         WireMsg::Entry { key } => Some(encode_entry_response(svc.export_entry(key).as_deref())),
         WireMsg::Replicate { record } => Some(match svc.import_entry(&record) {
             Ok(admitted) => encode_replicate_response(admitted),
@@ -871,19 +832,5 @@ mod tests {
         assert_eq!(rendezvous_route(key, &alive), Some(ranking[1]));
         alive.iter_mut().for_each(|a| *a = false);
         assert_eq!(rendezvous_route(key, &alive), None);
-    }
-
-    #[test]
-    fn breaker_report_open_parses_reports_only() {
-        assert_eq!(
-            breaker_report_open("{\"status\":\"breakers\",\"open\":\"A,B\"}").as_deref(),
-            Some("A,B")
-        );
-        assert_eq!(
-            breaker_report_open("{\"status\":\"breakers\",\"open\":\"\"}"),
-            None
-        );
-        assert_eq!(breaker_report_open("{\"status\":\"metrics\"}"), None);
-        assert_eq!(breaker_report_open("not json"), None);
     }
 }

@@ -15,6 +15,7 @@
 //!  "flow": "rpo" | "preset", "level": 3, "seed": 7, "deadline_ms": 500}
 //! {"op": "drain"}      — stop admission, finish in-flight, report, exit
 //! {"op": "metrics"}    — counters snapshot without stopping
+//! {"op": "breakers"}   — the open breaker labels
 //! ```
 //!
 //! Circuits travel as OpenQASM 2.0 (the workspace's canonical text
@@ -257,15 +258,10 @@ pub enum WireMsg {
     Drain,
     /// `{"op": "metrics"}`.
     Metrics,
-    /// `{"op": "breakers"}` reports the local open-breaker labels;
-    /// `{"op": "breakers", "open": "A,B"}` first force-opens the named
-    /// breakers (the gossip push), then reports. The label list is a
-    /// comma-joined string because request objects are flat — the parser
-    /// accepts no arrays on the way in.
-    Breakers {
-        /// Comma-joined labels to force-open before reporting, if any.
-        open: Option<String>,
-    },
+    /// `{"op": "breakers"}`: report the open breaker labels (a shard's
+    /// own; through the router, the union over its live shards). Also
+    /// the router's health probe.
+    Breakers,
     /// `{"op": "entry", "key": "<32 hex>"}` — fetch the framed cache
     /// record for a key (the router's replication read). Keys travel as
     /// hex strings: they are 128-bit and would not survive the f64
@@ -338,12 +334,7 @@ pub fn decode_line(line: &str) -> Result<WireMsg, RpoError> {
         return match op {
             "drain" => Ok(WireMsg::Drain),
             "metrics" => Ok(WireMsg::Metrics),
-            "breakers" => Ok(WireMsg::Breakers {
-                open: map
-                    .get("open")
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string),
-            }),
+            "breakers" => Ok(WireMsg::Breakers),
             "entry" => {
                 let key = map
                     .get("key")
@@ -539,9 +530,8 @@ pub fn encode_replicate_response(admitted: bool) -> String {
 }
 
 /// Encodes a breaker-state report as one JSON line. The `open` field is
-/// the comma-joined open/half-open labels — the same flat shape the
-/// gossip push request uses, so a router can feed one shard's report
-/// straight into another shard's request.
+/// the comma-joined open/half-open labels, a flat string so that the
+/// report parses with [`parse_flat_object`].
 pub fn encode_breakers<S: AsRef<str>>(open: &[S]) -> String {
     let joined: Vec<&str> = open.iter().map(AsRef::as_ref).collect();
     format!(
@@ -603,14 +593,8 @@ mod tests {
         ));
         assert!(matches!(
             decode_line("{\"op\": \"breakers\"}").unwrap(),
-            WireMsg::Breakers { open: None }
+            WireMsg::Breakers
         ));
-        let WireMsg::Breakers { open: Some(open) } =
-            decode_line("{\"op\": \"breakers\", \"open\": \"A,B\"}").unwrap()
-        else {
-            panic!("expected a gossip push");
-        };
-        assert_eq!(open, "A,B");
     }
 
     #[test]

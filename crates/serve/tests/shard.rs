@@ -3,14 +3,12 @@
 //! minimal remap) and the router state machine end to end over
 //! [`InProcessShard`]s — warm hits landing on the owner, failover of a
 //! dead shard's keyspace, typed sheds when no shard is live, revival on
-//! tick, breaker gossip replication, and fleet-wide drain.
+//! tick, the router's breaker report, and fleet-wide drain.
 
 use qc_backends::Backend;
 use qc_circuit::qasm::to_qasm;
 use qc_circuit::Circuit;
-use qc_serve::shard::{
-    rendezvous_ranking, rendezvous_route, routing_key, shard_score, FleetLine, GOSSIP_TTL_ROUNDS,
-};
+use qc_serve::shard::{rendezvous_ranking, rendezvous_route, routing_key, shard_score, FleetLine};
 use qc_serve::wire::escape_json;
 use qc_serve::{
     BreakerState, Fleet, FleetConfig, InProcessShard, ServeConfig, ServeFlow, ServeRequest,
@@ -279,86 +277,48 @@ fn tick_revives_dead_shards() {
     );
 }
 
-/// Trips `pass`'s breaker on `svc` with genuine local evidence (default
-/// breaker config: 3 failures in the window) — `force_open` would mark
-/// the open as remote, which gossip deliberately does not re-report.
-fn trip_locally(svc: &TranspileService, pass: &str) {
+/// Trips `pass`'s breaker on `svc` (default breaker config: 3 failures
+/// in the window).
+fn trip(svc: &TranspileService, pass: &str) {
     for _ in 0..3 {
         svc.breakers().record(pass, false);
     }
 }
 
+/// The router holds no breaker state: `{"op":"breakers"}` fetches every
+/// live shard's open labels and answers their sorted union, and a tick
+/// leaves each shard's breakers as they were.
 #[test]
-fn tick_replicates_breakers_fleet_wide() {
-    const PASS: &str = "Optimize1qGates";
-    let fleet = fleet_of(2, false);
-    trip_locally(fleet.backends()[0].service(), PASS);
+fn breakers_op_reports_the_union_of_live_shards() {
+    let fleet = fleet_of(3, false);
+    let report = response_of(fleet.handle_line("{\"op\":\"breakers\"}"));
+    assert_eq!(report, "{\"status\":\"breakers\",\"open\":\"\"}");
+
+    trip(fleet.backends()[0].service(), "QPO");
+    trip(fleet.backends()[1].service(), "Optimize1qGates");
+    trip(fleet.backends()[2].service(), "Optimize1qGates");
+    let report = response_of(fleet.handle_line("{\"op\":\"breakers\"}"));
     assert_eq!(
-        fleet.backends()[1].service().breakers().state(PASS),
+        report,
+        "{\"status\":\"breakers\",\"open\":\"Optimize1qGates,QPO\"}"
+    );
+
+    fleet.tick();
+    assert_eq!(
+        fleet.backends()[0]
+            .service()
+            .breakers()
+            .state("Optimize1qGates"),
         BreakerState::Closed,
-        "shard 1 starts clean"
+        "a tick copies no breaker state between shards"
     );
 
-    let report = fleet.tick();
-    assert_eq!(report.open, vec![PASS]);
-    assert_eq!(
-        fleet.backends()[1].service().breakers().state(PASS),
-        BreakerState::Open,
-        "one shard's open breaker is pushed to its peers within one tick"
-    );
-}
-
-#[test]
-fn gossiped_labels_age_out_after_ttl_rounds() {
-    const PASS: &str = "CommutativeCancellation";
-    let fleet = fleet_of(1, false);
-    let merged =
-        response_of(fleet.handle_line(&format!("{{\"op\":\"breakers\",\"open\":\"{PASS}\"}}")));
-    assert!(merged.contains(PASS), "{merged}");
-    // Nothing re-reports the label (the shard's open is remote-only and
-    // deliberately not gossiped back), so it expires after
-    // GOSSIP_TTL_ROUNDS.
+    // A dead shard's labels drop out of the union.
     fleet.backends()[0].kill();
-    for _ in 0..GOSSIP_TTL_ROUNDS + 1 {
-        fleet.tick();
-    }
-    let report = fleet.tick();
-    assert!(
-        report.open.is_empty(),
-        "stale labels must age out: {report:?}"
-    );
-}
-
-/// The gossip-echo livelock regression: a label pushed to the shards must
-/// not be re-reported by them (their opens are remote-only), so with no
-/// shard holding local evidence the label ages out of the router's merged
-/// set after the TTL — even though every shard's breaker was force-opened
-/// by the pushes in the meantime.
-#[test]
-fn pushed_labels_are_not_echoed_and_age_out_while_shards_stay_alive() {
-    const PASS: &str = "Optimize1qGates";
-    let fleet = fleet_of(2, false);
-    fleet.tick(); // open round 1 so the wire merge below lands inside it
-    response_of(fleet.handle_line(&format!("{{\"op\":\"breakers\",\"open\":\"{PASS}\"}}")));
-    // The next tick pushes the merged set to both live shards.
-    let report = fleet.tick();
-    assert_eq!(report.open, vec![PASS]);
-    for shard in fleet.backends() {
-        assert_eq!(
-            shard.service().breakers().state(PASS),
-            BreakerState::Open,
-            "the push force-opens every shard"
-        );
-    }
-    // No shard has local evidence, so nothing refreshes the TTL: the
-    // label must age out despite both shards answering every probe.
-    for _ in 0..GOSSIP_TTL_ROUNDS {
-        fleet.tick();
-    }
-    let report = fleet.tick();
-    assert!(
-        report.open.is_empty(),
-        "remote-only opens must not refresh the gossip TTL: {report:?}"
+    let report = response_of(fleet.handle_line("{\"op\":\"breakers\"}"));
+    assert_eq!(
+        report,
+        "{\"status\":\"breakers\",\"open\":\"Optimize1qGates\"}"
     );
 }
 
@@ -526,8 +486,8 @@ fn chaos_replication_drop_never_affects_the_response() {
     );
 }
 
-/// `chaos_partition_every: 1` suppresses every gossip round wholesale: a
-/// dead shard stays dead and breakers stop propagating — the router keeps
+/// `chaos_partition_every: 1` suppresses every tick wholesale: a dead
+/// shard stays dead and no replica is backfilled — the router keeps
 /// serving regardless.
 #[test]
 fn chaos_partition_skips_whole_ticks() {

@@ -254,9 +254,10 @@ fn breaker_trips_and_recovers_through_the_service() {
 }
 
 // ---------------------------------------------------------------------
-// Fleet-stage faults: `fleet:route`, `fleet:failover`, `persist:replay`,
-// `gossip:merge`. The contract mirrors the serve perimeter's — no
-// injected fault may kill the router or a surviving shard.
+// Fleet-stage faults: `fleet:route`, `fleet:failover`, `fleet:tick`,
+// `fleet:replicate`, `persist:replay`. The contract mirrors the serve
+// perimeter's — no injected fault may kill the router or a surviving
+// shard.
 // ---------------------------------------------------------------------
 
 fn request_line(salt: u64) -> String {
@@ -333,60 +334,31 @@ fn fleet_route_and_failover_faults_never_kill_the_router() {
     }
 }
 
-/// Gossip-stage faults abandon the round, not the router: the tick
-/// returns an empty report, both shards stay alive, and the next clean
-/// tick replicates the breaker state as usual.
+/// Tick faults abandon the round, not the router: a panic returns an
+/// empty report, a stall still finishes the round, the next tick sees
+/// both shards alive, and requests keep answering.
 #[test]
-fn gossip_merge_faults_abandon_the_round_not_the_router() {
-    const PASS: &str = "Optimize1qGates";
+fn tick_faults_abandon_the_round_not_the_router() {
     let mut salt = 6000u64;
     for kind in kinds() {
         let stall = matches!(kind, FaultKind::Stall(_));
         let fleet = fleet_of(2);
-        // A genuine local trip (force_open would mark the open as remote,
-        // which gossip deliberately does not re-report).
-        for _ in 0..3 {
-            fleet.backends()[0].service().breakers().record(PASS, false);
-        }
         arm(FaultPlan {
-            pass: "gossip:merge".into(),
-            kind: kind.clone(),
+            pass: "fleet:tick".into(),
+            kind,
         });
         let report = fleet.tick();
         disarm();
         if stall {
-            assert_eq!(report.alive, 2, "a stalled merge still finishes the round");
-            assert_eq!(report.open, vec![PASS]);
+            assert_eq!(report.alive, 2, "a stalled tick still finishes the round");
         } else {
             assert_eq!(report.alive, 0, "a panicked round is abandoned wholesale");
-            assert!(report.open.is_empty());
         }
-        // The router survives and the next clean tick replicates.
         let report = fleet.tick();
         assert_eq!(report.alive, 2);
-        assert_eq!(report.open, vec![PASS]);
-        assert_eq!(
-            fleet.backends()[1].service().breakers().state(PASS),
-            BreakerState::Open
-        );
         salt += 1;
         let probe = response_of(fleet.handle_line(&request_line(salt)));
         assert!(probe.contains("\"status\":\"ok\""), "{probe}");
-
-        // The same fault through the wire path (`{"op":"breakers",...}`)
-        // also resolves to a typed line instead of a dead router.
-        arm(FaultPlan {
-            pass: "gossip:merge".into(),
-            kind,
-        });
-        let resp =
-            response_of(fleet.handle_line(&format!("{{\"op\":\"breakers\",\"open\":\"{PASS}\"}}")));
-        disarm();
-        if stall {
-            assert!(resp.contains("\"status\":\"breakers\""), "{resp}");
-        } else {
-            assert!(resp.contains("\"kind\":\"internal\""), "{resp}");
-        }
     }
 }
 
