@@ -14,23 +14,30 @@
 //! # One trial
 //!
 //! A trial repeatedly executes every ready gate whose qubits are coupled
-//! under the current wire permutation (measures are deferred to the end,
-//! so no later SWAP moves the measured state away). When every ready gate
-//! is a two-qubit gate on uncoupled qubits — the *front* — it picks one
-//! SWAP among the coupling edges touching a front qubit: with probability
-//! 0.1 a uniformly random candidate, otherwise a uniformly random one
-//! among those minimizing the summed front distance after the SWAP.
+//! under the current wire permutation; a measure, like any single-qubit
+//! gate, is always executable. When every ready gate is a two-qubit gate
+//! on uncoupled qubits — the *front* — it picks one SWAP among the
+//! coupling edges touching a front qubit: with probability 0.1 a
+//! uniformly random candidate, otherwise a uniformly random one among
+//! those minimizing the summed front distance after the SWAP.
 //!
 //! # Tables, buffers and the trial log
 //!
 //! [`route_dag_budgeted`] builds, once per call, a flat `n × n` distance
 //! table, each physical qubit's incident coupling edges in ascending
-//! coupling index, and the DAG's [`Scheduler`], which each trial clones. A trial tracks the wire permutation and its inverse, so a
-//! SWAP updates both in O(1), and reuses its ready, front, candidate and
-//! best-set buffers across steps and trials: a blocked step does O(front)
-//! work and allocates nothing. A trial records only a log of steps
-//! (execute node `i`, or SWAP physical qubits `a` and `b`); the winning
-//! trial's log is replayed once into the routed instruction stream.
+//! coupling index, and the DAG's [`Scheduler`], which each trial clones.
+//! A trial tracks the wire permutation and its inverse, so a SWAP updates
+//! both in O(1), and reuses its ready, front, candidate and best-set
+//! buffers across steps and trials: a blocked step does O(front) work and
+//! allocates nothing. A trial records only a log of steps (execute node
+//! `i`, or SWAP physical qubits `a` and `b`); the winning trial's log is
+//! replayed once into the routed instruction stream.
+//!
+//! The replay holds each measure back until the next instruction on its
+//! wire (a SWAP does not count) and emits it just before that
+//! instruction, at the wire's position then. So a later gate on a
+//! measured wire still follows the measure, and a measure that nothing
+//! follows is emitted at the end, where its wire ends.
 //!
 //! The candidate order and the random draws are those of the plain
 //! formulation, which scans the whole coupling list once per front gate
@@ -60,7 +67,9 @@ pub struct Routed {
     /// The routed circuit (physical wires).
     pub circuit: Circuit,
     /// `wire_map[w]` = physical qubit that holds input wire `w`'s state at
-    /// measurement time (or at the end of the circuit).
+    /// the end of the circuit, which is where a measure that ends the wire
+    /// acts. A mid-circuit measure acts where the wire is when the next
+    /// instruction on it runs.
     pub wire_map: Vec<usize>,
     /// Number of SWAP gates inserted.
     pub swaps_added: usize,
@@ -188,19 +197,35 @@ impl<'a> Tables<'a> {
         self.dist[a * self.n + b]
     }
 
-    /// Builds the routed circuit a trial's log describes.
+    /// Builds the routed circuit a trial's log describes. A measure is
+    /// held back until the next instruction on its wire, then emitted at
+    /// the wire's position at that point; measures that nothing follows
+    /// are emitted last, in the order they ran.
     fn replay(&self, log: &[Step]) -> Routed {
+        let measure = |q: usize| Instruction {
+            gate: Gate::Measure,
+            qubits: vec![q],
+        };
         let mut perm: Vec<usize> = (0..self.n).collect();
         let mut inv = perm.clone();
         let mut out = Vec::with_capacity(log.len());
+        // Measured wires in the order their measures ran, and whether each
+        // wire's last measure is still to be emitted.
         let mut measured = Vec::new();
+        let mut pending = vec![false; self.n];
         let mut swaps_added = 0usize;
         for &step in log {
             match step {
                 Step::Exec(node) => {
                     let inst = self.dag.inst(node);
+                    for &w in &inst.qubits {
+                        if std::mem::take(&mut pending[w]) {
+                            out.push(measure(perm[w]));
+                        }
+                    }
                     if matches!(inst.gate, Gate::Measure) {
                         measured.push(inst.qubits[0]);
+                        pending[inst.qubits[0]] = true;
                     } else {
                         out.push(Instruction {
                             gate: inst.gate.clone(),
@@ -219,12 +244,11 @@ impl<'a> Tables<'a> {
                 }
             }
         }
-        // Deferred measurements, at the wires' final positions.
+        // Terminal measures, at the wires' final positions.
         for w in measured {
-            out.push(Instruction {
-                gate: Gate::Measure,
-                qubits: vec![perm[w]],
-            });
+            if std::mem::take(&mut pending[w]) {
+                out.push(measure(perm[w]));
+            }
         }
         let mut circuit = Circuit::new(self.n);
         circuit.set_instructions(out);

@@ -6,7 +6,7 @@ use qc_algos::{
     vqe_ry_ansatz, McxDesign, OracleStyle,
 };
 use qc_backends::Backend;
-use qc_circuit::Circuit;
+use qc_circuit::{Circuit, Gate, Instruction};
 use qc_hoare::transpile_hoare;
 use qc_sim::Statevector;
 use qc_transpile::preset::Transpiled;
@@ -278,5 +278,50 @@ fn transpiled_circuits_export_to_qasm() {
         let text = qc_circuit::qasm::to_qasm(&t.circuit).expect("exportable");
         assert!(text.contains("OPENQASM 2.0;"));
         assert!(text.contains("cx q["));
+    }
+}
+
+/// A mid-circuit measure keeps its place on its wire through routing and
+/// every pass: in `h; measure; h; cx` the measured qubit carries one
+/// single-qubit gate before the measure and one after it. Deferring the
+/// measure past the second H would let the two H's cancel, and the
+/// outcome would always read 0 instead of being random.
+#[test]
+fn mid_circuit_measure_stays_between_its_gates() {
+    let mut c = Circuit::new(2);
+    c.h(0).measure(0).h(0).cx(0, 1);
+    let backend = Backend::linear(3);
+    let mut outputs: Vec<(String, Transpiled)> = (0..=3)
+        .map(|level| {
+            let t = transpile(&c, &backend, &TranspileOptions::level(level));
+            (format!("level {level}"), t.unwrap())
+        })
+        .collect();
+    let rpo = transpile_rpo(&c, &backend, &RpoOptions::new()).unwrap();
+    outputs.push(("rpo".to_string(), rpo));
+    for (flow, t) in &outputs {
+        let insts = t.circuit.instructions();
+        let measures: Vec<usize> = (0..insts.len())
+            .filter(|&i| matches!(insts[i].gate, Gate::Measure))
+            .collect();
+        assert_eq!(measures.len(), 1, "{flow}: {insts:?}");
+        let at = measures[0];
+        let p = insts[at].qubits[0];
+        let one_qubit_gates_on_p = |range: &[Instruction]| {
+            range
+                .iter()
+                .filter(|i| i.qubits == [p] && i.gate.matrix2x2().is_some())
+                .count()
+        };
+        assert_eq!(
+            one_qubit_gates_on_p(&insts[..at]),
+            1,
+            "{flow}: one gate before the measure: {insts:?}"
+        );
+        assert_eq!(
+            one_qubit_gates_on_p(&insts[at + 1..]),
+            1,
+            "{flow}: one gate after the measure: {insts:?}"
+        );
     }
 }
