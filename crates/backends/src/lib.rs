@@ -26,10 +26,8 @@
 //! assert!(d[0][7] > 1); // distant qubits need routing
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Average calibration-style error rates for a device.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BackendNoise {
     /// Depolarizing probability per single-qubit gate.
     pub p1q: f64,
@@ -41,7 +39,7 @@ pub struct BackendNoise {
 
 /// A quantum device model: qubit count, undirected coupling map, and noise
 /// figures.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Backend {
     name: String,
     num_qubits: usize,
@@ -433,11 +431,5 @@ mod tests {
             },
         );
         assert_eq!(b.coupling().len(), 2);
-    }
-
-    #[test]
-    fn backends_are_serializable() {
-        fn assert_serializable<T: serde::Serialize + for<'de> serde::Deserialize<'de>>(_: &T) {}
-        assert_serializable(&Backend::melbourne());
     }
 }

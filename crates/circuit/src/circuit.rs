@@ -269,11 +269,6 @@ impl Circuit {
         self.instructions
     }
 
-    /// Grows the circuit to at least `n` qubits.
-    pub fn expand_qubits(&mut self, n: usize) {
-        self.num_qubits = self.num_qubits.max(n);
-    }
-
     /// The sorted list of qubits touched by at least one non-directive
     /// instruction (barriers and annotations alone do not make a wire
     /// "used").

@@ -473,16 +473,6 @@ impl Gate {
         };
         Some(g)
     }
-
-    /// Returns `true` when the same gate with its qubit arguments permuted
-    /// arbitrarily is equivalent (needed when inverting or comparing
-    /// circuits).
-    pub fn is_symmetric(&self) -> bool {
-        matches!(
-            self,
-            Gate::Cz | Gate::Cp(_) | Gate::Swap | Gate::Mcz(_) | Gate::Barrier(_)
-        )
-    }
 }
 
 /// The u3 matrix entries (row-major 2×2) in the convention used throughout

@@ -373,11 +373,6 @@ impl Matrix {
                 .approx_eq(&Matrix::identity(self.rows), eps)
     }
 
-    /// Returns `true` when the matrix is Hermitian within `eps`.
-    pub fn is_hermitian(&self, eps: f64) -> bool {
-        self.is_square() && self.approx_eq(&self.adjoint(), eps)
-    }
-
     /// Extracts column `j` as a vector.
     ///
     /// # Panics

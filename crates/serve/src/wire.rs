@@ -1,10 +1,10 @@
 //! The JSONL wire protocol of the `qc-serve` front-end.
 //!
-//! One request per line, one response per line. The vendored `serde` is a
-//! minimal stand-in without generic deserialization, so this module
-//! hand-rolls the tiny subset of JSON the protocol needs: *flat* objects
-//! of string/number/bool values on the way in, and fully escaped objects
-//! (with string arrays) on the way out. A malformed line never panics —
+//! One request per line, one response per line. The workspace has no JSON
+//! library (it builds offline), so this module hand-rolls the tiny subset
+//! of JSON the protocol needs: *flat* objects of string/number/bool
+//! values on the way in, and fully escaped objects (with string arrays)
+//! on the way out. A malformed line never panics —
 //! it decodes to a typed [`RpoError::InvalidInput`] that the front-end
 //! turns into an error response.
 //!

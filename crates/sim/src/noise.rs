@@ -49,11 +49,6 @@ impl NoiseModel {
         }
         NoiseModel { p1q, p2q, readout }
     }
-
-    /// Returns `true` when all error probabilities are zero.
-    pub fn is_ideal(&self) -> bool {
-        self.p1q == 0.0 && self.p2q == 0.0 && self.readout == 0.0
-    }
 }
 
 /// Shot-by-shot noisy executor: each shot replays the circuit on a fresh

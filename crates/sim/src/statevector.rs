@@ -120,29 +120,6 @@ impl Statevector {
         }
     }
 
-    /// Builds a state from raw amplitudes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is not 2ⁿ or the norm deviates from 1 by more
-    /// than `1e-6`.
-    pub fn from_amplitudes(amps: Vec<C64>) -> Self {
-        assert!(
-            amps.len().is_power_of_two(),
-            "length must be a power of two"
-        );
-        let norm: f64 = amps.iter().map(|z| z.norm_sqr()).sum();
-        assert!(
-            (norm - 1.0).abs() < 1e-6,
-            "state vector must be normalized (norm² = {norm})"
-        );
-        Statevector {
-            num_qubits: amps.len().trailing_zeros() as usize,
-            amps,
-            engine: KernelEngine::new(),
-        }
-    }
-
     /// Runs a circuit on |0…0⟩ and returns the final state. Measurements are
     /// ignored (deferred measurement); resets collapse deterministically via
     /// an internal fixed-seed RNG.
