@@ -1119,6 +1119,45 @@ mod tests {
         assert_eq!(next, plan_a.len());
     }
 
+    /// On n ≤ 3 qubits the plan is the same under every cost profile:
+    /// each cost-model decision in [`Planner`] sits behind
+    /// `merge_arity_ok` (n ≥ k + 2, and a merged block has k ≥ 2). QPO's
+    /// `circuit_unitary` of a 2-qubit block, the one place a compile goes
+    /// through the planner, so gets the same plan whatever the
+    /// per-process calibration measured.
+    #[test]
+    fn plans_on_three_qubits_or_fewer_ignore_the_profile() {
+        use crate::testing::random_circuit;
+        let profiles = [
+            FusionProfile {
+                pass_cost: 0.25,
+                dense3_weight: 1.0,
+            },
+            FusionProfile {
+                pass_cost: 24.0,
+                dense3_weight: 3.0,
+            },
+            FusionProfile::panels(),
+            FusionProfile {
+                pass_cost: 8.0,
+                dense3_weight: 1.0,
+            },
+        ];
+        for n in 1..=3usize {
+            for seed in 0..300u64 {
+                let c = random_circuit(n, 30, seed);
+                let plans: Vec<String> = profiles
+                    .iter()
+                    .map(|&p| format!("{:?}", fuse_instructions_with(c.instructions(), n, p)))
+                    .collect();
+                assert!(
+                    plans.iter().all(|p| *p == plans[0]),
+                    "{n} qubits, seed {seed}: the plan depends on the cost profile"
+                );
+            }
+        }
+    }
+
     #[test]
     fn fused_plan_preserves_random_circuit_unitaries() {
         use crate::testing::random_circuit;
