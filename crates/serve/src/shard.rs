@@ -178,7 +178,7 @@ pub struct ShardHealth {
 }
 
 /// What one tick did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TickReport {
     /// Shards answering their health probe.
     pub alive: usize,
