@@ -96,8 +96,8 @@ impl TranspileOptions {
 pub struct Transpiled {
     /// The hardware-ready circuit on backend-width wires.
     pub circuit: Circuit,
-    /// `final_map[q]` = physical qubit where logical qubit `q` is measured
-    /// (or ends up).
+    /// `final_map[q]` = physical qubit where logical qubit `q` ends up,
+    /// which is where a measure that ends its wire acts.
     pub final_map: Vec<usize>,
     /// What the guard contained during the run: quarantined passes and
     /// budget ceilings hit. [`DegradationReport::is_clean`] on a healthy
