@@ -4,9 +4,9 @@
 //! library (it builds offline), so this module hand-rolls the tiny subset
 //! of JSON the protocol needs: *flat* objects of string/number/bool
 //! values on the way in, and fully escaped objects (with string arrays)
-//! on the way out. A malformed line never panics —
-//! it decodes to a typed [`RpoError::InvalidInput`] that the front-end
-//! turns into an error response.
+//! on the way out. A malformed line never panics — it decodes to a typed
+//! [`RpoError::InvalidInput`] that the front-end turns into an error
+//! response.
 //!
 //! Request fields:
 //!
