@@ -13,10 +13,13 @@
 //! child process (plus `--persist DIR/shard-<i>.seglog` when a persist
 //! dir is given), parses the announced port off the child's stdout, and
 //! routes every request line to the shard that rendezvous-owns its
-//! content key ([`qc_serve::shard`]). A background ticker health-checks
-//! the workers, respawns dead ones and backfills replicas — a respawned
-//! worker re-warms from its segment log before taking its keyspace back.
-//! Each worker keeps its own circuit breakers.
+//! content key ([`qc_serve::shard`]). Two background threads run beside
+//! the connection threads. The replication thread pushes each cold fill
+//! to its replica after the answer is written, and pushes the backlog the
+//! ticker releases. The ticker health-checks the workers, respawns dead
+//! ones and releases keys for replica backfill — a respawned worker
+//! re-warms from its segment log before taking its keyspace back. Each
+//! worker keeps its own circuit breakers.
 //!
 //! Observability lines on stdout (CI parses these):
 //!
@@ -371,18 +374,14 @@ fn serve_line(
     if is_drain(trimmed) {
         no_revive.store(true, Ordering::SeqCst);
     }
-    match fleet.handle_line(trimmed) {
-        FleetLine::Response(resp) => {
-            let _ = writeln!(out, "{resp}");
-            let _ = out.flush();
-            false
-        }
-        FleetLine::Drained(report) => {
-            let _ = writeln!(out, "{report}");
-            let _ = out.flush();
-            true
-        }
-    }
+    // The answer goes out inside `answer_line`, before a cold fill's
+    // replica push is queued.
+    let line = fleet.answer_line(trimmed, |line| {
+        let (FleetLine::Response(text) | FleetLine::Drained(text)) = line;
+        let _ = writeln!(out, "{text}");
+        let _ = out.flush();
+    });
+    matches!(line, FleetLine::Drained(_))
 }
 
 fn shutdown(fleet: &Fleet<ProcessShard>) {
@@ -488,7 +487,15 @@ fn main() {
     println!("qc-fleet ready with {} shards", fleet.num_shards());
     let _ = std::io::stdout().flush();
 
-    // Ticker: probes workers, respawns the dead, backfills replicas.
+    // Replication: pushes each cold fill to its replicas once its answer
+    // is written, then whatever backlog the ticker released; returns when
+    // a drain starts.
+    {
+        let fleet = Arc::clone(&fleet);
+        std::thread::spawn(move || fleet.run_replication());
+    }
+    // Ticker: probes workers, respawns the dead, re-queues and releases
+    // keys for replica backfill (the replication thread pushes them).
     {
         let fleet = Arc::clone(&fleet);
         let no_revive = Arc::clone(&no_revive);

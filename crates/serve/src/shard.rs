@@ -16,18 +16,28 @@
 //!   adding a shard steals ~1/N of the keyspace. No ring, no vnode table.
 //!
 //! A send failure fails a dead shard's keyspace over to the next-ranked
-//! live shard. A periodic tick ([`Fleet::tick`]) probes every shard,
-//! asks the backend to revive dead ones, and backfills replicas. When no
-//! live shard remains for a key the request is refused with a typed
-//! [`RpoError::Shed`] — the same contract as single-process overload, so
-//! clients need no new error handling. Each shard keeps its own circuit
-//! breakers; the router holds no breaker state and answers
-//! `{"op":"breakers"}` with the union of its live shards' reports.
+//! live shard. When no live shard remains for a key the request is
+//! refused with a typed [`RpoError::Shed`] — the same contract as
+//! single-process overload, so clients need no new error handling. Each
+//! shard keeps its own circuit breakers; the router holds no breaker
+//! state and answers `{"op":"breakers"}` with the union of its live
+//! shards' reports.
+//!
+//! Replication runs after the answer, never before it. A cold answer
+//! queues its key, wakes the replication thread
+//! ([`Fleet::run_replication`]) and returns; the thread copies the entry
+//! from its owner to the next-ranked live shards. A periodic tick
+//! ([`Fleet::tick`]) probes every shard, asks the backend to revive dead
+//! ones, and releases a bounded batch of keys whose push failed or whose
+//! replica set a topology change moved; the thread pushes that batch
+//! after any fresh fills. The tick itself pushes nothing.
 //!
 //! The routing logic is generic over [`ShardBackend`] so the whole
 //! failover state machine is testable in-process ([`InProcessShard`]) —
 //! fault injection is thread-local and must fire on the calling thread,
-//! which a child process cannot do.
+//! which a child process cannot do. In-process fleets run no replication
+//! thread: the caller pushes whatever is due with
+//! [`Fleet::replicate_due`].
 
 use crate::cache::{budget_class, cache_key, KeyParts};
 use crate::fault_point;
@@ -43,7 +53,7 @@ use qc_transpile::PassSet;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// murmur3's 64-bit finalizer: full avalanche over one word.
 fn fmix64(mut k: u64) -> u64 {
@@ -126,12 +136,13 @@ pub trait ShardBackend {
 /// Router tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct FleetConfig {
-    /// Cache fills pushed to this many next-ranked live shards so a
-    /// dead owner's keyspace fails over warm (0 disables replication).
+    /// Each cold fill is pushed, after its answer, to this many
+    /// next-ranked live shards so a dead owner's keyspace fails over warm
+    /// (0 disables replication and its bookkeeping).
     pub replicas: usize,
     /// Chaos knob: probability in `[0,1]` that any one replication push
-    /// is dropped instead of sent (the key stays pending for
-    /// anti-entropy). 0.0 in production.
+    /// is dropped instead of sent (the key goes to `pending` until a tick
+    /// releases it again). 0.0 in production.
     pub chaos_replication_drop: f64,
     /// Chaos knob: skip every Nth tick wholesale — a simulated partition
     /// between the router and its shards (0 = never).
@@ -151,21 +162,102 @@ impl Default for FleetConfig {
     }
 }
 
-/// Keys the router has seen filled, for replication bookkeeping. Bounded:
-/// beyond [`MAX_TRACKED`] keys the oldest falls off — an un-tracked key
+/// The router's replication bookkeeping: the keys it has seen filled and
+/// the replica pushes they are still owed. Every part is bounded. Beyond
+/// [`MAX_TRACKED`] keys the oldest falls off `keys` — an un-tracked key
 /// just loses anti-entropy coverage, never correctness (the owner still
 /// has it, and the next cold fill after a failover re-tracks it).
+/// `fresh` holds at most [`MAX_TRACKED`] keys, `released` at most
+/// [`ANTI_ENTROPY_BATCH`], and `pending` only tracked keys.
+#[derive(Default)]
 struct Tracked {
     order: VecDeque<u128>,
     keys: HashSet<u128>,
-    /// Keys whose replica push failed (or was chaos-dropped) and should
-    /// be retried on the health tick.
+    /// Cold fills queued for the replication thread, in fill order. The
+    /// thread pushes every one of them before any released key.
+    fresh: VecDeque<u128>,
+    /// The backlog the tick released from `pending`, pushed once `fresh`
+    /// is empty.
+    released: VecDeque<u128>,
+    /// Keys whose push failed, was chaos-dropped or panicked, and every
+    /// key a topology change re-queued: held until a tick releases them.
     pending: HashSet<u128>,
+    /// Keys taken off a queue whose push has not finished yet.
+    in_flight: usize,
+    /// Set when a drain starts: the replication thread returns.
+    stopped: bool,
 }
 
-/// Upper bound on router-side replication bookkeeping.
+impl Tracked {
+    /// Remembers `key` as filled somewhere in the fleet.
+    fn track(&mut self, key: u128) {
+        if self.keys.insert(key) {
+            self.order.push_back(key);
+            if self.order.len() > MAX_TRACKED {
+                if let Some(old) = self.order.pop_front() {
+                    self.keys.remove(&old);
+                    self.pending.remove(&old);
+                }
+            }
+        }
+    }
+
+    /// Tracks `key` and holds it in `pending` until a tick releases it.
+    fn defer(&mut self, key: u128) {
+        self.track(key);
+        self.pending.insert(key);
+    }
+
+    /// Queues a cold fill for the replication thread. A thread a whole
+    /// [`MAX_TRACKED`] fills behind sends the oldest queued fill to
+    /// `pending` instead.
+    fn queue_fresh(&mut self, key: u128) {
+        self.track(key);
+        if self.fresh.len() >= MAX_TRACKED {
+            if let Some(old) = self.fresh.pop_front() {
+                self.defer(old);
+            }
+        }
+        self.fresh.push_back(key);
+    }
+
+    /// Moves pending keys to `released` until it holds one
+    /// [`ANTI_ENTROPY_BATCH`]; returns whether it moved any.
+    fn release(&mut self) -> bool {
+        let room = ANTI_ENTROPY_BATCH.saturating_sub(self.released.len());
+        let batch: Vec<u128> = self.pending.iter().copied().take(room).collect();
+        for key in &batch {
+            self.pending.remove(key);
+        }
+        self.released.extend(&batch);
+        !batch.is_empty()
+    }
+
+    /// The next key to push, fresh fills first; `None` once stopped.
+    fn next_due(&mut self) -> Option<u128> {
+        if self.stopped {
+            return None;
+        }
+        let key = self
+            .fresh
+            .pop_front()
+            .or_else(|| self.released.pop_front())?;
+        self.in_flight += 1;
+        Some(key)
+    }
+
+    /// Replica pushes still owed: queued, in flight or pending.
+    fn owed(&self) -> usize {
+        self.fresh.len() + self.released.len() + self.in_flight + self.pending.len()
+    }
+}
+
+/// Upper bound on the keys the router tracks, and on the cold fills
+/// queued for the replication thread.
 const MAX_TRACKED: usize = 4096;
-/// Pending replica pushes drained per health tick — bounds tick latency.
+/// Pending keys one tick releases to the replication thread; the released
+/// backlog never holds more. Each push is two round trips, which is why
+/// the tick hands the batch to the thread instead of pushing it.
 const ANTI_ENTROPY_BATCH: usize = 64;
 
 /// One shard's health as tracked by the router.
@@ -212,6 +304,9 @@ pub struct Fleet<B> {
     failover_served: AtomicU64,
     warm_failover_hits: AtomicU64,
     tracked: Mutex<Tracked>,
+    /// Signalled when a push becomes due or a drain starts; the
+    /// replication thread waits on it with `tracked`.
+    replication_due: Condvar,
     /// The alive set as of the last tick's anti-entropy check; a change
     /// re-queues every tracked key for replica backfill.
     last_alive: Mutex<Vec<bool>>,
@@ -242,11 +337,8 @@ impl<B: ShardBackend> Fleet<B> {
             replication_drops: AtomicU64::new(0),
             failover_served: AtomicU64::new(0),
             warm_failover_hits: AtomicU64::new(0),
-            tracked: Mutex::new(Tracked {
-                order: VecDeque::new(),
-                keys: HashSet::new(),
-                pending: HashSet::new(),
-            }),
+            tracked: Mutex::new(Tracked::default()),
+            replication_due: Condvar::new(),
             last_alive: Mutex::new(last_alive),
             chaos_rng: AtomicU64::new(cfg.seed | 1),
             ticks: AtomicU64::new(0),
@@ -286,27 +378,48 @@ impl<B: ShardBackend> Fleet<B> {
 
     /// Handles one client line end to end. Never panics — a panic
     /// anywhere in the routing path (including an injected `fleet:*`
-    /// fault) becomes a typed internal-error response line.
+    /// fault) becomes a typed internal-error response line. A cold
+    /// answer's key is queued for the replication thread before this
+    /// returns.
     pub fn handle_line(&self, line: &str) -> FleetLine {
-        match catch_unwind(AssertUnwindSafe(|| self.handle_inner(line))) {
+        self.answer_line(line, |_| ())
+    }
+
+    /// [`Fleet::handle_line`] with `write` called on the result before a
+    /// cold answer's key is queued for replication. `qc-fleet` writes the
+    /// answer to its client there, so the answer is written before any
+    /// replica round trip for it starts.
+    pub fn answer_line(&self, line: &str, write: impl FnOnce(&FleetLine)) -> FleetLine {
+        let (out, filled) = match catch_unwind(AssertUnwindSafe(|| self.handle_inner(line))) {
             Ok(out) => out,
             Err(_) => {
                 self.router_panics.fetch_add(1, Ordering::Relaxed);
-                FleetLine::Response(error_line(
-                    "",
-                    &RpoError::Internal("fleet router panicked routing the request".into()),
-                ))
+                let msg = "fleet router panicked routing the request";
+                (
+                    FleetLine::Response(error_line("", &RpoError::Internal(msg.into()))),
+                    None,
+                )
             }
+        };
+        write(&out);
+        if let Some(key) = filled {
+            self.queue_fill(key);
         }
+        out
     }
 
-    fn handle_inner(&self, line: &str) -> FleetLine {
+    /// The line's result, plus the key of a cold fill that is owed its
+    /// replica push.
+    fn handle_inner(&self, line: &str) -> (FleetLine, Option<u128>) {
         let msg = match decode_line(line.trim()) {
             Ok(msg) => msg,
-            Err(e) => return FleetLine::Response(error_line("", &e)),
+            Err(e) => return (FleetLine::Response(error_line("", &e)), None),
         };
-        match msg {
-            WireMsg::Request(req) => FleetLine::Response(self.route_request(&req, line.trim())),
+        let out = match msg {
+            WireMsg::Request(req) => {
+                let (response, filled) = self.route_request(&req, line.trim());
+                return (FleetLine::Response(response), filled);
+            }
             WireMsg::Metrics => FleetLine::Response(self.aggregate_metrics()),
             WireMsg::Breakers => FleetLine::Response(self.aggregate_breakers()),
             WireMsg::Entry { key } => {
@@ -325,12 +438,14 @@ impl<B: ShardBackend> Fleet<B> {
                 ),
             )),
             WireMsg::Drain => FleetLine::Drained(self.drain()),
-        }
+        };
+        (out, None)
     }
 
     /// Routes one request to its owner (or, on failure, down the
-    /// rendezvous ranking) and relays the shard's response line verbatim.
-    fn route_request(&self, req: &ServeRequest, raw_line: &str) -> String {
+    /// rendezvous ranking) and relays the shard's response line verbatim,
+    /// with the routing key when the answer was a cold fill.
+    fn route_request(&self, req: &ServeRequest, raw_line: &str) -> (String, Option<u128>) {
         fault_point("fleet:route");
         self.routed.fetch_add(1, Ordering::Relaxed);
         let key = routing_key(req);
@@ -363,25 +478,19 @@ impl<B: ShardBackend> Fleet<B> {
                         }
                     }
                     if response.contains("\"cache\":\"cold\"") {
-                        // A fresh fill on the serving shard: push it to
-                        // the key's replica targets right away. Best
-                        // effort — a failed (or chaos-dropped, or
-                        // panicking) push leaves the key pending for the
-                        // tick's anti-entropy, never affects the response.
-                        self.track_key(key, true);
-                        let pushed = catch_unwind(AssertUnwindSafe(|| self.replicate_key(key)))
-                            .unwrap_or(false);
-                        if pushed {
-                            self.clear_pending(key);
-                        }
-                    } else if response.contains("\"cache\":\"warm\"") {
+                        // A fresh fill on the serving shard: once the
+                        // answer is written, the replication thread
+                        // pushes it to the key's replica targets.
+                        return (response, Some(key));
+                    }
+                    if response.contains("\"cache\":\"warm\"") {
                         // Warm on the shard but possibly unknown to this
                         // router (filled before a restart, or restored
                         // from its segment log): track it so anti-entropy
                         // covers it after the next topology change.
-                        self.track_key(key, false);
+                        self.track_key(key);
                     }
-                    return response;
+                    return (response, None);
                 }
                 Err(_) => {
                     // The owner (or a failover target) died under us: mark
@@ -392,47 +501,83 @@ impl<B: ShardBackend> Fleet<B> {
             }
         }
         self.shed.fetch_add(1, Ordering::Relaxed);
-        error_line(
-            &req.id,
-            &RpoError::Shed {
-                reason: "no live shard owns this key (fleet re-warming)".into(),
-            },
-        )
+        let shed = RpoError::Shed {
+            reason: "no live shard owns this key (fleet re-warming)".into(),
+        };
+        (error_line(&req.id, &shed), None)
     }
 
-    /// Remembers `key` as filled somewhere in the fleet; `pending` also
-    /// queues it for a replica push on the next tick.
-    fn track_key(&self, key: u128, pending: bool) {
-        if self.cfg.replicas == 0 {
-            return;
+    fn tracked(&self) -> MutexGuard<'_, Tracked> {
+        self.tracked.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Remembers `key` as filled somewhere in the fleet.
+    fn track_key(&self, key: u128) {
+        if self.cfg.replicas > 0 {
+            self.tracked().track(key);
         }
-        let mut t = self.tracked.lock().unwrap_or_else(|e| e.into_inner());
-        if t.keys.insert(key) {
-            t.order.push_back(key);
-            if t.order.len() > MAX_TRACKED {
-                if let Some(old) = t.order.pop_front() {
-                    t.keys.remove(&old);
-                    t.pending.remove(&old);
-                }
+    }
+
+    /// Queues a cold fill's replica push and wakes the replication thread.
+    fn queue_fill(&self, key: u128) {
+        if self.cfg.replicas > 0 {
+            self.tracked().queue_fresh(key);
+            self.replication_due.notify_one();
+        }
+    }
+
+    /// Pushes, on the calling thread, every replica push that is due:
+    /// queued cold fills in fill order, then the backlog the tick
+    /// released. A failed, chaos-dropped or panicking push puts its key
+    /// in `pending` for a later tick to release; a panic is contained
+    /// here and is not a router panic. Returns how many keys it took off
+    /// the queues; once a drain has started it takes none.
+    ///
+    /// The replication thread ([`Fleet::run_replication`]) calls this;
+    /// in-process fleets, which run no thread, call it directly.
+    pub fn replicate_due(&self) -> usize {
+        let mut taken = 0;
+        loop {
+            let Some(key) = self.tracked().next_due() else {
+                return taken;
+            };
+            taken += 1;
+            let landed =
+                catch_unwind(AssertUnwindSafe(|| self.replicate_key(key))).unwrap_or(false);
+            let mut t = self.tracked();
+            t.in_flight -= 1;
+            if !landed {
+                t.defer(key);
             }
         }
-        if pending {
-            t.pending.insert(key);
-        }
     }
 
-    fn clear_pending(&self, key: u128) {
-        let mut t = self.tracked.lock().unwrap_or_else(|e| e.into_inner());
-        t.pending.remove(&key);
+    /// The replication thread's body: sleeps until a cold fill or a tick
+    /// queues a push, pushes everything due ([`Fleet::replicate_due`]),
+    /// and returns once a drain has started. `qc-fleet` runs it on one
+    /// thread beside its ticker.
+    pub fn run_replication(&self) {
+        loop {
+            {
+                let mut t = self.tracked();
+                while !t.stopped && t.fresh.is_empty() && t.released.is_empty() {
+                    t = self
+                        .replication_due
+                        .wait(t)
+                        .unwrap_or_else(|e| e.into_inner());
+                }
+                if t.stopped {
+                    return;
+                }
+            }
+            self.replicate_due();
+        }
     }
 
     /// Pushes `key`'s entry from its live owner to the next
     /// `cfg.replicas` live shards in rendezvous order. Returns whether
-    /// every due push landed (false ⇒ leave/queue the key as pending).
+    /// every due push landed (false ⇒ the key goes to `pending`).
     fn replicate_key(&self, key: u128) -> bool {
-        if self.cfg.replicas == 0 {
-            return true;
-        }
         fault_point("fleet:replicate");
         let alive = self.alive();
         let ranking = rendezvous_ranking(key, self.shards.len());
@@ -510,9 +655,11 @@ impl<B: ShardBackend> Fleet<B> {
     }
 
     /// One tick: probe every shard with `{"op":"breakers"}`, ask the
-    /// backend to revive the dead ones, then run anti-entropy. A panic
-    /// mid-round (an injected `fleet:tick` fault) abandons the round; the
-    /// router survives and the next tick retries.
+    /// backend to revive the dead ones, then run anti-entropy, which
+    /// re-queues and releases keys but pushes none (the replication
+    /// thread, or [`Fleet::replicate_due`], does). A panic mid-round (an
+    /// injected `fleet:tick` fault) abandons the round; the router
+    /// survives and the next tick retries.
     pub fn tick(&self) -> TickReport {
         match catch_unwind(AssertUnwindSafe(|| self.tick_inner())) {
             Ok(report) => report,
@@ -559,47 +706,40 @@ impl<B: ShardBackend> Fleet<B> {
     }
 
     /// Replica backfill on the health tick: a topology change (death or
-    /// revival) re-queues every tracked key — entries admitted before the
-    /// change may now live on the wrong replica set — then a bounded
-    /// batch of pending keys is re-pushed. `revived` forces the re-queue:
-    /// a shard that died and was revived within one tick (or between two
-    /// ticks) leaves the alive set looking unchanged, yet came back with
-    /// whatever state its restart could recover.
+    /// revival) re-queues every tracked key in `pending` — entries
+    /// admitted before the change may now live on the wrong replica set —
+    /// then up to one [`ANTI_ENTROPY_BATCH`] of pending keys is released
+    /// to the replication thread, which pushes it after any fresh fills.
+    /// `revived` forces the re-queue: a shard that died and was revived
+    /// within one tick (or between two ticks) leaves the alive set
+    /// looking unchanged, yet came back with whatever state its restart
+    /// could recover.
     fn anti_entropy(&self, revived: bool) {
         if self.cfg.replicas == 0 {
             return;
         }
         let alive_now = self.alive();
-        {
-            let mut last = self.last_alive.lock().unwrap_or_else(|e| e.into_inner());
-            if *last != alive_now || revived {
-                *last = alive_now;
-                let mut t = self.tracked.lock().unwrap_or_else(|e| e.into_inner());
-                let keys: Vec<u128> = t.keys.iter().copied().collect();
-                t.pending.extend(keys);
-            }
+        let mut last = self.last_alive.lock().unwrap_or_else(|e| e.into_inner());
+        let mut t = self.tracked();
+        if *last != alive_now || revived {
+            *last = alive_now;
+            let Tracked { keys, pending, .. } = &mut *t;
+            pending.extend(keys.iter());
         }
-        let batch: Vec<u128> = {
-            let mut t = self.tracked.lock().unwrap_or_else(|e| e.into_inner());
-            let batch: Vec<u128> = t.pending.iter().copied().take(ANTI_ENTROPY_BATCH).collect();
-            for key in &batch {
-                t.pending.remove(key);
-            }
-            batch
-        };
-        for key in batch {
-            let pushed =
-                catch_unwind(AssertUnwindSafe(|| self.replicate_key(key))).unwrap_or(false);
-            if !pushed {
-                self.track_key(key, true);
-            }
+        drop(last);
+        if t.release() {
+            drop(t);
+            self.replication_due.notify_one();
         }
     }
 
     /// Fans `{"op":"drain"}` out to every shard and aggregates: how many
     /// drained cleanly, how many were already dead. Dead shards are not
-    /// an error — their in-flight work died with them.
+    /// an error — their in-flight work died with them. The replication
+    /// thread stops first: a push into a draining fleet only fails.
     pub fn drain(&self) -> String {
+        self.tracked().stopped = true;
+        self.replication_due.notify_all();
         let mut drained = 0usize;
         let mut failed = 0usize;
         for shard in &self.shards {
@@ -613,8 +753,8 @@ impl<B: ShardBackend> Fleet<B> {
                 "{{\"status\":\"drained\",\"shards\":{},\"drained\":{},\"failed\":{},",
                 "\"fleet_routed\":{},\"fleet_failovers\":{},\"fleet_shed\":{},",
                 "\"fleet_router_panics\":{},\"fleet_replicated\":{},",
-                "\"fleet_replication_drops\":{},\"failover_served\":{},",
-                "\"warm_failover_hits\":{}}}"
+                "\"fleet_replication_drops\":{},\"fleet_replication_pending\":{},",
+                "\"failover_served\":{},\"warm_failover_hits\":{}}}"
             ),
             self.shards.len(),
             drained,
@@ -625,6 +765,7 @@ impl<B: ShardBackend> Fleet<B> {
             self.router_panics.load(Ordering::Relaxed),
             self.replicated.load(Ordering::Relaxed),
             self.replication_drops.load(Ordering::Relaxed),
+            self.tracked().owed(),
             self.failover_served.load(Ordering::Relaxed),
             self.warm_failover_hits.load(Ordering::Relaxed),
         )
@@ -687,8 +828,9 @@ impl<B: ShardBackend> Fleet<B> {
             concat!(
                 ",\"fleet_routed\":{},\"fleet_failovers\":{},\"fleet_shed\":{},",
                 "\"fleet_router_panics\":{},\"fleet_replicated\":{},",
-                "\"fleet_replication_drops\":{},\"failover_served\":{},",
-                "\"warm_failover_hits\":{},\"shards_alive\":{},\"shards_total\":{}}}"
+                "\"fleet_replication_drops\":{},\"fleet_replication_pending\":{},",
+                "\"failover_served\":{},\"warm_failover_hits\":{},",
+                "\"shards_alive\":{},\"shards_total\":{}}}"
             ),
             self.routed.load(Ordering::Relaxed),
             self.failovers.load(Ordering::Relaxed),
@@ -696,6 +838,7 @@ impl<B: ShardBackend> Fleet<B> {
             self.router_panics.load(Ordering::Relaxed),
             self.replicated.load(Ordering::Relaxed),
             self.replication_drops.load(Ordering::Relaxed),
+            self.tracked().owed(),
             self.failover_served.load(Ordering::Relaxed),
             self.warm_failover_hits.load(Ordering::Relaxed),
             shards_alive,
@@ -832,5 +975,37 @@ mod tests {
         assert_eq!(rendezvous_route(key, &alive), Some(ranking[1]));
         alive.iter_mut().for_each(|a| *a = false);
         assert_eq!(rendezvous_route(key, &alive), None);
+    }
+
+    #[test]
+    fn replication_queues_stay_bounded() {
+        // A thread a whole MAX_TRACKED fills behind: the oldest queued
+        // fill moves to `pending`, and no key is lost from the count.
+        let mut t = Tracked::default();
+        for key in 0..=MAX_TRACKED as u128 {
+            t.queue_fresh(key);
+        }
+        assert_eq!(t.fresh.len(), MAX_TRACKED);
+        assert_eq!(t.fresh.front(), Some(&1));
+        assert!(t.pending.contains(&0));
+        assert_eq!(t.keys.len(), MAX_TRACKED);
+        assert_eq!(t.owed(), MAX_TRACKED + 1);
+
+        // The released backlog never holds more than one batch: a tick
+        // only tops it up to ANTI_ENTROPY_BATCH.
+        let mut t = Tracked::default();
+        for key in 0..100 {
+            t.defer(key);
+        }
+        assert!(t.release());
+        assert_eq!(t.released.len(), ANTI_ENTROPY_BATCH);
+        assert!(!t.release(), "a full backlog leaves no room");
+        for _ in 0..10 {
+            t.next_due();
+        }
+        assert!(t.release());
+        assert_eq!(t.released.len(), ANTI_ENTROPY_BATCH);
+        assert_eq!(t.pending.len(), 100 - ANTI_ENTROPY_BATCH - 10);
+        assert_eq!(t.owed(), 100);
     }
 }

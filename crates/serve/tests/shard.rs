@@ -3,18 +3,20 @@
 //! minimal remap) and the router state machine end to end over
 //! [`InProcessShard`]s — warm hits landing on the owner, failover of a
 //! dead shard's keyspace, typed sheds when no shard is live, revival on
-//! tick, the router's breaker report, and fleet-wide drain.
+//! tick, replication after the answer, the router's breaker report, and
+//! fleet-wide drain.
 
 use qc_backends::Backend;
 use qc_circuit::qasm::to_qasm;
 use qc_circuit::Circuit;
 use qc_serve::shard::{rendezvous_ranking, rendezvous_route, routing_key, shard_score, FleetLine};
-use qc_serve::wire::escape_json;
+use qc_serve::wire::{decode_line, escape_json, parse_flat_object, WireMsg};
 use qc_serve::{
     BreakerState, Fleet, FleetConfig, InProcessShard, ServeConfig, ServeFlow, ServeRequest,
-    TranspileService,
+    ShardBackend, TranspileService,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Rendezvous hashing properties
@@ -197,6 +199,13 @@ fn response_of(line: FleetLine) -> String {
     }
 }
 
+/// The router's `fleet_replication_pending` gauge, off its metrics line.
+fn replication_pending<B: ShardBackend>(fleet: &Fleet<B>) -> u64 {
+    let metrics = response_of(fleet.handle_line("{\"op\":\"metrics\"}"));
+    let map = parse_flat_object(&metrics).unwrap();
+    map["fleet_replication_pending"].as_u64().unwrap()
+}
+
 #[test]
 fn warm_hits_land_on_the_owning_shard() {
     let fleet = fleet_of(3, false);
@@ -369,13 +378,19 @@ fn cold_fill_replicates_and_failover_serves_warm() {
     let cold = response_of(fleet.handle_line(&ghz_line(20)));
     assert!(cold.contains("\"cache\":\"cold\""), "{cold}");
 
-    // The fill was pushed inline to the next-ranked shard.
+    // The answer did not wait for the push: the fill is only queued.
     let replica_svc = fleet.backends()[replica].service();
+    assert_eq!(replica_svc.metrics().replicated_entries, 0);
+    assert_eq!(replication_pending(&fleet), 1, "the fill is owed its push");
+
+    // The push lands on the next-ranked shard.
+    assert_eq!(fleet.replicate_due(), 1);
     assert_eq!(
         replica_svc.metrics().replicated_entries,
         1,
         "the replica admitted the pushed entry"
     );
+    assert_eq!(replication_pending(&fleet), 0);
 
     // Kill the owner: its keyspace fails over to the replica, warm.
     fleet.backends()[owner].kill();
@@ -409,6 +424,11 @@ fn replication_disabled_with_zero_replicas() {
     let key = routing_key(&ghz_request(21));
     let owner = fleet.shard_for(key).unwrap();
     response_of(fleet.handle_line(&ghz_line(21)));
+    assert_eq!(
+        fleet.replicate_due(),
+        0,
+        "nothing is queued without replicas"
+    );
     fleet.backends()[owner].kill();
     let resp = response_of(fleet.handle_line(&ghz_line(21)));
     assert!(
@@ -420,8 +440,10 @@ fn replication_disabled_with_zero_replicas() {
     assert!(drain.contains("\"warm_failover_hits\":0"), "{drain}");
 }
 
-/// A replica target that is down at fill time is backfilled by the tick's
-/// anti-entropy once the alive set changes — the fill is not lost.
+/// A replica target that is down at fill time is backfilled by
+/// anti-entropy once the alive set changes — the fill is not lost. The
+/// tick only re-queues and releases the key; the push that follows lands
+/// it.
 #[test]
 fn anti_entropy_backfills_replicas_after_revival() {
     let fleet = fleet_with(3, true, FleetConfig::default());
@@ -442,11 +464,23 @@ fn anti_entropy_backfills_replicas_after_revival() {
         0,
         "a dead shard received nothing"
     );
+    // The fill's own push goes to the next live shard down the ranking.
+    assert_eq!(fleet.replicate_due(), 1);
 
-    // The tick revives it; the alive-set change re-queues every tracked
-    // key, and anti-entropy pushes the replica within the same tick.
+    // The tick revives it; the revival re-queues every tracked key and
+    // releases it, but the tick itself pushes nothing.
     let report = fleet.tick();
     assert_eq!(report.revived, 1);
+    assert_eq!(
+        fleet.backends()[second]
+            .service()
+            .metrics()
+            .replicated_entries,
+        0,
+        "the tick pushes nothing itself"
+    );
+    assert_eq!(replication_pending(&fleet), 1);
+    assert_eq!(fleet.replicate_due(), 1);
     assert_eq!(
         fleet.backends()[second]
             .service()
@@ -462,9 +496,9 @@ fn anti_entropy_backfills_replicas_after_revival() {
     assert!(resp.contains("\"cache\":\"warm\""), "{resp}");
 }
 
-/// With the chaos drop coin at 1.0 every inline push is dropped — the
-/// response is unaffected and the drop is counted, which is exactly what
-/// the chaos soak gates on.
+/// With the chaos drop coin at 1.0 every push is dropped — the response
+/// is unaffected, the drop is counted (which is exactly what the chaos
+/// soak gates on) and the key waits in `pending`.
 #[test]
 fn chaos_replication_drop_never_affects_the_response() {
     let fleet = fleet_with(
@@ -478,12 +512,120 @@ fn chaos_replication_drop_never_affects_the_response() {
     );
     let resp = response_of(fleet.handle_line(&ghz_line(23)));
     assert!(resp.contains("\"cache\":\"cold\""), "{resp}");
+    assert_eq!(fleet.replicate_due(), 1);
     let drain = fleet.drain();
     assert!(drain.contains("\"fleet_replicated\":0"), "{drain}");
     assert!(
         drain.contains("\"fleet_replication_drops\":1"),
         "the dropped push is visible: {drain}"
     );
+    assert!(drain.contains("\"fleet_replication_pending\":1"), "{drain}");
+    assert!(drain.contains("\"fleet_router_panics\":0"), "{drain}");
+}
+
+/// A fleet with its replication thread running, as `qc-fleet` runs it:
+/// the cold answer is written before its push starts, and the fill then
+/// reaches its replica within a bounded wait, with no tick. A drain stops
+/// the thread.
+#[test]
+fn replication_thread_pushes_a_cold_fill_after_its_answer() {
+    let fleet = Arc::new(fleet_of(3, false));
+    let replicator = {
+        let fleet = Arc::clone(&fleet);
+        std::thread::spawn(move || fleet.run_replication())
+    };
+    let key = routing_key(&ghz_request(26));
+    let replica = rendezvous_ranking(key, 3)[1];
+    let replicated = || {
+        fleet.backends()[replica]
+            .service()
+            .metrics()
+            .replicated_entries
+    };
+
+    let cold = response_of(fleet.answer_line(&ghz_line(26), |_| {
+        // Writing the answer: the key is not queued yet, so however long
+        // the write takes, no push can start.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(replicated(), 0, "a push started before the answer");
+    }));
+    assert!(cold.contains("\"cache\":\"cold\""), "{cold}");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while replicated() == 0 || replication_pending(&fleet) > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the replication thread did not push the fill within 10 s"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(replicated(), 1);
+
+    let drain = fleet.drain();
+    assert!(drain.contains("\"fleet_replicated\":1"), "{drain}");
+    assert!(drain.contains("\"fleet_replication_pending\":0"), "{drain}");
+    replicator
+        .join()
+        .expect("the replication thread returns once a drain starts");
+}
+
+/// An in-process shard that logs the key of every `{"op":"entry"}` fetch
+/// it answers. Each replica push starts with one, so the log is the push
+/// order.
+struct LoggedShard {
+    inner: InProcessShard,
+    log: Arc<Mutex<Vec<u128>>>,
+}
+
+impl ShardBackend for LoggedShard {
+    fn send_line(&self, line: &str) -> std::io::Result<String> {
+        if let Ok(WireMsg::Entry { key }) = decode_line(line) {
+            self.log.lock().unwrap().push(key);
+        }
+        self.inner.send_line(line)
+    }
+
+    fn revive(&self) -> bool {
+        self.inner.revive()
+    }
+}
+
+/// A released backlog never delays a fresh fill: the push of a fill
+/// queued after the tick released a backlog still goes first.
+#[test]
+fn fresh_fills_are_pushed_ahead_of_a_released_backlog() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let shards = (0..3)
+        .map(|_| LoggedShard {
+            inner: InProcessShard::new(Arc::new(TranspileService::new(quiet_config()))).revivable(),
+            log: Arc::clone(&log),
+        })
+        .collect();
+    let fleet = Fleet::new(shards, FleetConfig::default());
+    for salt in [27, 28] {
+        response_of(fleet.handle_line(&ghz_line(salt)));
+    }
+    assert_eq!(fleet.replicate_due(), 2);
+
+    // A shard dies and is revived within one tick: both tracked keys are
+    // re-queued and released as a backlog, and nothing is pushed yet.
+    fleet.backends()[0].inner.kill();
+    log.lock().unwrap().clear();
+    assert_eq!(fleet.tick().revived, 1);
+    assert!(log.lock().unwrap().is_empty(), "the tick pushes nothing");
+    assert_eq!(replication_pending(&fleet), 2);
+
+    let fresh = routing_key(&ghz_request(29));
+    let cold = response_of(fleet.handle_line(&ghz_line(29)));
+    assert!(cold.contains("\"cache\":\"cold\""), "{cold}");
+    assert_eq!(replication_pending(&fleet), 3);
+    assert_eq!(fleet.replicate_due(), 3);
+    let order = log.lock().unwrap().clone();
+    let backlog = [routing_key(&ghz_request(27)), routing_key(&ghz_request(28))];
+    assert_eq!(order.len(), 3, "{order:x?}");
+    assert_eq!(order[0], fresh, "the fresh fill goes first: {order:x?}");
+    assert!(order[1..].iter().all(|k| backlog.contains(k)), "{order:x?}");
+    assert_eq!(replication_pending(&fleet), 0);
 }
 
 /// `chaos_partition_every: 1` suppresses every tick wholesale: a dead

@@ -555,29 +555,40 @@ fn compaction_crash_points_never_lose_acknowledged_entries() {
 }
 
 /// Replication faults are invisible to the client: the cold response
-/// still succeeds, the router never counts a panic, the key stays
-/// pending, and the next tick's anti-entropy lands the replica — after
-/// which the owner's death fails over warm.
+/// still succeeds, the router never counts a panic, a failed push leaves
+/// the key pending, and the next tick's anti-entropy releases it for a
+/// push that lands the replica — after which the owner's death fails over
+/// warm.
 #[test]
 fn replicate_faults_leave_the_key_pending_not_the_router_dead() {
     let mut salt = 9000u64;
     for kind in kinds() {
         salt += 1;
+        let stall = matches!(kind, FaultKind::Stall(_));
         let fleet = fleet_of(2);
-        arm(FaultPlan {
-            pass: "fleet:replicate".into(),
-            kind,
-        });
         let resp = response_of(fleet.handle_line(&request_line(salt)));
-        disarm();
         assert!(
             resp.contains("\"status\":\"ok\"") && resp.contains("\"cache\":\"cold\""),
             "a replication fault must never affect the response: {resp}"
         );
+        // The push runs after the answer; the fault fires inside it.
+        arm(FaultPlan {
+            pass: "fleet:replicate".into(),
+            kind,
+        });
+        assert_eq!(fleet.replicate_due(), 1);
+        disarm();
+        let metrics = response_of(fleet.handle_line("{\"op\":\"metrics\"}"));
+        let pending = if stall { 0 } else { 1 };
+        assert!(
+            metrics.contains(&format!("\"fleet_replication_pending\":{pending}")),
+            "{metrics}"
+        );
 
-        // The next clean tick retries the pending push; the replica then
-        // covers the owner's death warm.
+        // The next clean tick releases the pending key and the push
+        // lands; the replica then covers the owner's death warm.
         fleet.tick();
+        fleet.replicate_due();
         let req = request(salt, ServeFlow::Preset { level: 2 });
         let owner = fleet.shard_for(routing_key(&req)).unwrap();
         fleet.backends()[owner].kill();
