@@ -110,7 +110,6 @@ fn run_tcp(service: Arc<TranspileService>, addr: &str) {
         Err(_) => println!("qc-serve listening on {addr}"),
     }
     let draining = Arc::new(AtomicBool::new(false));
-    let mut workers = Vec::new();
     for stream in listener.incoming() {
         if draining.load(Ordering::SeqCst) {
             break;
@@ -118,12 +117,15 @@ fn run_tcp(service: Arc<TranspileService>, addr: &str) {
         let Ok(stream) = stream else { continue };
         let service = Arc::clone(&service);
         let draining = Arc::clone(&draining);
-        workers.push(std::thread::spawn(move || {
-            serve_conn(&service, stream, &draining);
-        }));
+        // Detached: a finished connection thread frees its stack at once,
+        // where a kept JoinHandle would pin it until the process exits.
+        std::thread::spawn(move || serve_conn(&service, stream, &draining));
     }
-    for w in workers {
-        let _ = w.join();
+    // A drain is under way, and its handler ends the process with
+    // `exit(0)` once it has reported; returning from `main` here would cut
+    // it short.
+    loop {
+        std::thread::park();
     }
 }
 
