@@ -41,14 +41,16 @@
 //! * `--expect-warm N` — send the same N circuits and require every
 //!   response to be a warm cache hit (the restart-survival assertion).
 //! * `--chaos SECS --fleet-log PATH` — chaos soak against a running
-//!   `qc-fleet`: fill the shard caches, then loop kill -9 of workers
-//!   (pids parsed from the fleet's log file), tearing their segment
-//!   logs on alternate kills (`--persist-dir`), probing every filled
-//!   key through the router, and waiting for the supervisor to revive
-//!   the victim. Gates (reported as `"chaos_pass"` with `--json`): zero
-//!   router panics, zero failed probes, every worker revived, a clean
-//!   full-fleet drain, and ≥90% of failover-served responses warm —
-//!   the replication tentpole's headline number.
+//!   `qc-fleet`: fill the shard caches, wait until the router owes no
+//!   replica push (`fleet_replication_pending` reads 0, at most 30 s),
+//!   then loop kill -9 of workers (pids parsed from the fleet's log
+//!   file), tearing their segment logs on alternate kills
+//!   (`--persist-dir`), probing every filled key through the router, and
+//!   waiting for the supervisor to revive the victim. Gates (reported as
+//!   `"chaos_pass"` with `--json`): replication settled before the first
+//!   kill, zero router panics, zero failed probes, every worker revived,
+//!   a clean full-fleet drain, and ≥90% of failover-served responses
+//!   warm — the replication tentpole's headline number.
 //!
 //! `--persist-bench DIR` (in-process) measures segment-log replay:
 //! fill a persisted service, reopen it repeatedly, and emit the
@@ -749,6 +751,7 @@ struct FleetStats {
     warm_failover_hits: u64,
     failover_served: u64,
     router_panics: u64,
+    replication_pending: u64,
     shards_alive: u64,
     shards_total: u64,
 }
@@ -759,9 +762,23 @@ fn fleet_stats(conn: &mut LineConn) -> Option<FleetStats> {
         warm_failover_hits: field_u64(&resp, "warm_failover_hits")?,
         failover_served: field_u64(&resp, "failover_served")?,
         router_panics: field_u64(&resp, "fleet_router_panics")?,
+        replication_pending: field_u64(&resp, "fleet_replication_pending")?,
         shards_alive: field_u64(&resp, "shards_alive")?,
         shards_total: field_u64(&resp, "shards_total")?,
     })
+}
+
+/// Polls router metrics until the router owes no replica push (every
+/// fill has landed on its replicas) or the timeout lapses.
+fn wait_for_replication(conn: &mut LineConn, timeout: Duration) -> bool {
+    let t0 = Instant::now();
+    while t0.elapsed() < timeout {
+        if fleet_stats(conn).is_some_and(|st| st.replication_pending == 0) {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    false
 }
 
 /// The latest pid per worker index from a `qc-fleet` log file — respawns
@@ -836,16 +853,23 @@ fn run_chaos(args: &Args, addr: &str) -> i32 {
             }
         }
     }
-    // Let a couple of ticks run so replication (and any anti-entropy
-    // retries of dropped pushes) lands before the first kill.
-    std::thread::sleep(Duration::from_millis(1200));
+    // Replica pushes trail the answers: wait until the router owes none
+    // (dropped pushes included, which a later tick releases again), so
+    // every fill has its replica before the first kill.
+    let waited = Instant::now();
+    let replication_settled = wait_for_replication(&mut conn, Duration::from_secs(30));
+    let replication_wait_ms = waited.elapsed().as_millis();
+    if !replication_settled {
+        eprintln!("serve_load: chaos: replica pushes still pending after 30 s");
+    }
     let Some(base) = fleet_stats(&mut conn) else {
         eprintln!("serve_load: chaos: router metrics unavailable");
         return 1;
     };
     let shards = base.shards_total;
     println!(
-        "serve_load: chaos soak for {} s against {addr} ({} shards, {} keys filled)",
+        "serve_load: chaos soak for {} s against {addr} ({} shards, {} keys filled, \
+         replicated in {replication_wait_ms} ms)",
         args.chaos_secs, shards, n
     );
 
@@ -966,7 +990,8 @@ fn run_chaos(args: &Args, addr: &str) -> i32 {
         }
     };
 
-    let pass = kills >= 1
+    let pass = replication_settled
+        && kills >= 1
         && probe_failures == 0
         && burst_failures == 0
         && revive_failures == 0
@@ -994,8 +1019,9 @@ fn run_chaos(args: &Args, addr: &str) -> i32 {
 
     if let Some(path) = &args.json {
         let out = format!(
-            "{{\n  \"chaos_secs\": {},\n  \"rounds\": {round},\n  \"kills\": {kills},\n  \
-             \"torn_logs\": {torn},\n  \"probes\": {probes},\n  \
+            "{{\n  \"chaos_secs\": {},\n  \"replication_wait_ms\": {replication_wait_ms},\n  \
+             \"replication_settled\": {replication_settled},\n  \"rounds\": {round},\n  \
+             \"kills\": {kills},\n  \"torn_logs\": {torn},\n  \"probes\": {probes},\n  \
              \"probe_failures\": {probe_failures},\n  \"burst_failures\": {burst_failures},\n  \
              \"revive_failures\": {revive_failures},\n  \"failover_served\": {served},\n  \
              \"warm_failover_hits\": {warm},\n  \"warm_failover_ratio\": {ratio:.4},\n  \
