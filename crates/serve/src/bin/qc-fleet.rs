@@ -488,8 +488,9 @@ fn main() {
     let _ = std::io::stdout().flush();
 
     // Replication: pushes each cold fill to its replicas once its answer
-    // is written, then whatever backlog the ticker released; returns when
-    // a drain starts.
+    // is written, then whatever backlog the ticker released. Detached like
+    // the ticker: it returns once a drain starts, every push runs under
+    // `catch_unwind`, and the router exits on its own after a drain.
     {
         let fleet = Arc::clone(&fleet);
         std::thread::spawn(move || fleet.run_replication());

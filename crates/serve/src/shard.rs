@@ -208,9 +208,9 @@ impl Tracked {
         self.pending.insert(key);
     }
 
-    /// Queues a cold fill for the replication thread. A thread a whole
-    /// [`MAX_TRACKED`] fills behind sends the oldest queued fill to
-    /// `pending` instead.
+    /// Queues a cold fill for the replication thread. When the thread is
+    /// a whole [`MAX_TRACKED`] fills behind, the oldest queued fill moves
+    /// to `pending` instead.
     fn queue_fresh(&mut self, key: u128) {
         self.track(key);
         if self.fresh.len() >= MAX_TRACKED {

@@ -523,52 +523,6 @@ fn chaos_replication_drop_never_affects_the_response() {
     assert!(drain.contains("\"fleet_router_panics\":0"), "{drain}");
 }
 
-/// A fleet with its replication thread running, as `qc-fleet` runs it:
-/// the cold answer is written before its push starts, and the fill then
-/// reaches its replica within a bounded wait, with no tick. A drain stops
-/// the thread.
-#[test]
-fn replication_thread_pushes_a_cold_fill_after_its_answer() {
-    let fleet = Arc::new(fleet_of(3, false));
-    let replicator = {
-        let fleet = Arc::clone(&fleet);
-        std::thread::spawn(move || fleet.run_replication())
-    };
-    let key = routing_key(&ghz_request(26));
-    let replica = rendezvous_ranking(key, 3)[1];
-    let replicated = || {
-        fleet.backends()[replica]
-            .service()
-            .metrics()
-            .replicated_entries
-    };
-
-    let cold = response_of(fleet.answer_line(&ghz_line(26), |_| {
-        // Writing the answer: the key is not queued yet, so however long
-        // the write takes, no push can start.
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(replicated(), 0, "a push started before the answer");
-    }));
-    assert!(cold.contains("\"cache\":\"cold\""), "{cold}");
-
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while replicated() == 0 || replication_pending(&fleet) > 0 {
-        assert!(
-            Instant::now() < deadline,
-            "the replication thread did not push the fill within 10 s"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(replicated(), 1);
-
-    let drain = fleet.drain();
-    assert!(drain.contains("\"fleet_replicated\":1"), "{drain}");
-    assert!(drain.contains("\"fleet_replication_pending\":0"), "{drain}");
-    replicator
-        .join()
-        .expect("the replication thread returns once a drain starts");
-}
-
 /// An in-process shard that logs the key of every `{"op":"entry"}` fetch
 /// it answers. Each replica push starts with one, so the log is the push
 /// order.
@@ -590,10 +544,8 @@ impl ShardBackend for LoggedShard {
     }
 }
 
-/// A released backlog never delays a fresh fill: the push of a fill
-/// queued after the tick released a backlog still goes first.
-#[test]
-fn fresh_fills_are_pushed_ahead_of_a_released_backlog() {
+/// Three revivable [`LoggedShard`]s sharing one log.
+fn logged_fleet() -> (Fleet<LoggedShard>, Arc<Mutex<Vec<u128>>>) {
     let log = Arc::new(Mutex::new(Vec::new()));
     let shards = (0..3)
         .map(|_| LoggedShard {
@@ -601,7 +553,63 @@ fn fresh_fills_are_pushed_ahead_of_a_released_backlog() {
             log: Arc::clone(&log),
         })
         .collect();
-    let fleet = Fleet::new(shards, FleetConfig::default());
+    (Fleet::new(shards, FleetConfig::default()), log)
+}
+
+/// A fleet with its replication thread running, as `qc-fleet` runs it:
+/// the cold answer is written before its push starts, and the fill then
+/// reaches its replica within a bounded wait, with no tick. A drain stops
+/// the thread.
+#[test]
+fn replication_thread_pushes_a_cold_fill_after_its_answer() {
+    let (fleet, log) = logged_fleet();
+    let fleet = Arc::new(fleet);
+    let replicator = {
+        let fleet = Arc::clone(&fleet);
+        std::thread::spawn(move || fleet.run_replication())
+    };
+    let key = routing_key(&ghz_request(26));
+    let replica = rendezvous_ranking(key, 3)[1];
+    let replicated = || {
+        fleet.backends()[replica]
+            .inner
+            .service()
+            .metrics()
+            .replicated_entries
+    };
+
+    let cold = response_of(fleet.answer_line(&ghz_line(26), |_| {
+        // Writing the answer: the key is not queued yet, so however long
+        // the write takes, no push can start.
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(log.lock().unwrap().is_empty(), "a push began first");
+    }));
+    assert!(cold.contains("\"cache\":\"cold\""), "{cold}");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while replicated() == 0 || replication_pending(&fleet) > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the replication thread did not push the fill within 10 s"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(*log.lock().unwrap(), vec![key]);
+    assert_eq!(replicated(), 1);
+
+    let drain = fleet.drain();
+    assert!(drain.contains("\"fleet_replicated\":1"), "{drain}");
+    assert!(drain.contains("\"fleet_replication_pending\":0"), "{drain}");
+    replicator
+        .join()
+        .expect("the replication thread returns once a drain starts");
+}
+
+/// A released backlog never delays a fresh fill: the push of a fill
+/// queued after the tick released a backlog still goes first.
+#[test]
+fn fresh_fills_are_pushed_ahead_of_a_released_backlog() {
+    let (fleet, log) = logged_fleet();
     for salt in [27, 28] {
         response_of(fleet.handle_line(&ghz_line(salt)));
     }
