@@ -768,19 +768,6 @@ fn fleet_stats(conn: &mut LineConn) -> Option<FleetStats> {
     })
 }
 
-/// Polls router metrics until the router owes no replica push (every
-/// fill has landed on its replicas) or the timeout lapses.
-fn wait_for_replication(conn: &mut LineConn, timeout: Duration) -> bool {
-    let t0 = Instant::now();
-    while t0.elapsed() < timeout {
-        if fleet_stats(conn).is_some_and(|st| st.replication_pending == 0) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    false
-}
-
 /// The latest pid per worker index from a `qc-fleet` log file — respawns
 /// reprint the `qc-fleet worker I pid P listening on ...` line, so later
 /// lines win.
@@ -808,17 +795,14 @@ fn latest_pids(log_path: &str) -> std::collections::HashMap<usize, u32> {
     out
 }
 
-/// Polls router metrics until every shard is alive again (the supervisor
-/// revived the victim) or the timeout lapses.
-fn wait_for_full_fleet(conn: &mut LineConn, timeout: Duration) -> bool {
+/// Polls router metrics until `done` holds or the timeout lapses.
+fn wait_for(conn: &mut LineConn, timeout: Duration, done: fn(&FleetStats) -> bool) -> bool {
     let t0 = Instant::now();
     while t0.elapsed() < timeout {
-        if let Some(st) = fleet_stats(conn) {
-            if st.shards_total > 0 && st.shards_alive == st.shards_total {
-                return true;
-            }
+        if fleet_stats(conn).is_some_and(|st| done(&st)) {
+            return true;
         }
-        std::thread::sleep(Duration::from_millis(250));
+        std::thread::sleep(Duration::from_millis(100));
     }
     false
 }
@@ -857,7 +841,9 @@ fn run_chaos(args: &Args, addr: &str) -> i32 {
     // (dropped pushes included, which a later tick releases again), so
     // every fill has its replica before the first kill.
     let waited = Instant::now();
-    let replication_settled = wait_for_replication(&mut conn, Duration::from_secs(30));
+    let replication_settled = wait_for(&mut conn, Duration::from_secs(30), |st| {
+        st.replication_pending == 0
+    });
     let replication_wait_ms = waited.elapsed().as_millis();
     if !replication_settled {
         eprintln!("serve_load: chaos: replica pushes still pending after 30 s");
@@ -936,7 +922,8 @@ fn run_chaos(args: &Args, addr: &str) -> i32 {
         // Every round ends with the fleet whole again — the revival path
         // (respawn + segment-log replay, possibly of a torn log) is as
         // much under test as the failover path.
-        if !wait_for_full_fleet(&mut conn, Duration::from_secs(60)) {
+        let full = |st: &FleetStats| st.shards_total > 0 && st.shards_alive == st.shards_total;
+        if !wait_for(&mut conn, Duration::from_secs(60), full) {
             eprintln!("serve_load: chaos round {round}: fleet did not re-form in 60 s");
             revive_failures += 1;
         }
