@@ -28,7 +28,7 @@
 //! skipped until another pass rewrites the DAG, and its `relink_nodes`
 //! field counts the nodes whose links the splice patched (the observable
 //! for the O(edit) claim). Passes compute what they read (block
-//! membership, state trajectories) from the DAG in front of them; the DAG
+//! membership, per-node entry states) from the DAG in front of them; the DAG
 //! maintains no derived data beyond its links.
 //!
 //! [`Dag::from_circuit`] and [`Dag::to_circuit`] are the *only* sanctioned

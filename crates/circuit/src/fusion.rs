@@ -1121,10 +1121,11 @@ mod tests {
 
     /// On n ≤ 3 qubits the plan is the same under every cost profile:
     /// each cost-model decision in [`Planner`] sits behind
-    /// `merge_arity_ok` (n ≥ k + 2, and a merged block has k ≥ 2). QPO's
-    /// `circuit_unitary` of a 2-qubit block, the one place a compile goes
-    /// through the planner, so gets the same plan whatever the
-    /// per-process calibration measured.
+    /// `merge_arity_ok` (n ≥ k + 2, and a merged block has k ≥ 2). No
+    /// compile goes through the planner (both block passes accumulate
+    /// their 4×4s with `UnitaryAccumulator`), but a small
+    /// `circuit_unitary`, such as KAK's 2-qubit `debug_assert!`, still
+    /// gets the same plan whatever the per-process calibration measured.
     #[test]
     fn plans_on_three_qubits_or_fewer_ignore_the_profile() {
         use crate::testing::random_circuit;

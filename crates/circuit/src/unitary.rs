@@ -264,9 +264,10 @@ fn run_panels<F: Fn(usize, usize) + Sync>(panels: usize, body: F) {
 
 /// Incrementally accumulates the unitary of a gate sequence on a small
 /// register — the engine-backed replacement for re-running
-/// [`circuit_unitary`] on a growing circuit. `ConsolidateBlocks` extends
-/// one of these gate-by-gate per candidate block (a 4×4 per 2q block)
-/// instead of re-walking the block per candidate.
+/// [`circuit_unitary`] on a growing circuit, with no fusion planner in
+/// between. The two-qubit block rewriter of `ConsolidateBlocks` and QPO
+/// extends one of these gate-by-gate per candidate block (a 4×4 per 2q
+/// block) instead of re-walking the block per candidate.
 #[derive(Clone, Debug)]
 pub struct UnitaryAccumulator {
     n: usize,

@@ -16,13 +16,19 @@
 //!   output `|φ⟩ = U_block |ψπ⟩` is computed statically and the block is
 //!   replaced by an *un-preparation* of the inputs plus a state-preparation
 //!   circuit for `|φ⟩` (one CNOT via the Schmidt decomposition, Fig. 4).
+//!
+//! The block rewrite shares level 3's block walk, [`rewrite_blocks`]
+//! (pricing, `U_block` accumulation, the better-than rule, the edit and
+//! the budget's deadline). QPO hands it only the blocks whose two inputs
+//! [`WireStates`] knows to be pure, and the state preparation as the rule.
 
 use crate::analysis::WireStates;
 use crate::state::{vector_to_bloch, PureTracked, StateAnalysis};
 use qc_circuit::gate::u3_matrix;
-use qc_circuit::{circuit_unitary, Block, ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
+use qc_circuit::{Block, ChangeReport, Dag, DagEdit, Gate, Instruction};
 use qc_math::{Matrix, C64};
 use qc_synth::{matrix_to_u3_gate, prepare_two_qubit};
+use qc_transpile::consolidate::rewrite_blocks;
 use qc_transpile::{DagPass, PropertySet, TranspileError};
 
 /// The QPO pass.
@@ -176,7 +182,7 @@ impl DagPass for Qpo {
     fn run_on_dag(
         &self,
         dag: &mut Dag,
-        _props: &mut PropertySet,
+        props: &mut PropertySet,
     ) -> Result<ChangeReport, TranspileError> {
         let edit = plan_rewrites(dag);
         let mut total = dag.apply(edit);
@@ -184,146 +190,67 @@ impl DagPass for Qpo {
             return Ok(total);
         }
         // Phase 2, the two-qubit block state-preparation rewrite, over the
-        // blocks and per-wire entry states of the DAG phase 1 left.
+        // blocks and entry states of the DAG phase 1 left.
         let blocks = dag.collect_blocks(2);
         if blocks.is_empty() {
             return Ok(total);
         }
-        let states = WireStates::compute(dag);
-        let (drop, replace_at) = plan_block_rewrites(dag, &blocks, &states);
-        let mut edit = DagEdit::new();
-        for (i, r) in replace_at.into_iter().enumerate() {
-            if let Some(mapped) = r {
-                edit.replace(i, mapped);
-            } else if drop[i] {
-                edit.remove(i);
-            }
-        }
-        total.merge(&dag.apply(edit));
+        let (blocks, inputs) = pure_input_blocks(dag, blocks);
+        total.merge(&rewrite_blocks(dag, &blocks, props.budget(), |i, u| {
+            Some(prepare_block_output(u, inputs[i]))
+        }));
         Ok(total)
     }
 }
 
-/// Section V-D: the plan replacing two-qubit blocks whose inputs are known
-/// pure states (per `states`) with an un-prepare + state-preparation
-/// circuit when that lowers the CNOT count, indexed by node id: `drop[id]`
-/// marks block members to delete, `replace_at[id]` holds the replacement
-/// spliced at the block's last node.
-fn plan_block_rewrites(
-    dag: &Dag,
-    blocks: &[Block],
-    states: &WireStates,
-) -> (Vec<bool>, Vec<Option<Vec<Instruction>>>) {
-    // Wire-local position of every node's qubits (indexed by node id), so
-    // block-entry states can be looked up in the per-wire trajectories.
-    let mut next_k = vec![0usize; dag.num_qubits()];
-    let mut wire_pos: Vec<Vec<(usize, usize)>> = vec![Vec::new(); dag.capacity()];
-    for (id, inst) in dag.iter() {
-        let mut ks = Vec::with_capacity(inst.qubits.len());
-        for &q in &inst.qubits {
-            ks.push((q, next_k[q]));
-            next_k[q] += 1;
-        }
-        wire_pos[id] = ks;
-    }
-    // The pure-domain state of `wire` just before node `node`.
-    let entry_pure = |w: usize, node: usize| -> PureTracked {
-        let &(_, k) = wire_pos[node]
+/// The known pure states `(va, vb)` entering a block's wires
+/// `(qubits[0], qubits[1])` at their first gate inside the block.
+type PureInputs = ([C64; 2], [C64; 2]);
+
+/// The blocks whose two inputs are known pure states, each with its
+/// [`PureInputs`]. Blocks with an input in ⊤ are dropped.
+fn pure_input_blocks(dag: &Dag, blocks: Vec<Block>) -> (Vec<Block>, Vec<PureInputs>) {
+    let states = WireStates::compute(dag);
+    let entry = |block: &Block, w: usize| {
+        let first = block
+            .nodes
             .iter()
-            .find(|&&(q, _)| q == w)
-            .expect("node touches the wire");
-        states.entry(w, k).1
+            .copied()
+            .find(|&n| dag.inst(n).qubits.contains(&w))?;
+        states.entry(first, w).1.state_vector()
     };
-    let mut drop = vec![false; dag.capacity()];
-    let mut replace_at: Vec<Option<Vec<Instruction>>> = vec![None; dag.capacity()];
-    for block in blocks {
-        let (a, b) = (block.qubits[0], block.qubits[1]);
-        // Entry state of each wire at its first gate inside the block.
-        let first_for = |w: usize| {
-            block
-                .nodes
-                .iter()
-                .copied()
-                .find(|&n| dag.inst(n).qubits.contains(&w))
-        };
-        let (Some(na), Some(nb)) = (first_for(a), first_for(b)) else {
-            continue;
-        };
-        let (sa, sb) = (entry_pure(a, na), entry_pure(b, nb));
-        let (Some(va), Some(vb)) = (sa.state_vector(), sb.state_vector()) else {
-            continue;
-        };
-        // Local block circuit (a→0, b→1) and its CNOT cost.
-        let mut local = Circuit::new(2);
-        let mut cx_before = 0usize;
-        for &n in &block.nodes {
-            let inst = dag.inst(n);
-            let qs: Vec<usize> = inst
-                .qubits
-                .iter()
-                .map(|&w| if w == a { 0 } else { 1 })
-                .collect();
-            cx_before += match inst.gate {
-                Gate::Cx | Gate::Cz => usize::from(inst.qubits.len() == 2),
-                Gate::Swap => 3,
-                Gate::SwapZ => 2,
-                Gate::Cp(_) | Gate::Cu(_) => 2,
-                _ => 0,
-            };
-            local.push(inst.gate.clone(), &qs);
-        }
-        if cx_before < 2 {
-            continue; // the replacement needs up to 1 CNOT + locals
-        }
-        // Statically evaluate the block on the known product input.
-        let u = circuit_unitary(&local);
-        let input = [vb[0] * va[0], vb[0] * va[1], vb[1] * va[0], vb[1] * va[1]];
-        let output = u.apply(&input);
-        let mut replacement_circ = Circuit::new(2);
-        // Un-prepare the known inputs back to |00⟩…
-        let (ta, pa) = vector_to_bloch(&[va[0], va[1]]);
-        let (tb, pb) = vector_to_bloch(&[vb[0], vb[1]]);
-        let unprep_a = matrix_to_u3_gate(&prep_matrix(ta, pa).adjoint());
-        let unprep_b = matrix_to_u3_gate(&prep_matrix(tb, pb).adjoint());
-        if !matches!(unprep_a, Gate::I) {
-            replacement_circ.push(unprep_a, &[0]);
-        }
-        if !matches!(unprep_b, Gate::I) {
-            replacement_circ.push(unprep_b, &[1]);
-        }
-        // …then prepare the computed output (≤ 1 CNOT, Fig. 4).
-        let output4: [C64; 4] = [output[0], output[1], output[2], output[3]];
-        replacement_circ.extend(&prepare_two_qubit(&output4));
-        let counts_new = replacement_circ.gate_counts();
-        let counts_old = local.gate_counts();
-        let better = counts_new.cx < cx_before
-            || (counts_new.cx == cx_before && counts_new.total < counts_old.total);
-        if !better {
-            continue;
-        }
-        let mapped: Vec<Instruction> = replacement_circ
-            .instructions()
-            .iter()
-            .map(|inst| {
-                let qs: Vec<usize> = inst
-                    .qubits
-                    .iter()
-                    .map(|&w| if w == 0 { a } else { b })
-                    .collect();
-                Instruction::new(inst.gate.clone(), qs)
-            })
-            .collect();
-        for &n in &block.nodes {
-            drop[n] = true;
-        }
-        replace_at[*block.nodes.last().expect("non-empty")] = Some(mapped);
+    let mut inputs = Vec::new();
+    let blocks = blocks
+        .into_iter()
+        .filter(|block| {
+            let pure = entry(block, block.qubits[0]).zip(entry(block, block.qubits[1]));
+            inputs.extend(pure);
+            pure.is_some()
+        })
+        .collect();
+    (blocks, inputs)
+}
+
+/// Section V-D: the replacement, on local wires (0, 1), for a block with
+/// unitary `u` on the known product input `vb ⊗ va` — an un-preparation
+/// of both inputs back to |00⟩, then a state preparation of the block's
+/// output `u·(vb ⊗ va)` with at most one CNOT (Fig. 4).
+fn prepare_block_output(u: &Matrix, (va, vb): PureInputs) -> Vec<Instruction> {
+    let input = [vb[0] * va[0], vb[0] * va[1], vb[1] * va[0], vb[1] * va[1]];
+    let output = u.apply(&input);
+    let mut insts = Vec::new();
+    for (v, q) in [(va, 0), (vb, 1)] {
+        let (theta, phi) = vector_to_bloch(&v);
+        push_local(&mut insts, &prep_matrix(theta, phi).adjoint(), q);
     }
-    (drop, replace_at)
+    insts.extend(prepare_two_qubit(&output).into_instructions());
+    insts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_circuit::{circuit_unitary, Circuit};
     use qc_sim::same_output_state;
     use qc_transpile::Pass;
 
@@ -406,6 +333,24 @@ mod tests {
             "block not collapsed: {} CNOTs",
             out.gate_counts().cx
         );
+    }
+
+    #[test]
+    fn unitary_block_with_pure_inputs_collapses() {
+        // A two-qubit `unitary` costs 4 CNOTs in the shared cost table, so
+        // a block made of one on known pure inputs is rewritten too.
+        let mut three_cx = Circuit::new(2);
+        three_cx.cx(0, 1).t(1).cx(1, 0).s(0).cx(0, 1);
+        let mut c = Circuit::new(2);
+        c.u3(0.7, 0.1, 0.0, 0).u3(0.4, -0.3, 0.0, 1);
+        c.push(Gate::Unitary(circuit_unitary(&three_cx)), &[0, 1]);
+        let out = qpo(&c);
+        assert_eq!(
+            out.count_name("unitary"),
+            0,
+            "unitary block left in place:\n{out}"
+        );
+        assert!(out.gate_counts().cx <= 1, "{out}");
     }
 
     #[test]

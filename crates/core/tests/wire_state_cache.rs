@@ -1,8 +1,9 @@
-//! `WireStates` — the per-wire trajectories QPO's block rewrite reads —
+//! `WireStates` — the per-node entry states QPO's block rewrite reads —
 //! against the whole-circuit reference `StateAnalysis::entry_states`: the
-//! recorded entry state of wire `q` before the `k`-th instruction touching
-//! it must equal the reference state map before that instruction, in both
-//! the basis and the pure-state domain.
+//! recorded entry state of wire `q` before node `i` (the `i`-th
+//! instruction of a DAG built from a circuit) must equal the reference
+//! state map before that instruction, in both the basis and the
+//! pure-state domain.
 
 use qc_circuit::testing::{
     blocked_neighborhood_circuit, random_circuit, toffoli_chain, SplitMix64,
@@ -13,17 +14,14 @@ use rpo_core::{StateAnalysis, WireStates};
 fn assert_states_match_entry_states(c: &Circuit, label: &str) {
     let states = WireStates::compute(&Dag::from_circuit(c));
     let (entries, _) = StateAnalysis::entry_states(c);
-    let mut k = vec![0usize; c.num_qubits()];
     for (i, (inst, entry)) in c.instructions().iter().zip(&entries).enumerate() {
         for &q in &inst.qubits {
             assert_eq!(
-                states.entry(q, k[q]),
+                states.entry(i, q),
                 (entry.basis(q), entry.pure_state(q)),
-                "{label}: instruction {i} ({}), wire {q}, k = {}",
-                inst.gate,
-                k[q]
+                "{label}: instruction {i} ({}), wire {q}",
+                inst.gate
             );
-            k[q] += 1;
         }
     }
 }

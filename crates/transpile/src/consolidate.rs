@@ -7,12 +7,16 @@
 //! count (or matches it with fewer gates overall). Unlike the paper's RPO,
 //! this pass preserves the unitary matrix exactly (up to global phase); it
 //! is the *strict* peephole optimization RPO relaxes.
+//!
+//! The block walk is [`rewrite_blocks`], which QPO shares: its rule, the
+//! Section V-D state preparation, is the relaxed form of the same rewrite.
 
 use crate::guard::BudgetSnapshot;
 use crate::manager::{DagPass, PropertySet};
 use crate::TranspileError;
 use qc_circuit::circuit::gate_counts_of;
-use qc_circuit::{Block, ChangeReport, Dag, DagEdit, Instruction, UnitaryAccumulator};
+use qc_circuit::{Block, ChangeReport, Dag, DagEdit, Gate, Instruction, UnitaryAccumulator};
+use qc_math::Matrix;
 use qc_synth::try_synthesize_two_qubit;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,7 +54,7 @@ static SYNTH_MEMO: Mutex<Option<HashMap<SynthKey, Option<Vec<Instruction>>>>> = 
 static SYNTH_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 static SYNTH_MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
 
-fn synth_key(u: &qc_math::Matrix) -> SynthKey {
+fn synth_key(u: &Matrix) -> SynthKey {
     let mut key = [0u64; 32];
     for (i, z) in u.as_slice().iter().enumerate() {
         key[2 * i] = z.re.to_bits();
@@ -62,7 +66,7 @@ fn synth_key(u: &qc_math::Matrix) -> SynthKey {
 /// [`try_synthesize_two_qubit`] through the process-wide memo. Returns the
 /// synthesized instructions on local wires (0, 1), or `None` when the KAK
 /// declined the matrix (also memoized — degenerate blocks repeat too).
-fn memoized_synthesize(u: &qc_math::Matrix) -> Option<Vec<Instruction>> {
+fn memoized_synthesize(u: &Matrix) -> Option<Vec<Instruction>> {
     let key = synth_key(u);
     {
         let memo = SYNTH_MEMO.lock().unwrap_or_else(|e| e.into_inner());
@@ -105,14 +109,21 @@ pub fn reset_synth_memo() {
     SYNTH_MEMO_MISSES.store(0, Ordering::Relaxed);
 }
 
-/// The re-synthesis plan over a DAG and its collected blocks, indexed by
-/// node id: `drop[id]` marks block members to delete, `replace_at[id]`
-/// holds the synthesized replacement spliced at the block's last node.
-fn plan_consolidation(
-    dag: &Dag,
+/// Rewrites two-qubit blocks: the one block walk of ConsolidateBlocks
+/// (KAK re-synthesis) and QPO (Section V-D state preparation).
+///
+/// Walks `blocks` in order until `budget` runs out. A block costing at
+/// most one CNOT is left alone. Otherwise its 4×4 is accumulated on local
+/// wires (`qubits[0]` → 0, `qubits[1]` → 1) and `rule(i, u)` may offer a
+/// replacement for `blocks[i]` on the same wires; it is kept when it has
+/// fewer CNOTs, or as many and fewer gates. Kept replacements are spliced
+/// at their block's last node in one edit, applied in node-id order.
+pub fn rewrite_blocks(
+    dag: &mut Dag,
     blocks: &[Block],
     budget: BudgetSnapshot,
-) -> (Vec<bool>, Vec<Option<Vec<Instruction>>>) {
+    mut rule: impl FnMut(usize, &Matrix) -> Option<Vec<Instruction>>,
+) -> ChangeReport {
     let mut drop = vec![false; dag.capacity()];
     let mut replace_at: Vec<Option<Vec<Instruction>>> = vec![None; dag.capacity()];
     // One engine-backed 4×4 accumulator reused across all blocks: each
@@ -120,15 +131,19 @@ fn plan_consolidation(
     // walked, instead of re-running `circuit_unitary` on a rebuilt
     // local circuit per candidate block.
     let mut acc = UnitaryAccumulator::new(2);
-    for block in blocks {
+    for (i, block) in blocks.iter().enumerate() {
         if budget.exceeded() {
-            // Deadline passed mid-synthesis: keep what is planned so far,
+            // Deadline passed mid-rewrite: keep what is planned so far,
             // leave the remaining blocks as they are (best-effort).
             break;
         }
+        let cx_before: usize = block.nodes.iter().map(|&n| cx_cost(dag.inst(n))).sum();
+        if cx_before <= 1 {
+            // Cannot improve a 0- or 1-CNOT block (templates need ≥ 0/1).
+            continue;
+        }
         // Accumulate the block's unitary on local wires (a→0, b→1).
         let (a, b) = (block.qubits[0], block.qubits[1]);
-        let mut cx_before = 0usize;
         acc.reset();
         for &n in &block.nodes {
             let inst = dag.inst(n);
@@ -137,24 +152,12 @@ fn plan_consolidation(
                 .iter()
                 .map(|&q| if q == a { 0 } else { 1 })
                 .collect();
-            if inst.qubits.len() == 2 {
-                cx_before += two_qubit_cx_cost(&inst.gate);
-            }
             acc.push(&inst.gate, &qs);
         }
-        if cx_before <= 1 {
-            // Cannot improve a 0- or 1-CNOT block (templates need ≥ 0/1).
-            continue;
-        }
-        let u = acc.matrix();
-        // A failed KAK (numerically degenerate accumulated unitary) simply
-        // declines the block — the original gates are already valid. The
-        // memo makes repeat blocks (warm-edited requests, our own
-        // synthesis output re-collected next iteration) a hash lookup.
-        let Some(synth) = memoized_synthesize(&u) else {
+        let Some(local) = rule(i, &acc.matrix()) else {
             continue;
         };
-        let counts_new = gate_counts_of(&synth);
+        let counts_new = gate_counts_of(&local);
         // Every block node is a unitary, non-directive gate, so the block
         // counts one gate per node.
         let better = counts_new.cx < cx_before
@@ -162,16 +165,11 @@ fn plan_consolidation(
         if !better {
             continue;
         }
-        // Map the synthesized circuit back onto (a, b).
-        let mapped: Vec<Instruction> = synth
-            .iter()
+        let mapped: Vec<Instruction> = local
+            .into_iter()
             .map(|inst| {
-                let qs: Vec<usize> = inst
-                    .qubits
-                    .iter()
-                    .map(|&q| if q == 0 { a } else { b })
-                    .collect();
-                Instruction::new(inst.gate.clone(), qs)
+                let qs = inst.qubits.iter().map(|&q| if q == 0 { a } else { b });
+                Instruction::new(inst.gate, qs.collect())
             })
             .collect();
         for &n in &block.nodes {
@@ -179,7 +177,15 @@ fn plan_consolidation(
         }
         replace_at[*block.nodes.last().expect("non-empty block")] = Some(mapped);
     }
-    (drop, replace_at)
+    let mut edit = DagEdit::new();
+    for (id, r) in replace_at.into_iter().enumerate() {
+        if let Some(mapped) = r {
+            edit.replace(id, mapped);
+        } else if drop[id] {
+            edit.remove(id);
+        }
+    }
+    dag.apply(edit)
 }
 
 impl DagPass for ConsolidateBlocks {
@@ -193,29 +199,26 @@ impl DagPass for ConsolidateBlocks {
         props: &mut PropertySet,
     ) -> Result<ChangeReport, TranspileError> {
         let blocks = dag.collect_blocks(2);
-        let (drop, replace_at) = plan_consolidation(dag, &blocks, props.budget());
-        let mut edit = DagEdit::new();
-        for (i, r) in replace_at.into_iter().enumerate() {
-            if let Some(mapped) = r {
-                edit.replace(i, mapped);
-            } else if drop[i] {
-                edit.remove(i);
-            }
-        }
-        Ok(dag.apply(edit))
+        // A failed KAK (numerically degenerate accumulated unitary) simply
+        // declines the block — the original gates are already valid. The
+        // memo makes repeat blocks (warm-edited requests, our own
+        // synthesis output re-collected next iteration) a hash lookup.
+        Ok(rewrite_blocks(dag, &blocks, props.budget(), |_, u| {
+            memoized_synthesize(u)
+        }))
     }
 }
 
-/// CNOT cost of a two-qubit gate once unrolled to the device basis.
-fn two_qubit_cx_cost(g: &qc_circuit::Gate) -> usize {
-    use qc_circuit::Gate;
-    match g {
-        Gate::Cx => 1,
-        Gate::Cz => 1,
-        Gate::Cp(_) => 2,
+/// CNOT cost of an instruction once unrolled to the device basis: zero
+/// for every single-qubit gate.
+fn cx_cost(inst: &Instruction) -> usize {
+    if inst.qubits.len() != 2 {
+        return 0;
+    }
+    match inst.gate {
+        Gate::Cx | Gate::Cz => 1,
+        Gate::Cp(_) | Gate::SwapZ | Gate::Cu(_) => 2,
         Gate::Swap => 3,
-        Gate::SwapZ => 2,
-        Gate::Cu(_) => 2,
         Gate::Unitary(_) => 4,
         _ => 0,
     }
@@ -225,7 +228,7 @@ fn two_qubit_cx_cost(g: &qc_circuit::Gate) -> usize {
 mod tests {
     use super::*;
     use crate::Pass;
-    use qc_circuit::{circuit_unitary, Circuit, Gate};
+    use qc_circuit::{circuit_unitary, Circuit};
 
     fn consolidated(c: &Circuit) -> Circuit {
         let mut out = c.clone();
