@@ -130,7 +130,6 @@ fn run_tcp(service: Arc<TranspileService>, addr: &str) {
 }
 
 fn serve_conn(service: &TranspileService, stream: TcpStream, draining: &AtomicBool) {
-    let peer = stream.peer_addr().ok();
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -148,7 +147,6 @@ fn serve_conn(service: &TranspileService, stream: TcpStream, draining: &AtomicBo
             std::process::exit(0);
         }
     }
-    let _ = peer; // connection closed; nothing to clean up
 }
 
 fn main() {

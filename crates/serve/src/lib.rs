@@ -53,7 +53,7 @@ pub use service::{
     DrainReport, MetricsSnapshot, PassTotals, ServeConfig, ServeFlow, ServeOk, ServeRequest,
     ServeResponse, TranspileService,
 };
-pub use shard::{rendezvous_route, Fleet, FleetConfig, InProcessShard, ShardBackend, ShardHealth};
+pub use shard::{rendezvous_route, Fleet, FleetConfig, InProcessShard, ShardBackend};
 
 /// Fires the fault armed for `label`, if any: the serve (`serve:*`),
 /// fleet (`fleet:*`) and persistence (`persist:*`) fault sites. A no-op

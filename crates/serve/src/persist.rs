@@ -213,52 +213,53 @@ pub fn encode_record(key: u128, entry: &CompiledEntry) -> Vec<u8> {
     frame_record(&encode_payload(key, entry))
 }
 
-/// Decodes and verifies one framed record produced by [`encode_record`].
-/// Framing, checksum, or structural defects are typed errors.
+/// Splits the first framed record (`payload_len u32 | checksum u64 |
+/// payload`) off `buf`: its verified payload and the bytes after it, or
+/// the defect of a torn, oversized or mis-summed frame.
+fn split_frame(buf: &[u8]) -> Result<(&[u8], &[u8]), &'static str> {
+    if buf.len() < 12 {
+        return Err("shorter than the framing");
+    }
+    let len = u32::from_le_bytes(buf[..4].try_into().expect("a 4-byte slice"));
+    let sum = u64::from_le_bytes(buf[4..12].try_into().expect("an 8-byte slice"));
+    if len > MAX_PAYLOAD || len as usize > buf.len() - 12 {
+        return Err("length prefix does not match");
+    }
+    let (payload, rest) = buf[12..].split_at(len as usize);
+    if checksum(payload) != sum {
+        return Err("checksum mismatch");
+    }
+    Ok((payload, rest))
+}
+
+/// Decodes and verifies one framed record produced by [`encode_record`],
+/// which must fill `bytes`. Framing, checksum, or structural defects are
+/// typed errors.
 pub fn decode_record(bytes: &[u8]) -> Result<(u128, CompiledEntry), RpoError> {
     let bad = |msg: &str| RpoError::InvalidInput(format!("replicated record: {msg}"));
-    if bytes.len() < 12 {
-        return Err(bad("shorter than the framing"));
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-    if len > MAX_PAYLOAD || len as usize != bytes.len() - 12 {
+    let (payload, rest) = split_frame(bytes).map_err(bad)?;
+    if !rest.is_empty() {
         return Err(bad("length prefix does not match"));
-    }
-    let sum = u64::from_le_bytes(bytes[4..12].try_into().unwrap());
-    let payload = &bytes[12..];
-    if checksum(payload) != sum {
-        return Err(bad("checksum mismatch"));
     }
     decode_payload(payload)
 }
 
-/// Replays framed records from `buf` until EOF or the first defect.
-/// Returns `(bytes consumed cleanly, records restored)`; a defect shows
-/// up as `consumed < buf.len()`.
+/// Replays framed records from `buf` until EOF or the first torn,
+/// oversized, mis-summed or undecodable frame. Returns `(bytes consumed
+/// cleanly, records restored)`; a defect shows up as
+/// `consumed < buf.len()`.
 fn replay_records(buf: &[u8], entries: &mut Vec<(u128, Arc<CompiledEntry>)>) -> (usize, usize) {
-    let mut pos = 0usize;
+    let mut rest = buf;
     let mut restored = 0usize;
-    loop {
-        if pos + 12 > buf.len() {
-            return (pos, restored); // clean EOF or torn record framing
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-        let sum = u64::from_le_bytes(buf[pos + 4..pos + 12].try_into().unwrap());
-        let start = pos + 12;
-        if len > MAX_PAYLOAD || start + len as usize > buf.len() {
-            return (pos, restored); // corrupt length or torn payload
-        }
-        let payload = &buf[start..start + len as usize];
-        if checksum(payload) != sum {
-            return (pos, restored); // bit rot or torn write
-        }
-        match decode_payload(payload) {
-            Ok((key, entry)) => entries.push((key, Arc::new(entry))),
-            Err(_) => return (pos, restored), // checksummed but structurally bad
-        }
+    while let Ok((payload, tail)) = split_frame(rest) {
+        let Ok((key, entry)) = decode_payload(payload) else {
+            break; // checksummed but structurally bad
+        };
+        entries.push((key, Arc::new(entry)));
         restored += 1;
-        pos = start + len as usize;
+        rest = tail;
     }
+    (buf.len() - rest.len(), restored)
 }
 
 /// What `SegmentLog::open` recovers: the log positioned for appending,

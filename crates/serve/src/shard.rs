@@ -260,15 +260,6 @@ const MAX_TRACKED: usize = 4096;
 /// the tick hands the batch to the thread instead of pushing it.
 const ANTI_ENTROPY_BATCH: usize = 64;
 
-/// One shard's health as tracked by the router.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardHealth {
-    /// Whether the router currently routes to this shard.
-    pub alive: bool,
-    /// Consecutive failed sends/probes since the last success.
-    pub consecutive_failures: u32,
-}
-
 /// What one tick did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TickReport {
@@ -293,7 +284,8 @@ pub enum FleetLine {
 /// Construct once, share by reference across connection threads.
 pub struct Fleet<B> {
     shards: Vec<B>,
-    health: Mutex<Vec<ShardHealth>>,
+    /// Per shard: whether the router currently routes to it.
+    alive: Mutex<Vec<bool>>,
     cfg: FleetConfig,
     routed: AtomicU64,
     failovers: AtomicU64,
@@ -318,17 +310,11 @@ pub struct Fleet<B> {
 impl<B: ShardBackend> Fleet<B> {
     /// A fleet over `shards`, all initially presumed alive.
     pub fn new(shards: Vec<B>, cfg: FleetConfig) -> Self {
-        let health: Vec<ShardHealth> = shards
-            .iter()
-            .map(|_| ShardHealth {
-                alive: true,
-                consecutive_failures: 0,
-            })
-            .collect();
-        let last_alive = health.iter().map(|h| h.alive).collect();
+        let alive = vec![true; shards.len()];
         Fleet {
             shards,
-            health: Mutex::new(health),
+            last_alive: Mutex::new(alive.clone()),
+            alive: Mutex::new(alive),
             routed: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -339,7 +325,6 @@ impl<B: ShardBackend> Fleet<B> {
             warm_failover_hits: AtomicU64::new(0),
             tracked: Mutex::new(Tracked::default()),
             replication_due: Condvar::new(),
-            last_alive: Mutex::new(last_alive),
             chaos_rng: AtomicU64::new(cfg.seed | 1),
             ticks: AtomicU64::new(0),
             cfg,
@@ -358,16 +343,14 @@ impl<B: ShardBackend> Fleet<B> {
 
     /// A snapshot of per-shard health flags.
     pub fn alive(&self) -> Vec<bool> {
-        let health = self.health.lock().unwrap_or_else(|e| e.into_inner());
-        health.iter().map(|h| h.alive).collect()
+        self.alive.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// Marks shard `i` dead (tests and external supervisors).
     pub fn mark_dead(&self, i: usize) {
-        let mut health = self.health.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(h) = health.get_mut(i) {
-            h.alive = false;
-            h.consecutive_failures += 1;
+        let mut alive = self.alive.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(a) = alive.get_mut(i) {
+            *a = false;
         }
     }
 
@@ -639,19 +622,11 @@ impl<B: ShardBackend> Fleet<B> {
     }
 
     fn is_alive(&self, i: usize) -> bool {
-        let health = self.health.lock().unwrap_or_else(|e| e.into_inner());
-        health[i].alive
+        self.alive.lock().unwrap_or_else(|e| e.into_inner())[i]
     }
 
     fn mark_outcome(&self, i: usize, ok: bool) {
-        let mut health = self.health.lock().unwrap_or_else(|e| e.into_inner());
-        if ok {
-            health[i].alive = true;
-            health[i].consecutive_failures = 0;
-        } else {
-            health[i].alive = false;
-            health[i].consecutive_failures += 1;
-        }
+        self.alive.lock().unwrap_or_else(|e| e.into_inner())[i] = ok;
     }
 
     /// One tick: probe every shard with `{"op":"breakers"}`, ask the
@@ -749,26 +724,32 @@ impl<B: ShardBackend> Fleet<B> {
             }
         }
         format!(
-            concat!(
-                "{{\"status\":\"drained\",\"shards\":{},\"drained\":{},\"failed\":{},",
-                "\"fleet_routed\":{},\"fleet_failovers\":{},\"fleet_shed\":{},",
-                "\"fleet_router_panics\":{},\"fleet_replicated\":{},",
-                "\"fleet_replication_drops\":{},\"fleet_replication_pending\":{},",
-                "\"failover_served\":{},\"warm_failover_hits\":{}}}"
-            ),
+            "{{\"status\":\"drained\",\"shards\":{},\"drained\":{drained},\"failed\":{failed},{}}}",
             self.shards.len(),
-            drained,
-            failed,
-            self.routed.load(Ordering::Relaxed),
-            self.failovers.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed),
-            self.router_panics.load(Ordering::Relaxed),
-            self.replicated.load(Ordering::Relaxed),
-            self.replication_drops.load(Ordering::Relaxed),
-            self.tracked().owed(),
-            self.failover_served.load(Ordering::Relaxed),
-            self.warm_failover_hits.load(Ordering::Relaxed),
+            self.router_counters(),
         )
+    }
+
+    /// The router's own counters as comma-separated JSON fields, in the
+    /// order both the drain report and the metrics line carry them.
+    fn router_counters(&self) -> String {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let counters = [
+            ("fleet_routed", load(&self.routed)),
+            ("fleet_failovers", load(&self.failovers)),
+            ("fleet_shed", load(&self.shed)),
+            ("fleet_router_panics", load(&self.router_panics)),
+            ("fleet_replicated", load(&self.replicated)),
+            ("fleet_replication_drops", load(&self.replication_drops)),
+            ("fleet_replication_pending", self.tracked().owed() as u64),
+            ("failover_served", load(&self.failover_served)),
+            ("warm_failover_hits", load(&self.warm_failover_hits)),
+        ];
+        let fields: Vec<String> = counters
+            .iter()
+            .map(|(name, value)| format!("\"{name}\":{value}"))
+            .collect();
+        fields.join(",")
     }
 
     /// The sorted union of every live shard's open breaker labels, as one
@@ -825,23 +806,8 @@ impl<B: ShardBackend> Fleet<B> {
             out.push_str(&format!(",\"{}\":{}", escape_json(k), v));
         }
         out.push_str(&format!(
-            concat!(
-                ",\"fleet_routed\":{},\"fleet_failovers\":{},\"fleet_shed\":{},",
-                "\"fleet_router_panics\":{},\"fleet_replicated\":{},",
-                "\"fleet_replication_drops\":{},\"fleet_replication_pending\":{},",
-                "\"failover_served\":{},\"warm_failover_hits\":{},",
-                "\"shards_alive\":{},\"shards_total\":{}}}"
-            ),
-            self.routed.load(Ordering::Relaxed),
-            self.failovers.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed),
-            self.router_panics.load(Ordering::Relaxed),
-            self.replicated.load(Ordering::Relaxed),
-            self.replication_drops.load(Ordering::Relaxed),
-            self.tracked().owed(),
-            self.failover_served.load(Ordering::Relaxed),
-            self.warm_failover_hits.load(Ordering::Relaxed),
-            shards_alive,
+            ",{},\"shards_alive\":{shards_alive},\"shards_total\":{}}}",
+            self.router_counters(),
             self.shards.len(),
         ));
         out

@@ -364,6 +364,29 @@ fn metrics_aggregate_across_live_shards() {
     assert!(metrics.contains("\"shards_total\":2"), "{metrics}");
 }
 
+/// The drain report and the metrics line carry the router's counters as
+/// the same fields in the same order: one writer serves both.
+#[test]
+fn drain_and_metrics_carry_the_same_router_counters() {
+    let fleet = fleet_of(2, false);
+    for salt in 30..33 {
+        response_of(fleet.handle_line(&ghz_line(salt)));
+    }
+    let metrics = response_of(fleet.handle_line("{\"op\":\"metrics\"}"));
+    let drain = fleet.drain();
+    let counters = |line: &str| {
+        let start = line.find("\"fleet_routed\":").expect("router counters");
+        let last = start + line[start..].find("\"warm_failover_hits\":").unwrap();
+        let end = last + line[last..].find([',', '}']).unwrap();
+        line[start..end].to_string()
+    };
+    assert_eq!(counters(&metrics), counters(&drain), "{metrics}\n{drain}");
+    assert!(
+        counters(&drain).starts_with("\"fleet_routed\":3,"),
+        "{drain}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Warm-cache replication and chaos knobs
 // ---------------------------------------------------------------------
