@@ -10,9 +10,9 @@
 //! Topology notes: Melbourne's 15-qubit ladder and Almaden's 20-qubit grid
 //! follow the published coupling maps. Rochester's 53-qubit lattice is
 //! reconstructed structurally (rows of degree-≤3 qubits bridged by
-//! connector qubits, the documented row structure); see DESIGN.md for the
-//! substitution rationale — what the connectivity experiments need is the
-//! *relative* sparsity ordering Melbourne > Almaden > Rochester.
+//! connector qubits, the documented row structure). That keeps what the
+//! connectivity experiments need: the *relative* sparsity ordering
+//! Melbourne > Almaden > Rochester.
 //!
 //! # Examples
 //!

@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for the pipeline's design choices:
 //!
 //! * early QBO on/off — the paper attributes RPO's *time* advantage to the
 //!   first QBO shrinking work for every later pass;

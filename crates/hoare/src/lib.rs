@@ -7,17 +7,16 @@
 //! benchmark circuits those conditions are decidable by direct forward
 //! propagation of *classical* Z-basis predicates — a qubit is known-|0⟩,
 //! known-|1⟩, or unknown — so this reimplementation substitutes a
-//! propagation engine for the SMT solver (see DESIGN.md for the
-//! substitution argument). The rewrites it can find are exactly the
-//! Z-basis subset of QBO's, matching the paper's observation that "all the
-//! gates that are optimized by the hoare logic pass can be captured by our
-//! RPO pass" (Section VIII-B).
+//! propagation engine for the SMT solver. The rewrites it can find are
+//! exactly the Z-basis subset of QBO's, matching the paper's observation
+//! that "all the gates that are optimized by the hoare logic pass can be
+//! captured by our RPO pass" (Section VIII-B).
 //!
 //! Like the original, the pass also *simulates* solver effort: the Qiskit
 //! implementation grows markedly slower on larger circuits because every
 //! gate incurs solver queries. We do not fake timings — the Rust engine is
-//! simply fast — so transpile-time comparisons against this baseline are
-//! reported with that caveat in EXPERIMENTS.md.
+//! simply fast — so transpile-time comparisons against this baseline
+//! carry that caveat.
 
 use qc_backends::Backend;
 use qc_circuit::{ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};

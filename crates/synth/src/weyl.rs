@@ -22,7 +22,7 @@
 //! templates and keeps the result only when it lowers the CNOT count, so the
 //! extra CNOT on the fully generic class (relative to the theoretical
 //! three-CNOT bound of Vidal–Dawson, the paper's citation \[47\]) never makes
-//! a circuit worse. See `DESIGN.md` for the bound discussion.
+//! a circuit worse.
 
 use crate::euler::matrix_to_u3_gate;
 use qc_circuit::{circuit_unitary, Circuit, Gate, RpoError};

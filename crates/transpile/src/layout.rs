@@ -3,8 +3,7 @@
 //! Levels 0–1 use the trivial (identity) layout; levels 2–3 use a dense
 //! subgraph heuristic in the spirit of Qiskit's `DenseLayout` (the paper's
 //! level-2/3 "noise-adaptive layout" reduces to connectivity-driven layout
-//! here because the backend noise model is uniform per device — see
-//! DESIGN.md).
+//! here because the backend noise model is uniform per device).
 
 use crate::TranspileError;
 use qc_backends::Backend;
