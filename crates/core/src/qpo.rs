@@ -219,16 +219,14 @@ fn pure_input_blocks(dag: &Dag, blocks: Vec<Block>) -> (Vec<Block>, Vec<PureInpu
             .find(|&n| dag.inst(n).qubits.contains(&w))?;
         states.entry(first, w).1.state_vector()
     };
-    let mut inputs = Vec::new();
-    let blocks = blocks
+    blocks
         .into_iter()
-        .filter(|block| {
-            let pure = entry(block, block.qubits[0]).zip(entry(block, block.qubits[1]));
-            inputs.extend(pure);
-            pure.is_some()
+        .filter_map(|block| {
+            let va = entry(&block, block.qubits[0])?;
+            let vb = entry(&block, block.qubits[1])?;
+            Some((block, (va, vb)))
         })
-        .collect();
-    (blocks, inputs)
+        .unzip()
 }
 
 /// Section V-D: the replacement, on local wires (0, 1), for a block with

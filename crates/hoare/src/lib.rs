@@ -12,7 +12,7 @@
 //! that "all the gates that are optimized by the hoare logic pass can be
 //! captured by our RPO pass" (Section VIII-B).
 //!
-//! Like the original, the pass also *simulates* solver effort: the Qiskit
+//! Unlike the original, the pass spends no solver effort: the Qiskit
 //! implementation grows markedly slower on larger circuits because every
 //! gate incurs solver queries. We do not fake timings — the Rust engine is
 //! simply fast — so transpile-time comparisons against this baseline
