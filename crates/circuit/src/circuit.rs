@@ -1,17 +1,27 @@
 //! The circuit container and its builder API.
 
 use crate::gate::Gate;
+use crate::small_list::SmallList;
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// The qubit operands of an [`Instruction`]. Up to three sit inline, so
+/// only the wider `mcx`, `mcz` and barrier instructions allocate; the list
+/// derefs to `[usize]`.
+pub type Qubits = SmallList<usize, 3>;
+
 /// One gate application: a [`Gate`] plus the qubit indices it acts on.
+///
+/// The operands sit inline ([`Qubits`]), so creating or cloning an
+/// instruction allocates only for a gate that carries a matrix (`cu`,
+/// `unitary`) or acts on more than three qubits.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Instruction {
     /// The gate being applied.
     pub gate: Gate,
     /// Qubit arguments, in the gate's local order (controls before target;
     /// argument 0 is the least-significant local bit).
-    pub qubits: Vec<usize>,
+    pub qubits: Qubits,
 }
 
 impl Instruction {
@@ -21,7 +31,8 @@ impl Instruction {
     ///
     /// Panics if the number of qubits does not match the gate's arity or if
     /// a qubit is repeated.
-    pub fn new(gate: Gate, qubits: Vec<usize>) -> Self {
+    pub fn new(gate: Gate, qubits: impl Into<Qubits>) -> Self {
+        let qubits = qubits.into();
         assert_eq!(
             gate.num_qubits(),
             qubits.len(),
@@ -156,14 +167,13 @@ impl Circuit {
                 self.num_qubits
             );
         }
-        self.instructions
-            .push(Instruction::new(gate, qubits.to_vec()));
+        self.instructions.push(Instruction::new(gate, qubits));
         self
     }
 
     /// Appends a prebuilt instruction.
     pub fn push_instruction(&mut self, inst: Instruction) -> &mut Self {
-        let qs = inst.qubits.clone();
+        let qs = inst.qubits;
         self.push(inst.gate, &qs)
     }
 

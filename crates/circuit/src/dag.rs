@@ -22,6 +22,13 @@
 //!   with the node's qubits; a splice patches only the chains of the wires
 //!   it touches (falling back to a local order-list walk for a replacement
 //!   wire the removed node did not carry).
+//! * A node's operands and its wire links are [`SmallList`]s, inline for up
+//!   to three qubits, so building or splicing in a node of at most three
+//!   qubits allocates nothing beyond its slab slot.
+//! * [`Dag::apply`] keeps its working lists (the new ids of a splice, its
+//!   wire runs, the removed node's links and the bitmap of nodes edited in
+//!   the batch) in buffers the DAG owns and reuses. They are not DAG state:
+//!   a clone starts them empty and `Debug` does not show them.
 //!
 //! The [`ChangeReport`] returned by `apply` is the currency of the
 //! change-driven fixed-point loop: a pass that reports no rewrites is
@@ -63,8 +70,9 @@
 use crate::blocks::{Block, BlockTracker, Membership};
 use crate::circuit::{gate_counts_over, Circuit, GateCounts, Instruction};
 use crate::gate::Gate;
+use crate::small_list::SmallList;
 use std::cell::Cell;
-use std::collections::HashSet;
+use std::fmt;
 
 thread_local! {
     static CIRCUIT_TO_DAG: Cell<usize> = const { Cell::new(0) };
@@ -186,7 +194,42 @@ struct Node {
     order_prev: usize,
     order_next: usize,
     /// `(pred, succ)` node ids per wire, aligned with `inst.qubits`.
-    wires: Vec<(usize, usize)>,
+    wires: Links,
+}
+
+/// The wire links of a node, inline for up to three qubits like its
+/// operands.
+type Links = SmallList<(usize, usize), 3>;
+
+/// `(wire, first, last)` for a wire of a splice: the first and last of its
+/// inserted nodes, or the removed node's `(pred, succ)` on it.
+type WireRun = (usize, usize, usize);
+
+/// Working lists of [`Dag::apply`], kept between calls so a splice
+/// allocates nothing once they have grown. Not DAG state: a clone starts
+/// empty and `Debug` prints none of it.
+#[derive(Default)]
+struct Scratch {
+    /// One bit per node id: edited in the current batch.
+    edited: Vec<u64>,
+    /// Ids of the nodes a splice inserted, in order.
+    new_ids: Vec<usize>,
+    /// Per wire of the inserted nodes: its first and last inserted node.
+    runs: Vec<WireRun>,
+    /// Per wire of the removed node: its `(pred, succ)`.
+    removed: Vec<WireRun>,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Scratch")
+    }
 }
 
 /// One link field of a node: an order neighbour, or the wire pred/succ at
@@ -245,6 +288,7 @@ pub struct Dag {
     tail: usize,
     /// The open undo journal, if any.
     journal: Option<Box<Journal>>,
+    scratch: Scratch,
 }
 
 impl Dag {
@@ -260,6 +304,7 @@ impl Dag {
             head: NONE,
             tail: NONE,
             journal: None,
+            scratch: Scratch::default(),
         };
         dag.rebuild(circuit.instructions().to_vec());
         dag
@@ -277,7 +322,7 @@ impl Dag {
             .into_iter()
             .enumerate()
             .map(|(i, inst)| {
-                let wires = vec![(NONE, NONE); inst.qubits.len()];
+                let wires = Links::from_elem((NONE, NONE), inst.qubits.len());
                 Some(Node {
                     inst,
                     order_prev: if i == 0 { NONE } else { i - 1 },
@@ -554,7 +599,7 @@ impl Dag {
     /// Stores a new node between the given order neighbours (the caller
     /// links them back), recycling the most recently freed id.
     fn alloc(&mut self, inst: Instruction, order_prev: usize, order_next: usize) -> usize {
-        let wires = vec![(NONE, NONE); inst.qubits.len()];
+        let wires = Links::from_elem((NONE, NONE), inst.qubits.len());
         let node = Node {
             inst,
             order_prev,
@@ -675,20 +720,30 @@ impl Dag {
         if edit.is_empty() {
             return ChangeReport::none();
         }
-        let rewrites = edit.ops.len();
+        let mut ops = edit.ops;
+        let rewrites = ops.len();
         let mut relink_nodes = 0usize;
-        let mut edited: HashSet<usize> = HashSet::with_capacity(rewrites);
-        for (node, op) in edit.ops {
+        // Taken out for the batch: a panic mid-splice drops it, so no stale
+        // bit outlives the batch.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        for (node, op) in &mut ops {
+            let node = *node;
+            let edited = bit(&scratch.edited, node);
             assert!(
-                node < self.slots.len() && self.slots[node].is_some() || edited.contains(&node),
+                node < self.slots.len() && self.slots[node].is_some() || edited,
                 "edit references node {node} out of range"
             );
             assert!(
-                edited.insert(node) && self.slots[node].is_some(),
+                !edited && self.slots[node].is_some(),
                 "node {node} edited twice in one batch"
             );
-            relink_nodes += self.splice(node, op.unwrap_or_default());
+            set_bit(&mut scratch.edited, node, true);
+            relink_nodes += self.splice(node, op.take().unwrap_or_default(), &mut scratch);
         }
+        for &(node, _) in &ops {
+            set_bit(&mut scratch.edited, node, false);
+        }
+        self.scratch = scratch;
         ChangeReport {
             rewrites,
             relink_nodes,
@@ -698,17 +753,20 @@ impl Dag {
     /// Replaces node `node_id` with `insts` (possibly empty), patching the
     /// order list and the wire chains locally. Returns the number of nodes
     /// whose links were rewritten.
-    fn splice(&mut self, node_id: usize, insts: Vec<Instruction>) -> usize {
+    fn splice(&mut self, node_id: usize, insts: Vec<Instruction>, scratch: &mut Scratch) -> usize {
         let removed = self.slots[node_id].take().expect("live node id");
         let (left, right) = (removed.order_prev, removed.order_next);
         // `(wire, pred, succ)` triples of the removed node.
-        let removed_wires: Vec<(usize, usize, usize)> = removed
-            .inst
-            .qubits
-            .iter()
-            .zip(&removed.wires)
-            .map(|(&q, &(p, s))| (q, p, s))
-            .collect();
+        let removed_wires = &mut scratch.removed;
+        removed_wires.clear();
+        removed_wires.extend(
+            removed
+                .inst
+                .qubits
+                .iter()
+                .zip(&removed.wires)
+                .map(|(&q, &(p, s))| (q, p, s)),
+        );
         self.retire(node_id, removed);
         self.len -= 1;
         let mut relinked = 1usize;
@@ -725,7 +783,8 @@ impl Dag {
         }
 
         // Allocate the replacements and thread them into the order list.
-        let mut new_ids = Vec::with_capacity(insts.len());
+        let new_ids = &mut scratch.new_ids;
+        new_ids.clear();
         let mut cursor = left;
         for inst in insts {
             for &q in &inst.qubits {
@@ -754,8 +813,9 @@ impl Dag {
 
         // Wire-link the inserted run: chain same-wire neighbours among the
         // new nodes, tracking each wire's first/last inserted node.
-        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
-        for &id in &new_ids {
+        let runs = &mut scratch.runs;
+        runs.clear();
+        for &id in new_ids.iter() {
             for j in 0..self.node(id).inst.qubits.len() {
                 let q = self.node(id).inst.qubits[j];
                 if let Some(run) = runs.iter_mut().find(|r| r.0 == q) {
@@ -771,7 +831,7 @@ impl Dag {
         // Connect each inserted run to the surrounding chain: through the
         // removed node's captured neighbours when it carried the wire,
         // else by a local order-list walk from the splice point.
-        for &(q, first, last) in &runs {
+        for &(q, first, last) in runs.iter() {
             let (wp, wn) = match removed_wires.iter().find(|r| r.0 == q) {
                 Some(&(_, p, s)) => (p, s),
                 None => (self.scan_wire_back(left, q), self.scan_wire_fwd(right, q)),
@@ -788,7 +848,7 @@ impl Dag {
             self.set_wire_succ(last, q, wn);
         }
         // Removed wires no replacement re-uses: bridge pred to succ.
-        for &(q, wp, wn) in &removed_wires {
+        for &(q, wp, wn) in removed_wires.iter() {
             if runs.iter().any(|r| r.0 == q) {
                 continue;
             }
@@ -956,6 +1016,24 @@ impl Dag {
             .collect();
         blocks.sort_by_key(|b| pos_of[b.nodes[0]]);
         blocks
+    }
+}
+
+/// Bit `i` of a bitmap; bits past its end read as clear.
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+}
+
+/// Sets bit `i` of a bitmap to `on`, growing it as needed.
+fn set_bit(bits: &mut Vec<u64>, i: usize, on: bool) {
+    if bits.len() <= i / 64 {
+        bits.resize(i / 64 + 1, 0);
+    }
+    let mask = 1 << (i % 64);
+    if on {
+        bits[i / 64] |= mask;
+    } else {
+        bits[i / 64] &= !mask;
     }
 }
 
@@ -1338,6 +1416,44 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "node 0 edited twice in one batch")]
+    fn apply_rejects_a_node_named_twice() {
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1);
+        let mut dag = Dag::from_circuit(&c);
+        let mut edit = DagEdit::new();
+        edit.remove(0);
+        edit.remove(0);
+        dag.apply(edit);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 1 edited twice in one batch")]
+    fn apply_rejects_a_node_named_again_after_its_id_was_recycled() {
+        // Removing node 1 frees its id and the replacement of node 0
+        // reuses it, so slot 1 is live again when the edit names it.
+        let mut c = Circuit::new(2);
+        c.h(0).h(1).cx(0, 1);
+        let mut dag = Dag::from_circuit(&c);
+        let mut edit = DagEdit::new();
+        edit.remove(1);
+        edit.replace(0, vec![Instruction::new(Gate::X, vec![0])]);
+        edit.remove(1);
+        dag.apply(edit);
+    }
+
+    #[test]
+    #[should_panic(expected = "edit references node 3 out of range")]
+    fn apply_rejects_an_out_of_range_node() {
+        let mut c = Circuit::new(2);
+        c.h(0).h(1).cx(0, 1);
+        let mut dag = Dag::from_circuit(&c);
+        let mut edit = DagEdit::new();
+        edit.remove(3);
+        dag.apply(edit);
+    }
+
+    #[test]
     fn incremental_relink_matches_fresh_build() {
         use crate::gate::Gate;
         let mut c = Circuit::new(4);
@@ -1495,7 +1611,7 @@ mod tests {
                 | Gate::Annot(..) => {}
             }
             let name = g.name();
-            let qubits = (0..g.num_qubits()).collect();
+            let qubits: crate::Qubits = (0..g.num_qubits()).collect();
             let classes = instruction_classes(&Instruction::new(g.clone(), qubits));
             if non_unitary.contains(&name) {
                 assert_eq!(classes, 0, "{name} is in every basis");

@@ -645,7 +645,7 @@ impl<'c> Planner<'c> {
         let idx = self.out.len();
         self.tracker.touch(&inst.qubits, idx);
         self.out.push(FusedInst {
-            qubits: inst.qubits.clone(),
+            qubits: inst.qubits.to_vec(),
             kernel: FusedKernel::Passthrough(op),
         });
     }
@@ -676,7 +676,7 @@ impl<'c> Planner<'c> {
         let idx = self.out.len();
         self.tracker.open(&inst.qubits, idx);
         self.out.push(FusedInst {
-            qubits: inst.qubits.clone(),
+            qubits: inst.qubits.to_vec(),
             kernel: FusedKernel::Dense(mk),
         });
     }

@@ -40,11 +40,12 @@ pub mod gate;
 pub mod hash;
 pub mod qasm;
 pub mod serial;
+pub mod small_list;
 pub mod testing;
 pub mod unitary;
 
 pub use blocks::{Block, BlockTracker, Membership};
-pub use circuit::{Circuit, GateCounts, Instruction};
+pub use circuit::{Circuit, GateCounts, Instruction, Qubits};
 pub use dag::{
     conversion_counts, gate_class, instruction_classes, reset_conversion_counts, ChangeReport, Dag,
     DagEdit,
@@ -57,7 +58,7 @@ pub use fusion::{
 pub use gate::{BasisState, Gate};
 pub use hash::{canonical_bytes, content_hash, fnv1a_128};
 pub use serial::decode_circuit;
+pub use small_list::SmallList;
 pub use unitary::{
-    circuit_unitary, circuit_unitary_reference, circuit_unitary_unfused, circuits_equivalent,
-    embed, UnitaryAccumulator,
+    circuit_unitary, circuit_unitary_reference, circuit_unitary_unfused, embed, UnitaryAccumulator,
 };

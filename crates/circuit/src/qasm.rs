@@ -444,7 +444,7 @@ impl<'a> Parser<'a> {
         if idx >= width {
             return Err(self.err(format!("qubit index {idx} out of range (qreg [{width}])")));
         }
-        Ok(Instruction::new(Gate::Annot(theta, phi), vec![idx]))
+        Ok(Instruction::new(Gate::Annot(theta, phi), [idx]))
     }
 
     fn program(&mut self) -> Result<Circuit, QasmError> {
@@ -543,7 +543,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.expect_byte(b';')?;
-                    insts.push(Instruction::new(Gate::Measure, vec![idx]));
+                    insts.push(Instruction::new(Gate::Measure, [idx]));
                 }
                 name => {
                     let (qname, width) = qreg

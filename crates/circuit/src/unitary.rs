@@ -356,15 +356,6 @@ pub fn circuit_unitary_reference(circuit: &Circuit) -> Matrix {
     u
 }
 
-/// Convenience equivalence check: do two circuits implement the same unitary
-/// up to global phase?
-pub fn circuits_equivalent(a: &Circuit, b: &Circuit, eps: f64) -> bool {
-    if a.num_qubits() != b.num_qubits() {
-        return false;
-    }
-    circuit_unitary(a).equal_up_to_global_phase(&circuit_unitary(b), eps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,7 +416,7 @@ mod tests {
         a.swap(0, 1);
         let mut b = Circuit::new(2);
         b.cx(0, 1).cx(1, 0).cx(0, 1);
-        assert!(circuits_equivalent(&a, &b, 1e-10));
+        assert!(circuit_unitary(&a).equal_up_to_global_phase(&circuit_unitary(&b), 1e-10));
     }
 
     #[test]
@@ -434,7 +425,7 @@ mod tests {
         a.swapz(0, 1);
         let mut b = Circuit::new(2);
         b.cx(1, 0).cx(0, 1);
-        assert!(circuits_equivalent(&a, &b, 1e-10));
+        assert!(circuit_unitary(&a).equal_up_to_global_phase(&circuit_unitary(&b), 1e-10));
     }
 
     #[test]
@@ -443,7 +434,7 @@ mod tests {
         a.h(0).barrier().annot_zero(1).cx(0, 1);
         let mut b = Circuit::new(2);
         b.h(0).cx(0, 1);
-        assert!(circuits_equivalent(&a, &b, 1e-10));
+        assert!(circuit_unitary(&a).equal_up_to_global_phase(&circuit_unitary(&b), 1e-10));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! unobservable); the default matches the paper's eigenvalue-1 rule.
 
 use crate::state::{basis_transform_gates, eigenphase_of, eigenphase_of_2x2, StateAnalysis};
-use qc_circuit::{BasisState, ChangeReport, Dag, DagEdit, Gate, Instruction};
+use qc_circuit::{BasisState, ChangeReport, Dag, DagEdit, Gate, Instruction, Qubits};
 use qc_math::C64;
 use qc_transpile::{DagPass, PropertySet, TranspileError};
 use std::collections::VecDeque;
@@ -78,7 +78,7 @@ impl Qbo {
     fn rewrite(&self, inst: &Instruction, st: &StateAnalysis) -> Option<Vec<Instruction>> {
         let q = &inst.qubits;
         let basis = |i: usize| st.basis(q[i]).known();
-        let one_q = |g: Gate, i: usize| Instruction::new(g, vec![q[i]]);
+        let one_q = |g: Gate, i: usize| Instruction::new(g, [q[i]]);
         match &inst.gate {
             // --- single-qubit gates: eigenstate removal (Eq. 7) ----------
             g if q.len() == 1 && g.is_unitary_gate() => {
@@ -151,8 +151,8 @@ impl Qbo {
                 } else {
                     // Decompose into its defining two CNOTs (always sound).
                     Some(vec![
-                        Instruction::new(Gate::Cx, vec![q[1], q[0]]),
-                        Instruction::new(Gate::Cx, vec![q[0], q[1]]),
+                        Instruction::new(Gate::Cx, [q[1], q[0]]),
+                        Instruction::new(Gate::Cx, [q[0], q[1]]),
                     ])
                 }
             }
@@ -161,13 +161,13 @@ impl Qbo {
                 (Some(BasisState::Zero), _, _) | (_, Some(BasisState::Zero), _) => Some(vec![]),
                 (_, _, Some(BasisState::Plus)) => Some(vec![]),
                 (Some(BasisState::One), _, _) => {
-                    Some(vec![Instruction::new(Gate::Cx, vec![q[1], q[2]])])
+                    Some(vec![Instruction::new(Gate::Cx, [q[1], q[2]])])
                 }
                 (_, Some(BasisState::One), _) => {
-                    Some(vec![Instruction::new(Gate::Cx, vec![q[0], q[2]])])
+                    Some(vec![Instruction::new(Gate::Cx, [q[0], q[2]])])
                 }
                 (_, _, Some(BasisState::Minus)) => {
-                    Some(vec![Instruction::new(Gate::Cz, vec![q[0], q[1]])])
+                    Some(vec![Instruction::new(Gate::Cz, [q[0], q[1]])])
                 }
                 _ => None,
             },
@@ -184,7 +184,7 @@ impl Qbo {
                 if st.basis(target).known() == Some(BasisState::Plus) {
                     return Some(vec![]);
                 }
-                let remaining: Vec<usize> = controls
+                let remaining: Qubits = controls
                     .iter()
                     .copied()
                     .filter(|&c| st.basis(c).known() != Some(BasisState::One))
@@ -209,7 +209,7 @@ impl Qbo {
                 {
                     return Some(vec![]);
                 }
-                let remaining: Vec<usize> = q
+                let remaining: Qubits = q
                     .iter()
                     .copied()
                     .filter(|&c| st.basis(c).known() != Some(BasisState::One))
@@ -228,7 +228,7 @@ impl Qbo {
                 match st.basis(c).known() {
                     Some(BasisState::Zero) => return Some(vec![]),
                     Some(BasisState::One) => {
-                        return Some(vec![Instruction::new(Gate::Swap, vec![t1, t2])])
+                        return Some(vec![Instruction::new(Gate::Swap, [t1, t2])])
                     }
                     _ => {}
                 }
@@ -245,16 +245,16 @@ impl Qbo {
                 };
                 if first_cx_fires(b2, b1) {
                     return Some(vec![
-                        Instruction::new(Gate::Cx, vec![t2, t1]),
-                        Instruction::new(Gate::Ccx, vec![c, t1, t2]),
-                        Instruction::new(Gate::Cx, vec![t2, t1]),
+                        Instruction::new(Gate::Cx, [t2, t1]),
+                        Instruction::new(Gate::Ccx, [c, t1, t2]),
+                        Instruction::new(Gate::Cx, [t2, t1]),
                     ]);
                 }
                 if first_cx_fires(b1, b2) {
                     return Some(vec![
-                        Instruction::new(Gate::Cx, vec![t1, t2]),
-                        Instruction::new(Gate::Ccx, vec![c, t2, t1]),
-                        Instruction::new(Gate::Cx, vec![t1, t2]),
+                        Instruction::new(Gate::Cx, [t1, t2]),
+                        Instruction::new(Gate::Ccx, [c, t2, t1]),
+                        Instruction::new(Gate::Cx, [t1, t2]),
                     ]);
                 }
                 None
@@ -301,20 +301,20 @@ impl Qbo {
 fn swapz_dressed(b: BasisState, known_q: usize, other_q: usize) -> Vec<Instruction> {
     let mut insts = Vec::new();
     for g in basis_transform_gates(b, BasisState::Zero) {
-        insts.push(Instruction::new(g, vec![known_q]));
+        insts.push(Instruction::new(g, [known_q]));
     }
-    insts.push(Instruction::new(Gate::SwapZ, vec![known_q, other_q]));
+    insts.push(Instruction::new(Gate::SwapZ, [known_q, other_q]));
     for g in basis_transform_gates(BasisState::Zero, b) {
-        insts.push(Instruction::new(g, vec![other_q]));
+        insts.push(Instruction::new(g, [other_q]));
     }
     insts
 }
 
 fn make_mcx(controls: &[usize], target: usize) -> Instruction {
-    let mut qs = controls.to_vec();
+    let mut qs = Qubits::from(controls);
     qs.push(target);
     match controls.len() {
-        0 => Instruction::new(Gate::X, vec![target]),
+        0 => Instruction::new(Gate::X, [target]),
         1 => Instruction::new(Gate::Cx, qs),
         2 => Instruction::new(Gate::Ccx, qs),
         n => Instruction::new(Gate::Mcx(n), qs),
@@ -324,9 +324,9 @@ fn make_mcx(controls: &[usize], target: usize) -> Instruction {
 fn make_mcz(qubits: &[usize]) -> Option<Instruction> {
     match qubits.len() {
         0 => None, // the gate degenerated to a global phase
-        1 => Some(Instruction::new(Gate::Z, vec![qubits[0]])),
-        2 => Some(Instruction::new(Gate::Cz, qubits.to_vec())),
-        n => Some(Instruction::new(Gate::Mcz(n - 1), qubits.to_vec())),
+        1 => Some(Instruction::new(Gate::Z, [qubits[0]])),
+        2 => Some(Instruction::new(Gate::Cz, qubits)),
+        n => Some(Instruction::new(Gate::Mcz(n - 1), qubits)),
     }
 }
 

@@ -67,7 +67,7 @@ fn prep_matrix(theta: f64, phi: f64) -> Matrix {
 fn push_local(insts: &mut Vec<Instruction>, m: &Matrix, q: usize) {
     let g = matrix_to_u3_gate(m);
     if !matches!(g, Gate::I) {
-        insts.push(Instruction::new(g, vec![q]));
+        insts.push(Instruction::new(g, [q]));
     }
 }
 
@@ -126,8 +126,8 @@ fn rewrite(inst: &Instruction, st: &StateAnalysis) -> Option<Vec<Instruction>> {
                     return Some(vec![]); // identical states: swap is trivial
                 }
                 return Some(vec![
-                    Instruction::new(Gate::Cu(v.clone()), vec![q[0], q[1]]),
-                    Instruction::new(Gate::Cu(v.adjoint()), vec![q[0], q[2]]),
+                    Instruction::new(Gate::Cu(v.clone()), [q[0], q[1]]),
+                    Instruction::new(Gate::Cu(v.adjoint()), [q[0], q[2]]),
                 ]);
             }
             None
@@ -142,7 +142,7 @@ fn dressed_swapz(theta: f64, phi: f64, pq: usize, other: usize) -> Vec<Instructi
     let u = prep_matrix(theta, phi);
     let mut insts = Vec::new();
     push_local(&mut insts, &u.adjoint(), pq);
-    insts.push(Instruction::new(Gate::SwapZ, vec![pq, other]));
+    insts.push(Instruction::new(Gate::SwapZ, [pq, other]));
     push_local(&mut insts, &u, other);
     insts
 }

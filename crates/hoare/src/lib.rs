@@ -19,7 +19,7 @@
 //! carry that caveat.
 
 use qc_backends::Backend;
-use qc_circuit::{ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
+use qc_circuit::{ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction, Qubits};
 use qc_transpile::optimize_1q::Optimize1qGates;
 use qc_transpile::preset::{fixpoint_passes, run_pipeline, Stage, Transpiled};
 use qc_transpile::unroll::Unroller;
@@ -59,28 +59,26 @@ impl HoareOptimizer {
             }
             Gate::Cx => match (st[q[0]], st[q[1]]) {
                 (Classical::Value(false), _) => Some(vec![]),
-                (Classical::Value(true), _) => Some(vec![Instruction::new(Gate::X, vec![q[1]])]),
+                (Classical::Value(true), _) => Some(vec![Instruction::new(Gate::X, [q[1]])]),
                 _ => None,
             },
             Gate::Cz | Gate::Cp(_) => match (st[q[0]], st[q[1]]) {
                 (Classical::Value(false), _) | (_, Classical::Value(false)) => Some(vec![]),
-                (Classical::Value(true), _) => Some(vec![Instruction::new(
-                    diag_residual(&inst.gate),
-                    vec![q[1]],
-                )]),
-                (_, Classical::Value(true)) => Some(vec![Instruction::new(
-                    diag_residual(&inst.gate),
-                    vec![q[0]],
-                )]),
+                (Classical::Value(true), _) => {
+                    Some(vec![Instruction::new(diag_residual(&inst.gate), [q[1]])])
+                }
+                (_, Classical::Value(true)) => {
+                    Some(vec![Instruction::new(diag_residual(&inst.gate), [q[0]])])
+                }
                 _ => None,
             },
             Gate::Ccx => match (st[q[0]], st[q[1]], st[q[2]]) {
                 (Classical::Value(false), _, _) | (_, Classical::Value(false), _) => Some(vec![]),
                 (Classical::Value(true), _, _) => {
-                    Some(vec![Instruction::new(Gate::Cx, vec![q[1], q[2]])])
+                    Some(vec![Instruction::new(Gate::Cx, [q[1], q[2]])])
                 }
                 (_, Classical::Value(true), _) => {
-                    Some(vec![Instruction::new(Gate::Cx, vec![q[0], q[2]])])
+                    Some(vec![Instruction::new(Gate::Cx, [q[0], q[2]])])
                 }
                 _ => None,
             },
@@ -89,7 +87,7 @@ impl HoareOptimizer {
                 if controls.iter().any(|&c| st[c] == Classical::Value(false)) {
                     return Some(vec![]);
                 }
-                let remaining: Vec<usize> = controls
+                let remaining: Qubits = controls
                     .iter()
                     .copied()
                     .filter(|&c| st[c] != Classical::Value(true))
@@ -115,9 +113,7 @@ impl HoareOptimizer {
             }
             Gate::Cswap => match st[q[0]] {
                 Classical::Value(false) => Some(vec![]),
-                Classical::Value(true) => {
-                    Some(vec![Instruction::new(Gate::Swap, vec![q[1], q[2]])])
-                }
+                Classical::Value(true) => Some(vec![Instruction::new(Gate::Swap, [q[1], q[2]])]),
                 _ => {
                     if st[q[1]] != Classical::Unknown && st[q[1]] == st[q[2]] {
                         Some(vec![]) // swapping equal classical values

@@ -87,7 +87,7 @@ fn plan_cancellations(dag: &Dag) -> Vec<bool> {
                 if let (Some(sc), Some(st)) = (sc, st) {
                     if sc == st
                         && matches!(dag.inst(sc).gate, Gate::Cx)
-                        && dag.inst(sc).qubits == vec![c, t]
+                        && dag.inst(sc).qubits == [c, t]
                     {
                         removed[i] = true;
                         removed[sc] = true;

@@ -15,7 +15,9 @@ use crate::guard::BudgetSnapshot;
 use crate::manager::{DagPass, PropertySet};
 use crate::TranspileError;
 use qc_circuit::circuit::gate_counts_of;
-use qc_circuit::{Block, ChangeReport, Dag, DagEdit, Gate, Instruction, UnitaryAccumulator};
+use qc_circuit::{
+    Block, ChangeReport, Dag, DagEdit, Gate, Instruction, Qubits, UnitaryAccumulator,
+};
 use qc_math::Matrix;
 use qc_synth::try_synthesize_two_qubit;
 use std::collections::HashMap;
@@ -147,7 +149,7 @@ pub fn rewrite_blocks(
         acc.reset();
         for &n in &block.nodes {
             let inst = dag.inst(n);
-            let qs: Vec<usize> = inst
+            let qs: Qubits = inst
                 .qubits
                 .iter()
                 .map(|&q| if q == a { 0 } else { 1 })
@@ -169,7 +171,7 @@ pub fn rewrite_blocks(
             .into_iter()
             .map(|inst| {
                 let qs = inst.qubits.iter().map(|&q| if q == 0 { a } else { b });
-                Instruction::new(inst.gate, qs.collect())
+                Instruction::new(inst.gate, qs.collect::<Qubits>())
             })
             .collect();
         for &n in &block.nodes {

@@ -130,16 +130,13 @@ fn corrupt(dag: &mut Dag) {
         Some((id, inst)) => {
             let q = inst.qubits[0];
             let mut edit = DagEdit::new();
-            edit.replace(
-                id,
-                vec![inst, Instruction::new(Gate::Unitary(bad), vec![q])],
-            );
+            edit.replace(id, vec![inst, Instruction::new(Gate::Unitary(bad), [q])]);
             dag.apply(edit);
         }
         None => {
             dag.replace_all(
                 dag.num_qubits(),
-                vec![Instruction::new(Gate::Unitary(bad), vec![0])],
+                vec![Instruction::new(Gate::Unitary(bad), [0])],
             );
         }
     }

@@ -7,7 +7,7 @@
 
 use crate::TranspileError;
 use qc_backends::Backend;
-use qc_circuit::Instruction;
+use qc_circuit::{Instruction, Qubits};
 
 /// The identity layout: logical qubit `i` on physical qubit `i`.
 pub fn trivial_layout(num_logical: usize) -> Vec<usize> {
@@ -150,7 +150,7 @@ pub fn apply_layout_dag(
     let mapped: Vec<Instruction> = dag
         .iter()
         .map(|(_, inst)| {
-            let qs: Vec<usize> = inst.qubits.iter().map(|&q| layout[q]).collect();
+            let qs: Qubits = inst.qubits.iter().map(|&q| layout[q]).collect();
             Instruction::new(inst.gate.clone(), qs)
         })
         .collect();

@@ -204,7 +204,7 @@ impl<'a> Tables<'a> {
     fn replay(&self, log: &[Step]) -> Routed {
         let measure = |q: usize| Instruction {
             gate: Gate::Measure,
-            qubits: vec![q],
+            qubits: [q].into(),
         };
         let mut perm: Vec<usize> = (0..self.n).collect();
         let mut inv = perm.clone();
@@ -236,7 +236,7 @@ impl<'a> Tables<'a> {
                 Step::Swap(a, b) => {
                     out.push(Instruction {
                         gate: Gate::Swap,
-                        qubits: vec![a, b],
+                        qubits: [a, b].into(),
                     });
                     perm.swap(inv[a], inv[b]);
                     inv.swap(a, b);

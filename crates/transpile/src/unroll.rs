@@ -8,7 +8,9 @@
 use crate::manager::{DagPass, PropertySet};
 use crate::TranspileError;
 use qc_circuit::gate_class::{NON_DEVICE, NON_EXTENDED};
-use qc_circuit::{instruction_classes, ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction};
+use qc_circuit::{
+    instruction_classes, ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction, Qubits,
+};
 use qc_synth::{
     controlled_u_circuit, fredkin_circuit, matrix_to_u3_gate, mcx_no_ancilla, mcz_circuit,
     synthesize_two_qubit, toffoli_circuit,
@@ -48,40 +50,40 @@ impl Unroller {
         }
         let q = &inst.qubits;
         let mut out = Vec::new();
-        let mut push = |gate: Gate, qubits: Vec<usize>| out.push(Instruction::new(gate, qubits));
+        let mut push = |gate: Gate, qubits: &[usize]| out.push(Instruction::new(gate, qubits));
         match &inst.gate {
-            Gate::X => push(Gate::U3(PI, 0.0, PI), vec![q[0]]),
-            Gate::Y => push(Gate::U3(PI, FRAC_PI_2, FRAC_PI_2), vec![q[0]]),
-            Gate::Z => push(Gate::U1(PI), vec![q[0]]),
-            Gate::H => push(Gate::U2(0.0, PI), vec![q[0]]),
-            Gate::S => push(Gate::U1(FRAC_PI_2), vec![q[0]]),
-            Gate::Sdg => push(Gate::U1(-FRAC_PI_2), vec![q[0]]),
-            Gate::T => push(Gate::U1(PI / 4.0), vec![q[0]]),
-            Gate::Tdg => push(Gate::U1(-PI / 4.0), vec![q[0]]),
-            Gate::Rx(t) => push(Gate::U3(*t, -FRAC_PI_2, FRAC_PI_2), vec![q[0]]),
-            Gate::Ry(t) => push(Gate::U3(*t, 0.0, 0.0), vec![q[0]]),
-            Gate::Rz(t) => push(Gate::U1(*t), vec![q[0]]),
+            Gate::X => push(Gate::U3(PI, 0.0, PI), &[q[0]]),
+            Gate::Y => push(Gate::U3(PI, FRAC_PI_2, FRAC_PI_2), &[q[0]]),
+            Gate::Z => push(Gate::U1(PI), &[q[0]]),
+            Gate::H => push(Gate::U2(0.0, PI), &[q[0]]),
+            Gate::S => push(Gate::U1(FRAC_PI_2), &[q[0]]),
+            Gate::Sdg => push(Gate::U1(-FRAC_PI_2), &[q[0]]),
+            Gate::T => push(Gate::U1(PI / 4.0), &[q[0]]),
+            Gate::Tdg => push(Gate::U1(-PI / 4.0), &[q[0]]),
+            Gate::Rx(t) => push(Gate::U3(*t, -FRAC_PI_2, FRAC_PI_2), &[q[0]]),
+            Gate::Ry(t) => push(Gate::U3(*t, 0.0, 0.0), &[q[0]]),
+            Gate::Rz(t) => push(Gate::U1(*t), &[q[0]]),
             Gate::Cz => {
-                push(Gate::H, vec![q[1]]);
-                push(Gate::Cx, vec![q[0], q[1]]);
-                push(Gate::H, vec![q[1]]);
+                push(Gate::H, &[q[1]]);
+                push(Gate::Cx, &[q[0], q[1]]);
+                push(Gate::H, &[q[1]]);
             }
             Gate::Cp(l) => {
-                push(Gate::U1(l / 2.0), vec![q[0]]);
-                push(Gate::Cx, vec![q[0], q[1]]);
-                push(Gate::U1(-l / 2.0), vec![q[1]]);
-                push(Gate::Cx, vec![q[0], q[1]]);
-                push(Gate::U1(l / 2.0), vec![q[1]]);
+                push(Gate::U1(l / 2.0), &[q[0]]);
+                push(Gate::Cx, &[q[0], q[1]]);
+                push(Gate::U1(-l / 2.0), &[q[1]]);
+                push(Gate::Cx, &[q[0], q[1]]);
+                push(Gate::U1(l / 2.0), &[q[1]]);
             }
             Gate::Swap => {
-                push(Gate::Cx, vec![q[0], q[1]]);
-                push(Gate::Cx, vec![q[1], q[0]]);
-                push(Gate::Cx, vec![q[0], q[1]]);
+                push(Gate::Cx, &[q[0], q[1]]);
+                push(Gate::Cx, &[q[1], q[0]]);
+                push(Gate::Cx, &[q[0], q[1]]);
             }
             Gate::SwapZ => {
                 // Definition Eq. 3: cx(other→qz) then cx(qz→other).
-                push(Gate::Cx, vec![q[1], q[0]]);
-                push(Gate::Cx, vec![q[0], q[1]]);
+                push(Gate::Cx, &[q[1], q[0]]);
+                push(Gate::Cx, &[q[0], q[1]]);
             }
             Gate::Ccx => compose_onto(&mut out, &toffoli_circuit(), q),
             Gate::Cswap => compose_onto(&mut out, &fredkin_circuit(), q),
@@ -89,7 +91,7 @@ impl Unroller {
             Gate::Mcz(n) => compose_onto(&mut out, &mcz_circuit(*n), q),
             Gate::Cu(u) => compose_onto(&mut out, &controlled_u_circuit(u), q),
             Gate::Unitary(m) => match q.len() {
-                1 => push(matrix_to_u3_gate(m), vec![q[0]]),
+                1 => push(matrix_to_u3_gate(m), &[q[0]]),
                 2 => compose_onto(&mut out, &synthesize_two_qubit(m), q),
                 n => {
                     return Err(TranspileError::unsupported_gate(format!(
@@ -115,7 +117,7 @@ impl Unroller {
 /// `mapping[i]`.
 fn compose_onto(out: &mut Vec<Instruction>, sub: &Circuit, mapping: &[usize]) {
     for inst in sub.instructions() {
-        let qs: Vec<usize> = inst.qubits.iter().map(|&i| mapping[i]).collect();
+        let qs: Qubits = inst.qubits.iter().map(|&i| mapping[i]).collect();
         out.push(Instruction::new(inst.gate.clone(), qs));
     }
 }
