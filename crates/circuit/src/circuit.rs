@@ -173,8 +173,7 @@ impl Circuit {
 
     /// Appends a prebuilt instruction.
     pub fn push_instruction(&mut self, inst: Instruction) -> &mut Self {
-        let qs = inst.qubits;
-        self.push(inst.gate, &qs)
+        self.push(inst.gate, &inst.qubits)
     }
 
     /// Appends all instructions of `other` (which must fit in this circuit).

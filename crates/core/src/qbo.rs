@@ -342,12 +342,18 @@ impl Qbo {
         let num_qubits = dag.num_qubits();
         let mut st = StateAnalysis::new(num_qubits);
         let mut edit = DagEdit::new();
+        let mut queue: VecDeque<Instruction> = VecDeque::new();
         for (id, inst) in dag.iter() {
-            let mut queue: VecDeque<Instruction> = VecDeque::new();
-            queue.push_back(inst.clone());
-            let mut budget = 64 + 4 * num_qubits;
+            // Most nodes are kept as they are: only a node whose rewrite
+            // fires is copied, and its chain runs through the queue.
+            let Some(first) = self.rewrite(inst, &st) else {
+                st.transition(&inst.gate, &inst.qubits);
+                continue;
+            };
+            queue.extend(first);
+            // The first rewrite spent one step of the chain's budget.
+            let mut budget = 64 + 4 * num_qubits - 1;
             let mut kept: Vec<Instruction> = Vec::new();
-            let mut rewritten = false;
             while let Some(cur) = queue.pop_front() {
                 if budget == 0 {
                     return Err(TranspileError::Internal(
@@ -357,7 +363,6 @@ impl Qbo {
                 budget -= 1;
                 match self.rewrite(&cur, &st) {
                     Some(replacement) => {
-                        rewritten = true;
                         for r in replacement.into_iter().rev() {
                             queue.push_front(r);
                         }
@@ -368,9 +373,7 @@ impl Qbo {
                     }
                 }
             }
-            if rewritten {
-                edit.replace(id, kept);
-            }
+            edit.replace(id, kept);
         }
         Ok(edit)
     }

@@ -206,12 +206,18 @@ impl HoareOptimizer {
     fn plan(dag: &Dag) -> Result<DagEdit, TranspileError> {
         let mut st = vec![Classical::Value(false); dag.num_qubits()];
         let mut edit = DagEdit::new();
+        let mut queue = VecDeque::new();
         for (id, inst) in dag.iter() {
-            let mut queue = VecDeque::new();
-            queue.push_back(inst.clone());
-            let mut budget = 64usize;
+            // Most nodes are kept as they are: only a node whose rewrite
+            // fires is copied, and its chain runs through the queue.
+            let Some(first) = Self::rewrite(inst, &st) else {
+                Self::transition(&mut st, &inst.gate, &inst.qubits);
+                continue;
+            };
+            queue.extend(first);
+            // The first rewrite spent one step of the chain's budget.
+            let mut budget = 63usize;
             let mut kept = Vec::new();
-            let mut rewritten = false;
             while let Some(cur) = queue.pop_front() {
                 if budget == 0 {
                     return Err(TranspileError::Internal(
@@ -221,7 +227,6 @@ impl HoareOptimizer {
                 budget -= 1;
                 match Self::rewrite(&cur, &st) {
                     Some(replacement) => {
-                        rewritten = true;
                         for r in replacement.into_iter().rev() {
                             queue.push_front(r);
                         }
@@ -232,9 +237,7 @@ impl HoareOptimizer {
                     }
                 }
             }
-            if rewritten {
-                edit.replace(id, kept);
-            }
+            edit.replace(id, kept);
         }
         Ok(edit)
     }

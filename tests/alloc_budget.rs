@@ -9,9 +9,10 @@
 //! The programs have no `unitary` gates (whose matrices are heap data).
 //! Each counted compile follows a warm-up compile of the same job, so the
 //! process-wide synthesis memo hits as it does in a long-running process.
-//! The budgets sit about 25% above the counts measured when they were set,
-//! in a debug and a release build alike; the counts of the revision before
-//! inline operands exceed every budget by 1.4× to 2.5×.
+//! The budgets sit about 25% above the release counts measured when they
+//! were set; a debug build, whose guard validates after every pass, counts
+//! up to 5% more. The counts of the revision before inline operands exceed
+//! every budget by 1.7× to 2.5×.
 
 use qc_algos::{qpe, vqe_ry_ansatz};
 use qc_backends::Backend;
@@ -110,11 +111,11 @@ fn the_counter_sees_this_threads_allocations() {
 
 #[test]
 fn compiles_stay_inside_their_allocation_budgets() {
-    // (name, program, flow, budget). Counts when set: 3303, 5715, 643 and
-    // 1115; before inline operands: 10148, 14212, 1401 and 1989.
+    // (name, program, flow, budget). Release counts when set: 3303, 4924,
+    // 643 and 913; before inline operands: 10148, 14212, 1401 and 1989.
     let cases = [
         ("qpe(9, 7/8)", qpe(9, 7.0 / 8.0), Flow::Level3, 4_150),
-        ("qpe(9, 7/8)", qpe(9, 7.0 / 8.0), Flow::Rpo, 7_150),
+        ("qpe(9, 7/8)", qpe(9, 7.0 / 8.0), Flow::Rpo, 6_150),
         (
             "vqe_ry_ansatz(8, 2, 7)",
             vqe_ry_ansatz(8, 2, 7),
@@ -125,7 +126,7 @@ fn compiles_stay_inside_their_allocation_budgets() {
             "vqe_ry_ansatz(8, 2, 7)",
             vqe_ry_ansatz(8, 2, 7),
             Flow::Rpo,
-            1_400,
+            1_150,
         ),
     ];
     let backend = Backend::melbourne();
