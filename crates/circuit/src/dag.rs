@@ -322,7 +322,7 @@ impl Dag {
             .into_iter()
             .enumerate()
             .map(|(i, inst)| {
-                let wires = Links::from_elem((NONE, NONE), inst.qubits.len());
+                let wires = std::iter::repeat_n((NONE, NONE), inst.qubits.len()).collect::<Links>();
                 Some(Node {
                     inst,
                     order_prev: if i == 0 { NONE } else { i - 1 },
@@ -599,7 +599,7 @@ impl Dag {
     /// Stores a new node between the given order neighbours (the caller
     /// links them back), recycling the most recently freed id.
     fn alloc(&mut self, inst: Instruction, order_prev: usize, order_next: usize) -> usize {
-        let wires = Links::from_elem((NONE, NONE), inst.qubits.len());
+        let wires = std::iter::repeat_n((NONE, NONE), inst.qubits.len()).collect::<Links>();
         let node = Node {
             inst,
             order_prev,
@@ -1430,14 +1430,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "node 1 edited twice in one batch")]
     fn apply_rejects_a_node_named_again_after_its_id_was_recycled() {
-        // Removing node 1 frees its id and the replacement of node 0
-        // reuses it, so slot 1 is live again when the edit names it.
+        // Removing node 1 frees its id; replacing node 0 by two gates frees
+        // id 0 and takes ids 0 and 1 back, so slot 1 is live again when
+        // the edit names it.
         let mut c = Circuit::new(2);
         c.h(0).h(1).cx(0, 1);
         let mut dag = Dag::from_circuit(&c);
         let mut edit = DagEdit::new();
         edit.remove(1);
-        edit.replace(0, vec![Instruction::new(Gate::X, vec![0])]);
+        edit.replace(
+            0,
+            vec![
+                Instruction::new(Gate::X, vec![0]),
+                Instruction::new(Gate::H, vec![0]),
+            ],
+        );
         edit.remove(1);
         dag.apply(edit);
     }

@@ -58,7 +58,6 @@ pub use fusion::{
 pub use gate::{BasisState, Gate};
 pub use hash::{canonical_bytes, content_hash, fnv1a_128};
 pub use serial::decode_circuit;
-pub use small_list::SmallList;
 pub use unitary::{
     circuit_unitary, circuit_unitary_reference, circuit_unitary_unfused, embed, UnitaryAccumulator,
 };

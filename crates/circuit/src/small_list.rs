@@ -30,20 +30,6 @@ impl<T: Copy + Default, const N: usize> SmallList<T, N> {
         N
     };
 
-    /// A list of `len` copies of `item`.
-    pub fn from_elem(item: T, len: usize) -> Self {
-        if len <= Self::INLINE {
-            let mut items = [T::default(); N];
-            items[..len].fill(item);
-            SmallList(Repr::Inline {
-                len: len as u8,
-                items,
-            })
-        } else {
-            SmallList(Repr::Heap(vec![item; len]))
-        }
-    }
-
     /// Appends `item`, moving the list to the heap when it outgrows `N`.
     pub fn push(&mut self, item: T) {
         match &mut self.0 {
@@ -188,7 +174,6 @@ mod tests {
                 assert_eq!(**list, items[..]);
                 assert_eq!(matches!(list.0, Repr::Inline { .. }), len <= 3, "len {len}");
             }
-            assert_eq!(List::from_elem(7, len).len(), len);
         }
     }
 
