@@ -1,23 +1,20 @@
-//! Shared streaming detection of mergeable gate neighborhoods ("blocks").
+//! Streaming detection of mergeable gate neighborhoods ("blocks") for the
+//! fusion planner ([`crate::fusion`]).
 //!
-//! Two consumers need the same question answered while walking a gate
-//! stream in program order: *can this gate be folded into an earlier block,
-//! or must it start (or break) one?*
+//! The planner walks a gate stream in program order and asks of each gate:
+//! *can it be folded into an earlier block, or must it start (or break)
+//! one?* It grows dense k≤3 kernel blocks in-stream: a gate joins the most
+//! recent dense block when every qubit it shares with the block is
+//! unperturbed since the block was emitted and every qubit it adds is
+//! untouched since then. (The two-qubit blocks of `ConsolidateBlocks` and
+//! QPO come from [`crate::Dag::collect_blocks`], a simpler walk that closes
+//! a block as soon as anything else touches one of its wires.)
 //!
-//! * The **fusion planner** ([`crate::fusion`]) grows dense k≤3 kernel
-//!   blocks in-stream: a gate joins the most recent dense block when every
-//!   qubit it shares with the block is unperturbed since the block was
-//!   emitted and every qubit it adds is untouched since then.
-//! * **`ConsolidateBlocks`** (and QPO's block rewrite in `qc-core`)
-//!   collects maximal runs of gates confined to one qubit pair for KAK
-//!   re-synthesis — the same membership test with `max_arity = 2`, over
-//!   original instruction indices instead of emitted kernel ops.
-//!
-//! [`BlockTracker`] is that shared membership machine. It knows nothing
-//! about matrices or cost models: callers ask for [`BlockTracker::membership`],
-//! decide (the planner applies its cost model, the collector its anchoring
-//! rule), and report back with [`BlockTracker::open`],
-//! [`BlockTracker::extend`] or [`BlockTracker::touch`].
+//! [`BlockTracker`] is that membership machine. It knows nothing about
+//! matrices or cost models: the planner asks for
+//! [`BlockTracker::membership`], applies its cost model, and reports back
+//! with [`BlockTracker::open`], [`BlockTracker::extend`] or
+//! [`BlockTracker::touch`].
 //!
 //! # Soundness
 //!
@@ -34,16 +31,6 @@
 //! qubit disjointness) with everything between `p` and the present, so
 //! relocating it to `p` preserves the operator. [`BlockTracker::membership`]
 //! checks precisely that invariant.
-
-/// A collected block over original instruction indices: the product of
-/// [`crate::Dag::collect_blocks`], consumed by `ConsolidateBlocks` and QPO.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Block {
-    /// The distinct qubits the block spans, in first-claimed order.
-    pub qubits: Vec<usize>,
-    /// Instruction indices in program order. At least one multi-qubit gate.
-    pub nodes: Vec<usize>,
-}
 
 /// The answer to "where does a gate on these qubits belong?".
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,9 +53,6 @@ pub enum Membership {
 #[derive(Clone, Debug)]
 pub struct BlockTracker {
     max_arity: usize,
-    /// Whether losing one wire releases the whole block (see
-    /// [`BlockTracker::sealing`]).
-    seal_on_touch: bool,
     /// Per block: spanned qubits and the stream position it was opened at.
     blocks: Vec<(Vec<usize>, usize)>,
     /// Per qubit: the open block owning it (`None` once anything else
@@ -81,47 +65,15 @@ pub struct BlockTracker {
 impl BlockTracker {
     /// A per-wire tracker for `num_qubits` wires growing blocks up to
     /// `max_arity` qubits: a block that loses one wire keeps accepting
-    /// gates on its remaining wires. Sound for consumers that fold joined
-    /// gates back **at the block's stream position** (the fusion planner,
-    /// which back-patches the emitted kernel op's matrix).
+    /// gates on its remaining wires. Sound because the planner folds joined
+    /// gates back **at the block's stream position** (it back-patches the
+    /// emitted kernel op's matrix).
     pub fn new(num_qubits: usize, max_arity: usize) -> Self {
         BlockTracker {
             max_arity,
-            seal_on_touch: false,
             blocks: Vec::new(),
             last_block: vec![None; num_qubits],
             last_touch: vec![None; num_qubits],
-        }
-    }
-
-    /// A sealing tracker: the first outside action on **any** wire of a
-    /// block releases the whole block. Required by consumers that anchor a
-    /// block's rewrite at its *last* node index (`ConsolidateBlocks`, QPO)
-    /// — a gate joining on a surviving wire after another wire was stolen
-    /// would drag the anchor past the stealing gate and reorder the
-    /// circuit.
-    pub fn sealing(num_qubits: usize, max_arity: usize) -> Self {
-        BlockTracker {
-            seal_on_touch: true,
-            ..BlockTracker::new(num_qubits, max_arity)
-        }
-    }
-
-    /// Releases qubit `q`'s block ownership — wholly (every wire of the
-    /// owning block) under sealing mode, else just `q`.
-    fn release(&mut self, q: usize) {
-        let Some(owner) = self.last_block[q] else {
-            return;
-        };
-        if self.seal_on_touch {
-            for i in 0..self.blocks[owner].0.len() {
-                let w = self.blocks[owner].0[i];
-                if self.last_block[w] == Some(owner) {
-                    self.last_block[w] = None;
-                }
-            }
-        } else {
-            self.last_block[q] = None;
         }
     }
 
@@ -162,9 +114,6 @@ impl BlockTracker {
     pub fn open(&mut self, qubits: &[usize], pos: usize) -> usize {
         let id = self.blocks.len();
         for &q in qubits {
-            self.release(q);
-        }
-        for &q in qubits {
             self.last_block[q] = Some(id);
             self.last_touch[q] = Some(pos);
         }
@@ -182,7 +131,6 @@ impl BlockTracker {
                 !self.blocks[block].0.contains(&q),
                 "qubit {q} already in block"
             );
-            self.release(q);
             self.blocks[block].0.push(q);
             self.last_block[q] = Some(block);
             self.last_touch[q] = Some(pos);
@@ -194,7 +142,6 @@ impl BlockTracker {
     /// releasing any block ownership of those wires.
     pub fn touch(&mut self, qubits: &[usize], pos: usize) {
         for &q in qubits {
-            self.release(q);
             self.last_block[q] = None;
             self.last_touch[q] = Some(pos);
         }
@@ -275,27 +222,6 @@ mod tests {
             Membership::Join {
                 block: b,
                 new_qubits: vec![3]
-            }
-        );
-    }
-
-    #[test]
-    fn sealing_releases_whole_block_on_any_wire_loss() {
-        let mut t = BlockTracker::sealing(4, 2);
-        t.open(&[0, 2], 0);
-        // A new block stealing wire 0 seals the (0,2) block entirely: even
-        // the untouched wire 2 no longer accepts joins.
-        t.open(&[0, 3], 1);
-        assert_eq!(t.membership(&[2]), Membership::Outside);
-        // Per-wire mode keeps wire 2 open in the same scenario.
-        let mut t = BlockTracker::new(4, 2);
-        let b = t.open(&[0, 2], 0);
-        t.open(&[0, 3], 1);
-        assert_eq!(
-            t.membership(&[2]),
-            Membership::Join {
-                block: b,
-                new_qubits: vec![]
             }
         );
     }

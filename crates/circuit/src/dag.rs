@@ -4,7 +4,8 @@
 //! [`Dag`] adds the wire structure on top of it: per-node predecessors and
 //! successors along qubit wires, a ready-set scheduler (used by the routing
 //! pass), maximal single-qubit runs (used by `Optimize1qGates`), and
-//! two-qubit block collection (the `Collect2qBlocks` analogue).
+//! two-qubit block collection ([`Dag::collect_blocks`], the
+//! `Collect2qBlocks` analogue used by `ConsolidateBlocks` and QPO).
 //!
 //! # O(edit) mutations
 //!
@@ -34,9 +35,9 @@
 //! change-driven fixed-point loop: a pass that reports no rewrites is
 //! skipped until another pass rewrites the DAG, and its `relink_nodes`
 //! field counts the nodes whose links the splice patched (the observable
-//! for the O(edit) claim). Passes compute what they read (block
-//! membership, per-node entry states) from the DAG in front of them; the DAG
-//! maintains no derived data beyond its links.
+//! for the O(edit) claim). Passes compute what they read (blocks, state
+//! analyses) from the DAG in front of them; the DAG maintains no derived
+//! data beyond its links.
 //!
 //! [`Dag::from_circuit`] and [`Dag::to_circuit`] are the *only* sanctioned
 //! Circuit↔Dag boundary and each bumps a thread-local conversion counter
@@ -67,7 +68,6 @@
 //! come back exactly. [`Dag::commit_journal`] drops the journal and keeps
 //! the edits. Journals do not nest.
 
-use crate::blocks::{Block, BlockTracker, Membership};
 use crate::circuit::{gate_counts_over, Circuit, GateCounts, Instruction};
 use crate::gate::Gate;
 use crate::small_list::SmallList;
@@ -943,80 +943,83 @@ impl Dag {
         runs
     }
 
-    /// Collects maximal blocks of unitary gates confined to at most
-    /// `max_arity` qubits, anchored by at least one multi-qubit gate —
-    /// single-qubit gates preceding a block on its wires are absorbed into
-    /// it. Blocks are returned sorted by program position, each block's
-    /// node ids in program order.
+    /// Collects maximal blocks of unitary gates confined to one qubit
+    /// pair, each anchored by at least one two-qubit gate: single-qubit
+    /// gates preceding a block on its wires are absorbed into it. Blocks
+    /// are returned sorted by program position, each block's node ids in
+    /// program order.
     ///
-    /// The membership logic is [`BlockTracker`] — the same machine the
-    /// fusion planner uses to grow dense kernel blocks in-stream — so
-    /// `ConsolidateBlocks`, QPO's block rewrite and the planner all agree
-    /// on what constitutes a foldable neighborhood.
-    pub fn collect_blocks(&self, max_arity: usize) -> Vec<Block> {
-        let mut tracker = BlockTracker::sealing(self.num_qubits, max_arity);
-        // Pending 1q gates per wire, waiting for a multi-qubit anchor.
+    /// Per wire the walk keeps the open block that owns it and the pending
+    /// single-qubit gates waiting for a two-qubit anchor. A two-qubit gate
+    /// joins the block that owns both its wires, or else opens a new one
+    /// with the pending gates of both. Any other gate on a wire (a foreign
+    /// pair, a wider gate, a directive or a non-unitary) closes the
+    /// wire's block on both of its wires. A closed block accepts nothing
+    /// more, so every block node lies before anything that interrupts the
+    /// block, and a rewrite may stand at the block's last node.
+    pub fn collect_blocks(&self) -> Vec<Block> {
+        let mut blocks: Vec<Block> = Vec::new();
+        let mut owner: Vec<Option<usize>> = vec![None; self.num_qubits];
         let mut pending: Vec<Vec<usize>> = vec![Vec::new(); self.num_qubits];
-        // Node lists per tracker block id.
-        let mut nodes_of: Vec<Vec<usize>> = Vec::new();
         // Program position per node id (ids carry no order meaning).
         let mut pos_of = vec![0usize; self.capacity()];
+        let close = |owner: &mut [Option<usize>], blocks: &[Block], q: usize| {
+            if let Some(b) = owner[q] {
+                for w in blocks[b].qubits {
+                    owner[w] = None;
+                }
+            }
+        };
         for (pos, (id, inst)) in self.iter().enumerate() {
             pos_of[id] = pos;
             let unitary = inst.gate.is_unitary_gate() && !inst.gate.is_directive();
-            if !unitary || inst.qubits.len() > max_arity {
-                // Directive, non-unitary, or too wide: breaks blocks and
-                // pending runs on all touched wires.
-                for &q in &inst.qubits {
-                    pending[q].clear();
-                }
-                tracker.touch(&inst.qubits, pos);
-                continue;
-            }
-            if inst.qubits.len() == 1 {
-                let q = inst.qubits[0];
-                match tracker.membership(&inst.qubits) {
-                    Membership::Join { block, new_qubits } if new_qubits.is_empty() => {
-                        nodes_of[block].push(id)
+            match inst.qubits[..] {
+                [q] if unitary => match owner[q] {
+                    Some(b) => blocks[b].nodes.push(id),
+                    None => pending[q].push(id),
+                },
+                [a, b] if unitary => match (owner[a], owner[b]) {
+                    (Some(x), Some(y)) if x == y => blocks[x].nodes.push(id),
+                    _ => {
+                        close(&mut owner, &blocks, a);
+                        close(&mut owner, &blocks, b);
+                        let mut nodes = Vec::new();
+                        nodes.append(&mut pending[a]);
+                        nodes.append(&mut pending[b]);
+                        nodes.push(id);
+                        owner[a] = Some(blocks.len());
+                        owner[b] = Some(blocks.len());
+                        blocks.push(Block {
+                            qubits: [a, b],
+                            nodes,
+                        });
                     }
-                    _ => pending[q].push(id),
-                }
-                continue;
-            }
-            match tracker.membership(&inst.qubits) {
-                Membership::Join { block, new_qubits } => {
-                    for &q in &new_qubits {
-                        nodes_of[block].append(&mut pending[q]);
+                },
+                ref qubits => {
+                    for &q in qubits {
+                        pending[q].clear();
+                        close(&mut owner, &blocks, q);
                     }
-                    tracker.extend(block, &new_qubits);
-                    nodes_of[block].push(id);
-                }
-                Membership::Outside => {
-                    let block = tracker.open(&inst.qubits, pos);
-                    let mut nodes = Vec::new();
-                    for &q in &inst.qubits {
-                        nodes.append(&mut pending[q]);
-                    }
-                    nodes.push(id);
-                    debug_assert_eq!(block, nodes_of.len());
-                    nodes_of.push(nodes);
                 }
             }
         }
-        let mut blocks: Vec<Block> = nodes_of
-            .into_iter()
-            .enumerate()
-            .map(|(block_id, mut nodes)| {
-                nodes.sort_unstable_by_key(|&id| pos_of[id]);
-                Block {
-                    qubits: tracker.block_qubits(block_id).to_vec(),
-                    nodes,
-                }
-            })
-            .collect();
+        for block in &mut blocks {
+            block.nodes.sort_unstable_by_key(|&id| pos_of[id]);
+        }
         blocks.sort_by_key(|b| pos_of[b.nodes[0]]);
         blocks
     }
+}
+
+/// A two-qubit block over node ids: the product of [`Dag::collect_blocks`],
+/// consumed by `ConsolidateBlocks` and QPO.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Block {
+    /// The block's wires, in the operand order of its first two-qubit gate
+    /// (the local bit order of the block's matrix).
+    pub qubits: [usize; 2],
+    /// Node ids in program order. At least one two-qubit gate.
+    pub nodes: Vec<usize>,
 }
 
 /// Bit `i` of a bitmap; bits past its end read as clear.
@@ -1349,13 +1352,13 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).t(1).cx(0, 1).cx(1, 2);
         let dag = Dag::from_circuit(&c);
-        let blocks = dag.collect_blocks(2);
+        let blocks = dag.collect_blocks();
         assert_eq!(blocks.len(), 2);
         // First block: h(0) absorbed + cx, t, cx on (0,1).
-        assert_eq!(blocks[0].qubits, vec![0, 1]);
+        assert_eq!(blocks[0].qubits, [0, 1]);
         assert_eq!(blocks[0].nodes, vec![0, 1, 2, 3]);
         // Second block: cx(1,2).
-        assert_eq!(blocks[1].qubits, vec![1, 2]);
+        assert_eq!(blocks[1].qubits, [1, 2]);
         assert_eq!(blocks[1].nodes, vec![4]);
     }
 
@@ -1364,7 +1367,7 @@ mod tests {
         let mut c = Circuit::new(3);
         c.cx(0, 1).ccx(0, 1, 2).cx(0, 1);
         let dag = Dag::from_circuit(&c);
-        let blocks = dag.collect_blocks(2);
+        let blocks = dag.collect_blocks();
         assert_eq!(blocks.len(), 2);
         assert_eq!(blocks[0].nodes, vec![0]);
         assert_eq!(blocks[1].nodes, vec![2]);
@@ -1375,9 +1378,22 @@ mod tests {
         let mut c = Circuit::new(2);
         c.cx(0, 1).h(0).h(1);
         let dag = Dag::from_circuit(&c);
-        let blocks = dag.collect_blocks(2);
+        let blocks = dag.collect_blocks();
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].nodes, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_foreign_gate_closes_the_block_on_both_wires() {
+        // cx(0, 3) takes wire 0 from the (0, 2) block, which closes it on
+        // wire 2 as well: the later h(2) may not join it, since the block's
+        // rewrite stands at its last node, after the cx(0, 3) would be.
+        let mut c = Circuit::new(4);
+        c.cx(0, 2).cx(0, 3).h(2);
+        let blocks = Dag::from_circuit(&c).collect_blocks();
+        assert_eq!(blocks.len(), 2);
+        assert_eq!((blocks[0].qubits, &blocks[0].nodes[..]), ([0, 2], &[0][..]));
+        assert_eq!((blocks[1].qubits, &blocks[1].nodes[..]), ([0, 3], &[1][..]));
     }
 
     #[test]
@@ -1385,7 +1401,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).h(1);
         let dag = Dag::from_circuit(&c);
-        assert!(dag.collect_blocks(2).is_empty());
+        assert!(dag.collect_blocks().is_empty());
     }
 
     #[test]
@@ -1529,7 +1545,7 @@ mod tests {
         c.cx(1, 2).cx(2, 3).t(1).cx(0, 1).h(1).cx(0, 1);
         let mut dag = Dag::from_circuit(&c);
         let nodes_on = |dag: &Dag, qubits: [usize; 2]| {
-            let blocks = dag.collect_blocks(2);
+            let blocks = dag.collect_blocks();
             let block = blocks.iter().find(|b| b.qubits == qubits);
             block.map(|b| b.nodes.clone()).unwrap_or_default()
         };

@@ -44,11 +44,11 @@ pub mod small_list;
 pub mod testing;
 pub mod unitary;
 
-pub use blocks::{Block, BlockTracker, Membership};
+pub use blocks::{BlockTracker, Membership};
 pub use circuit::{Circuit, GateCounts, Instruction, Qubits};
 pub use dag::{
-    conversion_counts, gate_class, instruction_classes, reset_conversion_counts, ChangeReport, Dag,
-    DagEdit,
+    conversion_counts, gate_class, instruction_classes, reset_conversion_counts, Block,
+    ChangeReport, Dag, DagEdit,
 };
 pub use error::{BudgetKind, RpoError};
 pub use fusion::{

@@ -23,6 +23,13 @@
 //!   QBO before unrolling, QBO again after routing (to catch inserted
 //!   SWAPs), and QPO after single-qubit merging.
 //!
+//! QBO and QPO are one program-order walk over a per-qubit state automaton
+//! each, QBO over the basis domain and QPO over the pure domain; so is the
+//! Hoare baseline (crate `qc-hoare`) over classical Z-basis values. All
+//! three run on the transpiler's [`qc_transpile::rewrite_forward`] with
+//! their own rules, transition and chain budget. QPO's block rewrite reads
+//! the pure-state analysis once more, for the blocks' input states.
+//!
 //! # Examples
 //!
 //! The signature example from the paper's introduction — a CNOT whose
@@ -40,13 +47,11 @@
 //! assert_eq!(c.gate_counts().cx, 0);
 //! ```
 
-pub mod analysis;
 pub mod pipeline;
 pub mod qbo;
 pub mod qpo;
 pub mod state;
 
-pub use analysis::WireStates;
 #[cfg(any(test, feature = "reference-oracles"))]
 pub use pipeline::transpile_rpo_reference;
 pub use pipeline::{transpile_rpo, transpile_rpo_instrumented, RpoOptions};

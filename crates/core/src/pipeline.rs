@@ -105,12 +105,9 @@ impl RpoOptions {
 
     /// The QBO and QPO configurations these options select.
     fn passes(&self) -> (Qbo, Qpo) {
-        let qbo = if self.phase_relaxed {
-            Qbo::phase_relaxed()
-        } else if self.extended_rules {
-            Qbo::with_extended_rules()
-        } else {
-            Qbo::new()
+        let qbo = Qbo {
+            phase_relaxed: self.phase_relaxed,
+            extended_rules: self.extended_rules,
         };
         let qpo = if self.enable_block_qpo {
             Qpo::new()
@@ -258,6 +255,7 @@ pub fn transpile_rpo_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_circuit::Gate;
     use qc_transpile::transpile;
 
     fn routed_equivalent_counts(c: &Circuit, backend: &Backend, seed: u64) -> (usize, usize) {
@@ -321,6 +319,28 @@ mod tests {
             let out = transpile_rpo(&c, &backend, &opts).unwrap();
             assert!(out.circuit.gate_counts().total > 0);
         }
+    }
+
+    #[test]
+    fn options_build_qbo_from_both_flags() {
+        // Target |1⟩ is a T eigenstate with phase e^{iπ/4}: only the
+        // extended rules remove the cu, whatever phase_relaxed says.
+        let mut c = Circuit::new(2);
+        c.rx(0.3, 0).x(1).cu(Gate::T.matrix().unwrap(), 0, 1);
+        let opts = RpoOptions {
+            phase_relaxed: true,
+            extended_rules: true,
+            ..RpoOptions::new()
+        };
+        let (mut qbo, _) = opts.passes();
+        let mut out = c.clone();
+        qbo.run(&mut out).unwrap();
+        assert_eq!(out.count_name("cu"), 0, "{out}");
+        assert!(qc_sim::same_output_state(&c, &out, 1e-8));
+        qbo.extended_rules = false;
+        let mut out = c.clone();
+        qbo.run(&mut out).unwrap();
+        assert_eq!(out.count_name("cu"), 1, "{out}");
     }
 
     #[test]

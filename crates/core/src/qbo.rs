@@ -1,8 +1,9 @@
 //! The Quantum Basis-state Optimization (QBO) pass — paper Sections III, V.
 //!
-//! QBO walks the circuit in topological order carrying the basis-state
-//! analysis, and applies the paper's strength-reduction rules wherever an
-//! input qubit is in a known basis state:
+//! QBO walks the circuit in program order carrying the basis-state
+//! analysis ([`qc_transpile::rewrite_forward`]), and applies the paper's
+//! strength-reduction rules wherever an input qubit is in a known basis
+//! state:
 //!
 //! | gate | condition | rewrite |
 //! |---|---|---|
@@ -27,16 +28,15 @@
 //! unobservable); the default matches the paper's eigenvalue-1 rule.
 
 use crate::state::{basis_transform_gates, eigenphase_of, eigenphase_of_2x2, StateAnalysis};
-use qc_circuit::{BasisState, ChangeReport, Dag, DagEdit, Gate, Instruction, Qubits};
+use qc_circuit::{BasisState, ChangeReport, Dag, Gate, Instruction, Qubits};
 use qc_math::C64;
-use qc_transpile::{DagPass, PropertySet, TranspileError};
-use std::collections::VecDeque;
+use qc_transpile::{rewrite_forward, DagPass, PropertySet, TranspileError};
 
 /// The QBO pass.
 #[derive(Clone, Debug, Default)]
 pub struct Qbo {
-    phase_relaxed: bool,
-    extended_rules: bool,
+    pub(crate) phase_relaxed: bool,
+    pub(crate) extended_rules: bool,
 }
 
 impl Qbo {
@@ -330,55 +330,6 @@ fn make_mcz(qubits: &[usize]) -> Option<Instruction> {
     }
 }
 
-impl Qbo {
-    /// Runs the analysis-driven rewrite over the DAG in program order,
-    /// returning one edit that replaces each node on which a rewrite chain
-    /// fired by the chain's final gates (possibly none).
-    ///
-    /// # Errors
-    ///
-    /// Fails when a rewrite chain does not terminate (a bug).
-    fn plan(&self, dag: &Dag) -> Result<DagEdit, TranspileError> {
-        let num_qubits = dag.num_qubits();
-        let mut st = StateAnalysis::new(num_qubits);
-        let mut edit = DagEdit::new();
-        let mut queue: VecDeque<Instruction> = VecDeque::new();
-        for (id, inst) in dag.iter() {
-            // Most nodes are kept as they are: only a node whose rewrite
-            // fires is copied, and its chain runs through the queue.
-            let Some(first) = self.rewrite(inst, &st) else {
-                st.transition(&inst.gate, &inst.qubits);
-                continue;
-            };
-            queue.extend(first);
-            // The first rewrite spent one step of the chain's budget.
-            let mut budget = 64 + 4 * num_qubits - 1;
-            let mut kept: Vec<Instruction> = Vec::new();
-            while let Some(cur) = queue.pop_front() {
-                if budget == 0 {
-                    return Err(TranspileError::Internal(
-                        "QBO rewrite did not terminate".into(),
-                    ));
-                }
-                budget -= 1;
-                match self.rewrite(&cur, &st) {
-                    Some(replacement) => {
-                        for r in replacement.into_iter().rev() {
-                            queue.push_front(r);
-                        }
-                    }
-                    None => {
-                        st.transition(&cur.gate, &cur.qubits);
-                        kept.push(cur);
-                    }
-                }
-            }
-            edit.replace(id, kept);
-        }
-        Ok(edit)
-    }
-}
-
 impl DagPass for Qbo {
     fn name(&self) -> &'static str {
         "QBO"
@@ -396,7 +347,14 @@ impl DagPass for Qbo {
         dag: &mut Dag,
         _props: &mut PropertySet,
     ) -> Result<ChangeReport, TranspileError> {
-        let edit = self.plan(dag)?;
+        let edit = rewrite_forward(
+            dag,
+            self.name(),
+            StateAnalysis::new(dag.num_qubits()),
+            64 + 4 * dag.num_qubits(),
+            |inst, st| self.rewrite(inst, st),
+            |st, inst| st.transition(&inst.gate, &inst.qubits),
+        )?;
         Ok(dag.apply(edit))
     }
 }

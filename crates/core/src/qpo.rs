@@ -17,19 +17,21 @@
 //!   replaced by an *un-preparation* of the inputs plus a state-preparation
 //!   circuit for `|φ⟩` (one CNOT via the Schmidt decomposition, Fig. 4).
 //!
-//! The block rewrite shares level 3's block walk, [`rewrite_blocks`]
-//! (pricing, `U_block` accumulation, the better-than rule, the edit and
-//! the budget's deadline). QPO hands it only the blocks whose two inputs
-//! [`WireStates`] knows to be pure, and the state preparation as the rule.
+//! The per-node rewrites run on the planner QBO and the Hoare baseline
+//! share, [`rewrite_forward`]. The block rewrite shares level 3's block
+//! walk, [`rewrite_blocks`] (pricing, `U_block` accumulation, the
+//! better-than rule, the edit and the budget's deadline). QPO hands it
+//! only the blocks whose two inputs the pure-state analysis knows, read in
+//! one walk at each block's first node on each wire, and the state
+//! preparation as the rule.
 
-use crate::analysis::WireStates;
 use crate::state::{vector_to_bloch, PureTracked, StateAnalysis};
 use qc_circuit::gate::u3_matrix;
-use qc_circuit::{Block, ChangeReport, Dag, DagEdit, Gate, Instruction};
+use qc_circuit::{Block, ChangeReport, Dag, Gate, Instruction};
 use qc_math::{Matrix, C64};
 use qc_synth::{matrix_to_u3_gate, prepare_two_qubit};
 use qc_transpile::consolidate::rewrite_blocks;
-use qc_transpile::{DagPass, PropertySet, TranspileError};
+use qc_transpile::{rewrite_forward, DagPass, PropertySet, TranspileError};
 
 /// The QPO pass.
 #[derive(Clone, Debug)]
@@ -147,27 +149,6 @@ fn dressed_swapz(theta: f64, phi: f64, pq: usize, other: usize) -> Vec<Instructi
     insts
 }
 
-/// Phase 1: the per-node rewrites driven by the running analysis, in
-/// program order, as one edit.
-fn plan_rewrites(dag: &Dag) -> DagEdit {
-    let mut st = StateAnalysis::new(dag.num_qubits());
-    let mut edit = DagEdit::new();
-    for (id, inst) in dag.iter() {
-        match rewrite(inst, &st) {
-            Some(replacement) => {
-                // Rewrites produce already-final gates; no re-queueing
-                // needed (they are 1q gates, SWAPZ or controlled-U).
-                for r in &replacement {
-                    st.transition(&r.gate, &r.qubits);
-                }
-                edit.replace(id, replacement);
-            }
-            None => st.transition(&inst.gate, &inst.qubits),
-        }
-    }
-    edit
-}
-
 impl DagPass for Qpo {
     fn name(&self) -> &'static str {
         "QPO"
@@ -184,14 +165,23 @@ impl DagPass for Qpo {
         dag: &mut Dag,
         props: &mut PropertySet,
     ) -> Result<ChangeReport, TranspileError> {
-        let edit = plan_rewrites(dag);
+        // Phase 1, the per-node rewrites. Their replacement gates never
+        // fire a rule again, so each chain is its node's first rewrite.
+        let edit = rewrite_forward(
+            dag,
+            self.name(),
+            StateAnalysis::new(dag.num_qubits()),
+            64,
+            rewrite,
+            |st, inst| st.transition(&inst.gate, &inst.qubits),
+        )?;
         let mut total = dag.apply(edit);
         if !self.optimize_blocks {
             return Ok(total);
         }
         // Phase 2, the two-qubit block state-preparation rewrite, over the
-        // blocks and entry states of the DAG phase 1 left.
-        let blocks = dag.collect_blocks(2);
+        // blocks and input states of the DAG phase 1 left.
+        let blocks = dag.collect_blocks();
         if blocks.is_empty() {
             return Ok(total);
         }
@@ -208,24 +198,38 @@ impl DagPass for Qpo {
 type PureInputs = ([C64; 2], [C64; 2]);
 
 /// The blocks whose two inputs are known pure states, each with its
-/// [`PureInputs`]. Blocks with an input in ⊤ are dropped.
+/// [`PureInputs`], read in one walk of the state analysis. Blocks with an
+/// input in ⊤ are dropped.
 fn pure_input_blocks(dag: &Dag, blocks: Vec<Block>) -> (Vec<Block>, Vec<PureInputs>) {
-    let states = WireStates::compute(dag);
-    let entry = |block: &Block, w: usize| {
-        let first = block
-            .nodes
-            .iter()
-            .copied()
-            .find(|&n| dag.inst(n).qubits.contains(&w))?;
-        states.entry(first, w).1.state_vector()
-    };
+    // Per node id and block wire: the block whose input on that wire is
+    // read in front of the node, its first node on the wire.
+    let mut read_at = vec![[None; 2]; dag.capacity()];
+    for (i, block) in blocks.iter().enumerate() {
+        for (slot, w) in block.qubits.into_iter().enumerate() {
+            let first = block
+                .nodes
+                .iter()
+                .copied()
+                .find(|&n| dag.inst(n).qubits.contains(&w))
+                .expect("a block's wires carry its nodes");
+            read_at[first][slot] = Some(i);
+        }
+    }
+    let mut inputs = vec![[None; 2]; blocks.len()];
+    let mut st = StateAnalysis::new(dag.num_qubits());
+    for (id, inst) in dag.iter() {
+        for (slot, block) in read_at[id].into_iter().enumerate() {
+            if let Some(i) = block {
+                let w = blocks[i].qubits[slot];
+                inputs[i][slot] = st.pure_state(w).state_vector();
+            }
+        }
+        st.transition(&inst.gate, &inst.qubits);
+    }
     blocks
         .into_iter()
-        .filter_map(|block| {
-            let va = entry(&block, block.qubits[0])?;
-            let vb = entry(&block, block.qubits[1])?;
-            Some((block, (va, vb)))
-        })
+        .zip(inputs)
+        .filter_map(|(block, [va, vb])| Some((block, (va?, vb?))))
         .unzip()
 }
 

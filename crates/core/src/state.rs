@@ -17,7 +17,7 @@
 //! and state swaps for SWAP/valid-SWAPZ gates; every other multi-qubit gate
 //! conservatively sends its qubits to ⊤.
 
-use qc_circuit::{BasisState, Circuit, Gate};
+use qc_circuit::{BasisState, Gate};
 use qc_math::{apply_2x2, Matrix, C64};
 
 /// Tolerance for recognizing basis states and eigenstates.
@@ -254,18 +254,6 @@ impl StateAnalysis {
                 }
             }
         }
-    }
-
-    /// Runs the analysis over a whole circuit, returning the state map
-    /// *before* each instruction (entry states), plus the final states.
-    pub fn entry_states(circuit: &Circuit) -> (Vec<StateAnalysis>, StateAnalysis) {
-        let mut cur = StateAnalysis::new(circuit.num_qubits());
-        let mut entries = Vec::with_capacity(circuit.len());
-        for inst in circuit.instructions() {
-            entries.push(cur.clone());
-            cur.transition(&inst.gate, &inst.qubits);
-        }
-        (entries, cur)
     }
 }
 

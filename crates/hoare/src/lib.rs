@@ -19,12 +19,11 @@
 //! carry that caveat.
 
 use qc_backends::Backend;
-use qc_circuit::{ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction, Qubits};
+use qc_circuit::{ChangeReport, Circuit, Dag, Gate, Instruction, Qubits};
 use qc_transpile::optimize_1q::Optimize1qGates;
 use qc_transpile::preset::{fixpoint_passes, run_pipeline, Stage, Transpiled};
 use qc_transpile::unroll::Unroller;
-use qc_transpile::{DagPass, PropertySet, TranspileError, TranspileOptions};
-use std::collections::VecDeque;
+use qc_transpile::{rewrite_forward, DagPass, PropertySet, TranspileError, TranspileOptions};
 
 /// Classical knowledge about one qubit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,54 +194,6 @@ fn diag_residual(g: &Gate) -> Gate {
     }
 }
 
-impl HoareOptimizer {
-    /// One forward sweep of the classical-predicate automaton over the
-    /// DAG in program order, as one edit replacing each node on which a
-    /// rewrite chain fired.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a rewrite chain does not terminate (a bug).
-    fn plan(dag: &Dag) -> Result<DagEdit, TranspileError> {
-        let mut st = vec![Classical::Value(false); dag.num_qubits()];
-        let mut edit = DagEdit::new();
-        let mut queue = VecDeque::new();
-        for (id, inst) in dag.iter() {
-            // Most nodes are kept as they are: only a node whose rewrite
-            // fires is copied, and its chain runs through the queue.
-            let Some(first) = Self::rewrite(inst, &st) else {
-                Self::transition(&mut st, &inst.gate, &inst.qubits);
-                continue;
-            };
-            queue.extend(first);
-            // The first rewrite spent one step of the chain's budget.
-            let mut budget = 63usize;
-            let mut kept = Vec::new();
-            while let Some(cur) = queue.pop_front() {
-                if budget == 0 {
-                    return Err(TranspileError::Internal(
-                        "hoare rewrite did not terminate".into(),
-                    ));
-                }
-                budget -= 1;
-                match Self::rewrite(&cur, &st) {
-                    Some(replacement) => {
-                        for r in replacement.into_iter().rev() {
-                            queue.push_front(r);
-                        }
-                    }
-                    None => {
-                        Self::transition(&mut st, &cur.gate, &cur.qubits);
-                        kept.push(cur);
-                    }
-                }
-            }
-            edit.replace(id, kept);
-        }
-        Ok(edit)
-    }
-}
-
 impl DagPass for HoareOptimizer {
     fn name(&self) -> &'static str {
         "HoareOptimizer"
@@ -259,7 +210,15 @@ impl DagPass for HoareOptimizer {
         dag: &mut Dag,
         _props: &mut PropertySet,
     ) -> Result<ChangeReport, TranspileError> {
-        let edit = Self::plan(dag)?;
+        // One forward sweep of the classical-predicate automaton.
+        let edit = rewrite_forward(
+            dag,
+            self.name(),
+            vec![Classical::Value(false); dag.num_qubits()],
+            64,
+            |inst, st| Self::rewrite(inst, st),
+            |st, inst| Self::transition(st, &inst.gate, &inst.qubits),
+        )?;
         Ok(dag.apply(edit))
     }
 }

@@ -68,7 +68,9 @@ fn synth_key(u: &Matrix) -> SynthKey {
 /// [`try_synthesize_two_qubit`] through the process-wide memo. Returns the
 /// synthesized instructions on local wires (0, 1), or `None` when the KAK
 /// declined the matrix (also memoized — degenerate blocks repeat too).
-fn memoized_synthesize(u: &Matrix) -> Option<Vec<Instruction>> {
+/// ConsolidateBlocks and the Unroller's `unitary` and `cu` expansions share
+/// it.
+pub(crate) fn memoized_synthesize(u: &Matrix) -> Option<Vec<Instruction>> {
     let key = synth_key(u);
     {
         let memo = SYNTH_MEMO.lock().unwrap_or_else(|e| e.into_inner());
@@ -93,22 +95,14 @@ fn memoized_synthesize(u: &Matrix) -> Option<Vec<Instruction>> {
     result
 }
 
-/// Synthesis-memo counters since process start (or the last
-/// [`reset_synth_memo`]): `(hits, misses)`. Observability hook for the
-/// serve metrics and the warm-edited cache-tier tests.
+/// Synthesis-memo counters since process start: `(hits, misses)`.
+/// Observability hook for the serve metrics and the warm-edited cache-tier
+/// tests.
 pub fn synth_memo_stats() -> (u64, u64) {
     (
         SYNTH_MEMO_HITS.load(Ordering::Relaxed),
         SYNTH_MEMO_MISSES.load(Ordering::Relaxed),
     )
-}
-
-/// Drops the process-wide synthesis memo and zeroes its counters (tests).
-pub fn reset_synth_memo() {
-    let mut memo = SYNTH_MEMO.lock().unwrap_or_else(|e| e.into_inner());
-    *memo = None;
-    SYNTH_MEMO_HITS.store(0, Ordering::Relaxed);
-    SYNTH_MEMO_MISSES.store(0, Ordering::Relaxed);
 }
 
 /// Rewrites two-qubit blocks: the one block walk of ConsolidateBlocks
@@ -200,7 +194,7 @@ impl DagPass for ConsolidateBlocks {
         dag: &mut Dag,
         props: &mut PropertySet,
     ) -> Result<ChangeReport, TranspileError> {
-        let blocks = dag.collect_blocks(2);
+        let blocks = dag.collect_blocks();
         // A failed KAK (numerically degenerate accumulated unitary) simply
         // declines the block — the original gates are already valid. The
         // memo makes repeat blocks (warm-edited requests, our own

@@ -1,15 +1,18 @@
 //! Pass isolation, resource budgets and graceful degradation.
 //!
 //! The failure model of the transpile stack: a pass that panics, returns
-//! an error, or corrupts the DAG must never take the whole compilation
-//! down with it. [`PassGuard`] runs every [`DagPass`] under
+//! an error, or corrupts the DAG must never take the whole process down
+//! with it. [`PassGuard`] runs every [`DagPass`] under
 //! [`std::panic::catch_unwind`] with the DAG's undo journal open
 //! ([`Dag::open_journal`]) as the pre-pass checkpoint; a failing pass is
 //! rolled back by replaying the journal, in time proportional to its
-//! edits, and **quarantined** (skipped for the rest of the run), and the
-//! pipeline continues with the remaining passes. The caller always gets
-//! either a typed [`RpoError`] or a valid, semantics-preserving circuit —
-//! plus a [`DegradationReport`] saying exactly what was contained.
+//! edits. An optional optimization pass is then **quarantined** (skipped
+//! for the rest of the run) and the pipeline continues with the remaining
+//! passes. A mandatory stage (unrolling) has no fallback, so its failure
+//! ends the run with [`RpoError::PassFailed`], as a panic in layout or
+//! routing does ([`catch_stage`]). The caller always gets either a typed
+//! [`RpoError`] or a valid, semantics-preserving circuit — plus a
+//! [`DegradationReport`] saying exactly what was contained.
 //!
 //! [`TranspileBudget`] adds cooperative resource ceilings. The *graceful*
 //! dimensions — wall-clock deadline and fixed-point iterations — skip
@@ -420,8 +423,9 @@ impl PassGuard {
 
     /// Runs one pass under the guard: quarantine filter, deadline filter
     /// (for `optional` passes), an undo journal as checkpoint,
-    /// `catch_unwind`, rollback + quarantine on panic/error/validation
-    /// failure, and the hard gate ceiling afterwards.
+    /// `catch_unwind`, rollback on panic/error/validation failure, and the
+    /// hard gate ceiling afterwards. A failed optional pass is quarantined;
+    /// a failed mandatory one fails the run.
     ///
     /// `label` is the stage name faults and quarantine are keyed by — for
     /// prefix stages it may differ from `pass.name()` (e.g.
@@ -430,8 +434,9 @@ impl PassGuard {
     ///
     /// # Errors
     ///
-    /// Only hard budget violations ([`RpoError::BudgetExceeded`]) —
-    /// everything else degrades into [`GuardedRun::Skipped`].
+    /// Hard budget violations ([`RpoError::BudgetExceeded`]), and
+    /// [`RpoError::PassFailed`] naming `label` when a mandatory pass fails.
+    /// A failed optional pass degrades into [`GuardedRun::Skipped`].
     pub fn run_pass(
         &mut self,
         label: &'static str,
@@ -473,32 +478,35 @@ impl PassGuard {
             }
             r
         }));
-        let report = match outcome {
-            Err(payload) => {
-                dag.rollback_journal();
-                self.quarantine(
-                    label,
-                    format!("panicked: {}", panic_message(payload.as_ref())),
-                );
-                return Ok(GuardedRun::Skipped);
-            }
-            Ok(Err(e)) => {
-                dag.rollback_journal();
-                self.quarantine(label, e.to_string());
-                return Ok(GuardedRun::Skipped);
-            }
-            Ok(Ok(report)) => report,
+        let checked = match outcome {
+            Err(payload) => Err(format!("panicked: {}", panic_message(payload.as_ref()))),
+            Ok(Err(e)) => Err(e.to_string()),
+            Ok(Ok(report)) if validate => validate_dag(dag, u_before.as_ref())
+                .map(|()| report)
+                .map_err(|why| format!("post-pass validation failed: {why}")),
+            Ok(Ok(report)) => Ok(report),
         };
-        if validate {
-            if let Err(why) = validate_dag(dag, u_before.as_ref()) {
+        match checked {
+            Ok(report) => {
+                dag.commit_journal();
+                self.check_gates(dag)?;
+                Ok(GuardedRun::Ran(report))
+            }
+            Err(cause) if optional => {
                 dag.rollback_journal();
-                self.quarantine(label, format!("post-pass validation failed: {why}"));
-                return Ok(GuardedRun::Skipped);
+                self.quarantine(label, cause);
+                Ok(GuardedRun::Skipped)
+            }
+            Err(cause) => {
+                // A mandatory stage has no fallback: without it there is
+                // no hardware-valid output.
+                dag.rollback_journal();
+                Err(RpoError::PassFailed {
+                    pass: label.to_string(),
+                    cause,
+                })
             }
         }
-        dag.commit_journal();
-        self.check_gates(dag)?;
-        Ok(GuardedRun::Ran(report))
     }
 }
 
@@ -508,7 +516,8 @@ impl PassGuard {
 ///
 /// # Errors
 ///
-/// Only hard budget violations — see [`PassGuard::run_pass`].
+/// Hard budget violations and failed mandatory passes — see
+/// [`PassGuard::run_pass`].
 pub fn run_stage(
     guard: &mut PassGuard,
     label: &'static str,
@@ -838,9 +847,11 @@ mod tests {
         assert_eq!(stats.budget_skips, 1);
         assert_eq!(guard.report().budget_hits.len(), 1);
         assert_eq!(guard.report().budget_hits[0].kind, BudgetKind::Deadline);
-        // Mandatory stages still run at deadline.
+        // Mandatory stages still run at deadline. This run is the guard's
+        // first validated execution in every build, so the corruption is
+        // caught, rolled back and, the stage being mandatory, fails the run.
         let mut stats2 = PassStats::new_named("CorruptSemantics");
-        let run = guard
+        let err = guard
             .run_pass(
                 "CorruptSemantics",
                 &CorruptSemantics,
@@ -849,13 +860,17 @@ mod tests {
                 &mut stats2,
                 false,
             )
-            .unwrap();
-        // With Always-validation (debug) the corruption is contained by
-        // quarantine instead; either way the stage was attempted.
-        assert!(
-            !matches!(run, GuardedRun::Skipped)
-                || guard.report().is_quarantined("CorruptSemantics")
-        );
+            .unwrap_err();
+        assert_eq!(stats2.runs, 1, "the mandatory stage was attempted");
+        match err {
+            RpoError::PassFailed { pass, cause } => {
+                assert_eq!(pass, "CorruptSemantics");
+                assert!(cause.contains("validation failed"), "{cause}");
+            }
+            other => panic!("expected PassFailed, got {other:?}"),
+        }
+        assert_eq!(dag.to_circuit(), c, "corruption must be rolled back");
+        assert!(!guard.report().is_quarantined("CorruptSemantics"));
     }
 
     #[test]

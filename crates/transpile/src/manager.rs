@@ -29,7 +29,8 @@
 
 use crate::guard::{BudgetSnapshot, GuardedRun, PassGuard};
 use crate::TranspileError;
-use qc_circuit::{ChangeReport, Dag};
+use qc_circuit::{ChangeReport, Dag, DagEdit, Instruction};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// A transformation of the shared DAG IR — the unit the DAG-native
@@ -158,6 +159,69 @@ pub fn run_timed(
     stats.rewrites += report.rewrites;
     stats.relink_nodes += report.relink_nodes;
     Ok(report)
+}
+
+/// One program-order walk of a per-qubit state automaton over the DAG, as
+/// one edit: the planner of QBO, QPO (crate `rpo-core`) and the Hoare
+/// baseline (crate `qc-hoare`). Each pass brings its own `state`, `rule`
+/// and `transition`.
+///
+/// At each node `rule` may offer a replacement for the gate, given the
+/// state in front of it. A gate no rule fires on is kept, and `transition`
+/// steps the state over it. A replacement's gates are offered to `rule` in
+/// turn, before the next node, so rewrites chain (a CNOT whose control is
+/// |1⟩ becomes an X on its target, which an eigenstate rule may then
+/// remove). One node's chain may take at most `budget` steps, a step being
+/// one gate offered to `rule`. The edit replaces every node a rule fired
+/// on by the kept gates of its chain (possibly none).
+///
+/// # Errors
+///
+/// [`TranspileError::Internal`] naming `pass` when a chain runs out of
+/// budget (a rule set that does not terminate: a bug).
+pub fn rewrite_forward<S>(
+    dag: &Dag,
+    pass: &str,
+    mut state: S,
+    budget: usize,
+    mut rule: impl FnMut(&Instruction, &S) -> Option<Vec<Instruction>>,
+    mut transition: impl FnMut(&mut S, &Instruction),
+) -> Result<DagEdit, TranspileError> {
+    let mut edit = DagEdit::new();
+    let mut queue: VecDeque<Instruction> = VecDeque::new();
+    for (id, inst) in dag.iter() {
+        // Most nodes are kept as they are: only a node whose rule fires is
+        // copied, and its chain runs through the queue.
+        let Some(first) = rule(inst, &state) else {
+            transition(&mut state, inst);
+            continue;
+        };
+        queue.extend(first);
+        // The first firing spent one step of the chain's budget.
+        let mut steps = budget.saturating_sub(1);
+        let mut kept = Vec::new();
+        while let Some(cur) = queue.pop_front() {
+            if steps == 0 {
+                return Err(TranspileError::Internal(format!(
+                    "{pass} rewrite did not terminate"
+                )));
+            }
+            steps -= 1;
+            match rule(&cur, &state) {
+                Some(replacement) => {
+                    for r in replacement.into_iter().rev() {
+                        queue.push_front(r);
+                    }
+                }
+                None => {
+                    transition(&mut state, &cur);
+                    kept.push(cur);
+                }
+            }
+        }
+        edit.replace(id, kept);
+    }
+    Ok(edit)
 }
 
 /// The change-driven fixed-point driver for a fixed pass sequence (the

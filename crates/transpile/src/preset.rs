@@ -288,10 +288,11 @@ impl<'a> Stage<'a> {
 ///
 /// # Errors
 ///
-/// Invalid input, a circuit that does not fit the backend, a gate with no
-/// decomposition rule, a hard budget ceiling, or a panic inside layout or
-/// routing. Failures of guarded passes are contained and reported on
-/// [`Transpiled::degradation`].
+/// Invalid input, a circuit that does not fit the backend, a hard budget
+/// ceiling, a panic inside layout or routing, or a failed mandatory stage
+/// ([`crate::RpoError::PassFailed`]; a gate with no decomposition rule
+/// fails the unroll this way). Failures of optional passes are contained
+/// and reported on [`Transpiled::degradation`].
 pub fn run_pipeline(
     circuit: &Circuit,
     backend: &Backend,

@@ -5,16 +5,13 @@
 //! that keeps `swap` and `swapz` intact so the QPO pass can reason about
 //! them (Fig. 8, line 6).
 
+use crate::consolidate::memoized_synthesize;
 use crate::manager::{DagPass, PropertySet};
 use crate::TranspileError;
 use qc_circuit::gate_class::{NON_DEVICE, NON_EXTENDED};
-use qc_circuit::{
-    instruction_classes, ChangeReport, Circuit, Dag, DagEdit, Gate, Instruction, Qubits,
-};
-use qc_synth::{
-    controlled_u_circuit, fredkin_circuit, matrix_to_u3_gate, mcx_no_ancilla, mcz_circuit,
-    synthesize_two_qubit, toffoli_circuit,
-};
+use qc_circuit::{instruction_classes, ChangeReport, Dag, DagEdit, Gate, Instruction, Qubits};
+use qc_math::Matrix;
+use qc_synth::{fredkin_circuit, matrix_to_u3_gate, mcx_no_ancilla, mcz_circuit, toffoli_circuit};
 use std::f64::consts::{FRAC_PI_2, PI};
 
 /// Decomposes every unitary gate outside its target basis into basis
@@ -85,14 +82,17 @@ impl Unroller {
                 push(Gate::Cx, &[q[1], q[0]]);
                 push(Gate::Cx, &[q[0], q[1]]);
             }
-            Gate::Ccx => compose_onto(&mut out, &toffoli_circuit(), q),
-            Gate::Cswap => compose_onto(&mut out, &fredkin_circuit(), q),
-            Gate::Mcx(n) => compose_onto(&mut out, &mcx_no_ancilla(*n), q),
-            Gate::Mcz(n) => compose_onto(&mut out, &mcz_circuit(*n), q),
-            Gate::Cu(u) => compose_onto(&mut out, &controlled_u_circuit(u), q),
+            Gate::Ccx => compose_onto(&mut out, toffoli_circuit().instructions(), q),
+            Gate::Cswap => compose_onto(&mut out, fredkin_circuit().instructions(), q),
+            Gate::Mcx(n) => compose_onto(&mut out, mcx_no_ancilla(*n).instructions(), q),
+            Gate::Mcz(n) => compose_onto(&mut out, mcz_circuit(*n).instructions(), q),
+            Gate::Cu(_) => {
+                let cu = inst.gate.matrix().expect("cu has a matrix");
+                compose_onto(&mut out, &synthesize(&cu)?, q);
+            }
             Gate::Unitary(m) => match q.len() {
                 1 => push(matrix_to_u3_gate(m), &[q[0]]),
-                2 => compose_onto(&mut out, &synthesize_two_qubit(m), q),
+                2 => compose_onto(&mut out, &synthesize(m)?, q),
                 n => {
                     return Err(TranspileError::unsupported_gate(format!(
                         "{n}-qubit unitary block"
@@ -113,10 +113,18 @@ impl Unroller {
     }
 }
 
-/// Appends `sub`'s instructions onto `out`, mapping sub-circuit qubit `i` to
-/// `mapping[i]`.
-fn compose_onto(out: &mut Vec<Instruction>, sub: &Circuit, mapping: &[usize]) {
-    for inst in sub.instructions() {
+/// KAK synthesis of a two-qubit matrix on local wires (0, 1), through the
+/// memo `ConsolidateBlocks` uses, so a repeated `unitary` or `cu` costs a
+/// lookup.
+fn synthesize(u: &Matrix) -> Result<Vec<Instruction>, TranspileError> {
+    memoized_synthesize(u).ok_or_else(|| TranspileError::Numeric {
+        context: "two-qubit synthesis declined the matrix".into(),
+    })
+}
+
+/// Appends `sub` onto `out`, mapping local qubit `i` to `mapping[i]`.
+fn compose_onto(out: &mut Vec<Instruction>, sub: &[Instruction], mapping: &[usize]) {
+    for inst in sub {
         let qs: Qubits = inst.qubits.iter().map(|&i| mapping[i]).collect();
         out.push(Instruction::new(inst.gate.clone(), qs));
     }
@@ -158,8 +166,7 @@ impl DagPass for Unroller {
 mod tests {
     use super::*;
     use crate::Pass;
-    use qc_circuit::circuit_unitary;
-    use qc_math::Matrix;
+    use qc_circuit::{circuit_unitary, Circuit};
 
     fn unrolled(c: &Circuit) -> Circuit {
         let mut out = c.clone();

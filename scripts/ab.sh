@@ -20,10 +20,15 @@
 # it, into its own worktree.
 #
 # For every end-to-end metric (in kernel mode: every bench's median_ns) it
-# prints both medians, the b/a ratio of the medians, each side's min–max,
-# side a's quartiles and in how many pairs b read lower than a; then each
-# side's failed checks and failed runs. Exits 1 if any run exited non-zero
-# or reported a failed check, or, in kernel mode, if a bench is missing on
+# prints which direction is better, both medians, the b/a ratio of the
+# medians, each side's min–max, side a's quartiles and in how many pairs b
+# read better than a; then each side's failed checks and failed runs. The
+# direction and the bound of a perfbench metric come from BENCHMARK.json
+# (a metric it does not list counts as lower-is-better, without a bound);
+# a metric whose b median is worse than a's by more than its bound, as a
+# fraction of a's median, is flagged "PAST BOUND". Kernel benches are
+# lower-is-better, without a bound. Exits 1 if any run exited non-zero or
+# reported a failed check, or, in kernel mode, if a bench is missing on
 # one side; 2 on bad usage.
 set -euo pipefail
 
@@ -115,6 +120,7 @@ fi
 summary=0
 python3 - "$work/a.jsonl" "$work/b.jsonl" "$KERNELS" <<'EOF' || summary=$?
 import json
+import math
 import statistics
 import sys
 
@@ -133,6 +139,12 @@ def load(path):
 a, b = (load(p) for p in sys.argv[1:3])
 # In kernel mode a bench missing on one side fails the run.
 strict = sys.argv[3] == "1"
+# name -> (higher is better, bound or None); kernel benches: lower, none.
+spec = {}
+if not strict:
+    declared = json.load(open("BENCHMARK.json"))
+    for m in declared["end_to_end"] + declared.get("per_layer", []):
+        spec[m["name"]] = (m["better"] == "higher", m.get("bound"))
 bad = 0
 names = []
 for r in a + b:
@@ -149,9 +161,17 @@ def span(vals):
     return f"{lo:.5g}–{hi:.5g}"
 
 
+def worse_by(ma, mb, higher):
+    """How much worse median b is than median a, as a fraction of a."""
+    d = ma - mb if higher else mb - ma
+    if d <= 0:
+        return 0.0
+    return d / abs(ma) if ma else math.inf
+
+
 w = max([22] + [len(n) for n in names])
-print(f"{'metric':<{w}} {'median a':>10} {'median b':>10} {'b/a':>6}  "
-      f"{'a min–max':<19} {'b min–max':<19} {'a q1–q3':<19} b<a")
+print(f"{'metric':<{w}} {'better':<6} {'median a':>10} {'median b':>10} {'b/a':>6}  "
+      f"{'a min–max':<19} {'b min–max':<19} {'a q1–q3':<19} b better")
 for n in names:
     pairs = [(value(x, n), value(y, n)) for x, y in zip(a, b)]
     va = [x for x, _ in pairs if x is not None]
@@ -160,13 +180,18 @@ for n in names:
         print(f"{n:<{w}} missing on one side")
         bad += strict
         continue
+    higher, bound = spec.get(n, (False, None))
     ma, mb = statistics.median(va), statistics.median(vb)
     ratio = f"{mb / ma:.3f}" if ma else "-"
     q = statistics.quantiles(va, n=4, method="inclusive") if len(va) > 1 else [va[0]] * 3
-    lower = sum(1 for x, y in pairs if x is not None and y is not None and y < x)
-    both = sum(1 for x, y in pairs if x is not None and y is not None)
-    print(f"{n:<{w}} {ma:>10.5g} {mb:>10.5g} {ratio:>6}  "
-          f"{span(va):<19} {span(vb):<19} {span([q[0], q[2]]):<19} {lower}/{both}")
+    both = [(x, y) for x, y in pairs if x is not None and y is not None]
+    better = sum(1 for x, y in both if (y > x if higher else y < x))
+    flag = ""
+    if bound is not None and worse_by(ma, mb, higher) > bound:
+        flag = f"  PAST BOUND ({worse_by(ma, mb, higher):.1%} worse, bound {bound:.0%})"
+    print(f"{n:<{w}} {'higher' if higher else 'lower':<6} {ma:>10.5g} {mb:>10.5g} {ratio:>6}  "
+          f"{span(va):<19} {span(vb):<19} {span([q[0], q[2]]):<19} "
+          f"{better}/{len(both)}{flag}")
 for side, runs in (("a", a), ("b", b)):
     checks = sum(r.get("failed", 0) for r in runs if r)
     missing = sum(1 for r in runs if r is None)

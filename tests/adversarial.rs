@@ -54,6 +54,30 @@ fn non_unitary_embedded_matrix_is_rejected() {
 }
 
 #[test]
+fn unitary_the_synthesis_declines_fails_the_unroll() {
+    // Unitary to 1e-6, so the input check accepts it, but not to the 1e-8
+    // KAK demands: the mandatory unroll cannot expand the gate, and the
+    // compile must fail rather than return it unexpanded.
+    let near_identity = qc_math::Matrix::identity(4).scale(qc_math::C64::real(1.0 + 1e-7));
+    let mut c = Circuit::new(2);
+    c.h(0).push(Gate::Unitary(near_identity), &[0, 1]);
+    let backend = Backend::linear(2);
+    let results = (0..=3)
+        .map(|l| transpile(&c, &backend, &TranspileOptions::level(l)))
+        .chain([transpile_rpo(&c, &backend, &RpoOptions::new())]);
+    let flows = ["level 0", "level 1", "level 2", "level 3", "rpo"];
+    for (flow, result) in flows.into_iter().zip(results) {
+        match result {
+            Err(RpoError::PassFailed { pass, cause }) => {
+                assert_eq!(pass, "Unroller(device)", "{flow}");
+                assert!(cause.contains("synthesis declined"), "{flow}: {cause}");
+            }
+            other => panic!("{flow}: {:?}", other.map(|t| t.circuit.to_string())),
+        }
+    }
+}
+
+#[test]
 fn oversized_circuit_is_a_typed_invalid_input() {
     let c = Circuit::new(20);
     let err = transpile(&c, &Backend::linear(2), &TranspileOptions::level(2)).unwrap_err();

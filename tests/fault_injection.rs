@@ -9,7 +9,7 @@
 
 use qc_backends::Backend;
 use qc_circuit::testing::random_circuit;
-use qc_circuit::Circuit;
+use qc_circuit::{Circuit, RpoError};
 use qc_sim::Statevector;
 use qc_transpile::fault::{arm, armed_for, disarm, FaultKind, FaultPlan};
 use qc_transpile::preset::Transpiled;
@@ -30,6 +30,10 @@ const STAGES: [&str; 9] = [
     "CxCancellation",
     "ConsolidateBlocks",
 ];
+
+/// The stages the pipeline cannot do without: a fault that fires at one
+/// of them must fail the run with [`RpoError::PassFailed`] naming it.
+const MANDATORY: [&str; 2] = ["Unroller(device)", "Unroller(extended)"];
 
 const SEEDS: [u64; 3] = [1, 5, 11];
 
@@ -70,11 +74,7 @@ fn fidelity_vs_reference(t: &Transpiled, reference: &Statevector) -> f64 {
 /// One faulted transpile. Returns the result plus whether the fault
 /// actually fired: a plan whose stage the run never reaches stays armed,
 /// and then no degradation is expected.
-fn faulted_run(
-    stage: &str,
-    kind: FaultKind,
-    seed: u64,
-) -> (Result<Transpiled, qc_circuit::RpoError>, bool) {
+fn faulted_run(stage: &str, kind: FaultKind, seed: u64) -> (Result<Transpiled, RpoError>, bool) {
     let c = test_circuit(seed);
     let backend = Backend::linear(4);
     arm(FaultPlan {
@@ -91,13 +91,38 @@ fn faulted_run(
     (result, fired)
 }
 
+/// Whether the run must fail closed: a fault fired at a mandatory stage.
+/// Then the result must be [`RpoError::PassFailed`] naming the stage.
+fn failed_closed(
+    stage: &str,
+    kind: &FaultKind,
+    seed: u64,
+    fired: bool,
+    result: &Result<Transpiled, RpoError>,
+) -> bool {
+    if !fired || !MANDATORY.contains(&stage) {
+        return false;
+    }
+    match result {
+        Err(RpoError::PassFailed { pass, .. }) => assert_eq!(pass, stage),
+        other => panic!(
+            "{stage}/{kind:?}/seed {seed}: expected PassFailed, got {:?}",
+            other.as_ref().map(|t| &t.degradation)
+        ),
+    }
+    true
+}
+
 fn assert_contained(
     stage: &str,
     kind: &FaultKind,
     seed: u64,
     fired: bool,
-    result: Result<Transpiled, qc_circuit::RpoError>,
+    result: Result<Transpiled, RpoError>,
 ) {
+    if failed_closed(stage, kind, seed, fired, &result) {
+        return;
+    }
     match result {
         Ok(t) => {
             let reference = Statevector::from_circuit(&test_circuit(seed));
@@ -112,10 +137,9 @@ fn assert_contained(
             );
         }
         Err(e) => {
-            // A typed error is an acceptable outcome (e.g. quarantining a
-            // mandatory unroll stage leaves gates the router rejects) —
-            // the contract is "typed error or valid circuit", never a
-            // panic or silent corruption.
+            // A typed error is an acceptable outcome — the contract is
+            // "typed error or valid circuit", never a panic or silent
+            // corruption.
             let _ = e.to_string();
         }
     }
@@ -156,6 +180,9 @@ fn bad_unitary_injection_is_caught_by_validation() {
     for stage in STAGES {
         for seed in SEEDS {
             let (r, fired) = faulted_run(stage, FaultKind::BadUnitary, seed);
+            if failed_closed(stage, &FaultKind::BadUnitary, seed, fired, &r) {
+                continue;
+            }
             match r {
                 Ok(t) => {
                     let reference = Statevector::from_circuit(&test_circuit(seed));
