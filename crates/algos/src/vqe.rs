@@ -66,9 +66,8 @@ pub fn vqe_ry_ansatz_with_angles(n: usize, depth: usize, angles: &[f64]) -> Circ
 }
 
 /// A VQE parameter sweep: `batch` same-shape ansatz circuits whose angle
-/// vectors are drawn from a seeded RNG — the ready-made workload for
-/// `qc_sim`'s batched execution front-end (one optimizer generation =
-/// one batch).
+/// vectors are drawn from a seeded RNG (one optimizer generation = one
+/// batch), the workload of the `sim_batch_sequential` kernel bench.
 pub fn vqe_parameter_batch(n: usize, depth: usize, batch: usize, seed: u64) -> Vec<Circuit> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..batch)

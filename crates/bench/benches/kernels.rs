@@ -7,8 +7,8 @@
 //! The `circuit_unitary_*_10q100g` family is the acceptance benchmark for
 //! the shared kernel engine: the kernel-based path must beat the retained
 //! embed-then-matmul reference by ≥10×, and the fused + cache-blocked +
-//! (optionally) parallel pipeline must beat the plain per-gate streaming
-//! path, on a random 10-qubit, 100-gate circuit. The blocked-workload
+//! pooled pipeline must beat the plain per-gate streaming path, on a
+//! random 10-qubit, 100-gate circuit. The blocked-workload
 //! family (`circuit_unitary_kernel_qv10`, `statevector_qv_chain_20q`,
 //! `statevector_toffoli_chain_14q`) tracks the planner's in-stream k≤3
 //! block consolidation on QV/Toffoli shapes. `scripts/bench.sh` records
@@ -24,7 +24,7 @@ use qc_circuit::{
     circuit_unitary, circuit_unitary_reference, circuit_unitary_unfused, Circuit, Dag, Gate,
 };
 use qc_math::haar_unitary;
-use qc_sim::{run_batch, Statevector};
+use qc_sim::Statevector;
 use qc_synth::{synthesize_two_qubit, OneQubitEuler, TwoQubitWeyl};
 use qc_transpile::guard::BudgetSnapshot;
 use qc_transpile::routing::route_dag_budgeted;
@@ -35,8 +35,8 @@ use rand::SeedableRng;
 
 fn bench_kernels(c: &mut Criterion) {
     // Tag every JSON record with the thread count the kernels actually use
-    // (1 without the `parallel` feature; the RPO_THREADS/available-
-    // parallelism cap with it) — not a value re-derived in shell.
+    // (the RPO_THREADS/available-parallelism cap, clamped to the pool) —
+    // not a value re-derived in shell.
     std::env::set_var(
         "CRITERION_JSON_META",
         format!("\"threads\": {}", qc_math::kernel_threads()),
@@ -69,7 +69,7 @@ fn bench_kernels(c: &mut Criterion) {
 
     let unitary_circuit = random_circuit(10, 100, 2021);
     // The acceptance benchmark: the full pipeline (fusion + cache-blocked
-    // panels + parallel kernels when the `parallel` feature is on).
+    // panels, split across the pool above one thread).
     c.bench_function("circuit_unitary_kernel_10q100g", |b| {
         b.iter(|| circuit_unitary(&unitary_circuit))
     });
@@ -154,12 +154,11 @@ fn bench_kernels(c: &mut Criterion) {
         c.push(Gate::Unitary(haar_unitary(4, &mut rng)), &[12, 25]);
         c
     };
-    #[cfg(feature = "parallel")]
-    {
-        // Acceptance check riding along with the bench: the 26q streaming
-        // run must be bit-identical at 1, 2, and max threads before it is
-        // timed.
-        let max = qc_math::max_threads().max(2);
+    if qc_math::kernel_threads() > 1 {
+        // Acceptance check riding along with a multi-threaded bench run:
+        // the 26q streaming run must be bit-identical at 1, 2, and max
+        // threads before it is timed.
+        let max = qc_math::kernel_threads();
         qc_math::set_max_threads(Some(1));
         let baseline = Statevector::from_circuit(&sv26);
         for threads in [2usize, max] {
@@ -177,14 +176,12 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| Statevector::from_circuit(&sv26))
     });
 
-    // Batched multi-circuit execution: one VQE optimizer generation (24
-    // parameter vectors over a 14-qubit depth-4 RY ansatz) through the
-    // batch front-end vs one circuit at a time. Each circuit sits below
-    // the kernel parallel threshold, so circuits — not amplitudes — are
-    // the unit of parallelism here; the ratio of the two medians is the
-    // batch speedup, and 24 / median_ns is circuits per nanosecond.
+    // One VQE optimizer generation (24 parameter vectors over a 14-qubit
+    // depth-4 RY ansatz), simulated one circuit at a time. Each circuit
+    // sits below the kernel parallel threshold, so this runs on the
+    // calling thread at any thread count; 24 / median_ns is circuits per
+    // nanosecond.
     let sweep = vqe_parameter_batch(14, 4, 24, 5);
-    c.bench_function("sim_batch_throughput", |b| b.iter(|| run_batch(&sweep)));
     c.bench_function("sim_batch_sequential", |b| {
         b.iter(|| {
             sweep

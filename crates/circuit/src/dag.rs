@@ -3,8 +3,7 @@
 //! The instruction list of a [`Circuit`] is already a topological order;
 //! [`Dag`] adds the wire structure on top of it: per-node predecessors and
 //! successors along qubit wires, a ready-set scheduler (used by the routing
-//! pass), maximal single-qubit runs (used by `Optimize1qGates`), and
-//! two-qubit block collection ([`Dag::collect_blocks`], the
+//! pass), and two-qubit block collection ([`Dag::collect_blocks`], the
 //! `Collect2qBlocks` analogue used by `ConsolidateBlocks` and QPO).
 //!
 //! # O(edit) mutations
@@ -917,32 +916,6 @@ impl Dag {
         }
     }
 
-    /// Maximal runs of consecutive single-qubit *unitary* gates on the same
-    /// wire, as node ids in program order. Directives, resets and measures
-    /// break runs, as does any multi-qubit gate.
-    pub fn single_qubit_runs(&self) -> Vec<Vec<usize>> {
-        let mut runs: Vec<Vec<usize>> = Vec::new();
-        let mut open: Vec<Option<usize>> = vec![None; self.num_qubits]; // run index per wire
-        for (id, inst) in self.iter() {
-            let one_q_unitary = inst.qubits.len() == 1 && inst.gate.is_unitary_gate();
-            if one_q_unitary {
-                let q = inst.qubits[0];
-                match open[q] {
-                    Some(r) => runs[r].push(id),
-                    None => {
-                        runs.push(vec![id]);
-                        open[q] = Some(runs.len() - 1);
-                    }
-                }
-            } else {
-                for &q in &inst.qubits {
-                    open[q] = None;
-                }
-            }
-        }
-        runs
-    }
-
     /// Collects maximal blocks of unitary gates confined to one qubit
     /// pair, each anchored by at least one two-qubit gate: single-qubit
     /// gates preceding a block on its wires are absorbed into it. Blocks
@@ -1324,27 +1297,6 @@ mod tests {
         let dag = Dag::from_circuit(&c);
         let mut s = dag.scheduler();
         s.execute(1);
-    }
-
-    #[test]
-    fn single_qubit_runs_split_by_two_qubit_gates() {
-        let mut c = Circuit::new(2);
-        c.h(0).t(0).cx(0, 1).s(0).sdg(1).h(1);
-        let dag = Dag::from_circuit(&c);
-        let runs = dag.single_qubit_runs();
-        assert_eq!(runs.len(), 3);
-        assert_eq!(runs[0], vec![0, 1]); // h,t on qubit 0
-        assert_eq!(runs[1], vec![3]); // s on qubit 0 after cx
-        assert_eq!(runs[2], vec![4, 5]); // sdg,h on qubit 1
-    }
-
-    #[test]
-    fn runs_broken_by_directives_and_measure() {
-        let mut c = Circuit::new(1);
-        c.h(0).barrier().h(0).measure(0);
-        let dag = Dag::from_circuit(&c);
-        let runs = dag.single_qubit_runs();
-        assert_eq!(runs.len(), 2);
     }
 
     #[test]

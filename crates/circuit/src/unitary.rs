@@ -19,10 +19,10 @@
 //!    structured in-place pass over the panel's rows — **O(2ⁿ·4ᵏ/2ᵏ) per
 //!    dense k-qubit op** and far less for diagonal/permutation ops.
 //!
-//! Under the `parallel` cargo feature, panels are distributed across the
-//! vendored scoped-thread pool; panel boundaries depend only on n, so the
-//! result is **bit-identical at every thread count** (each panel is an
-//! independent computation).
+//! Panels are distributed across the vendored scoped-thread pool (on the
+//! calling thread under `RPO_THREADS=1`); panel boundaries depend only on
+//! n, so the result is **bit-identical at every thread count** (each panel
+//! is an independent computation).
 //!
 //! The older embed-then-matmul formulation ([`circuit_unitary_reference`])
 //! costs O(8ⁿ) per gate in its dense form and is retained as the
@@ -175,8 +175,9 @@ pub fn circuit_unitary_unfused(circuit: &Circuit) -> Matrix {
 }
 
 /// Streams a fused plan over column panels of the identity, assembling the
-/// full row-major unitary. Panels are independent; under the `parallel`
-/// feature they are chunked across the scoped-thread pool.
+/// full row-major unitary. Panels are independent and chunked across the
+/// scoped-thread pool by its shared partition policy
+/// (`scoped_pool::run_chunked`, the splitter the kernel loops use).
 fn unitary_from_plan(plan: &[FusedInst<'_>], n: usize, width: usize) -> Matrix {
     let dim = 1usize << n;
     assert!(
@@ -228,7 +229,7 @@ fn unitary_from_plan(plan: &[FusedInst<'_>], n: usize, width: usize) -> Matrix {
             }
         }
     };
-    run_panels(panels, body);
+    scoped_pool::run_chunked(panels, body);
     Matrix::from_vec(dim, dim, data)
 }
 
@@ -250,16 +251,6 @@ impl SendPtr {
     unsafe fn add(self, off: usize) -> *mut C64 {
         unsafe { self.0.add(off) }
     }
-}
-
-/// Runs `body(lo, hi)` over panel chunks — through the pool's shared
-/// partition policy (`scoped_pool::run_chunked`, the same splitter the
-/// kernel loops use) when the `parallel` feature is on, inline otherwise.
-fn run_panels<F: Fn(usize, usize) + Sync>(panels: usize, body: F) {
-    #[cfg(feature = "parallel")]
-    scoped_pool::run_chunked(panels, body);
-    #[cfg(not(feature = "parallel"))]
-    body(0, panels);
 }
 
 /// Incrementally accumulates the unitary of a gate sequence on a small

@@ -65,13 +65,12 @@ fn panel_decomposition_is_exact_at_any_width() {
 }
 
 #[test]
-#[cfg(feature = "parallel")]
 fn parallel_panels_are_bit_identical_at_every_thread_count() {
     // 8 panels of width 32 on an 8-qubit circuit: the panel fan-out is the
     // parallel surface here (the panels are too small for the kernels'
     // inner splitting to engage).
     let c = random_circuit(8, 60, 2026);
-    let max_t = qc_math::max_threads().max(2);
+    let max_t = qc_math::kernel_threads().max(2);
     qc_math::set_max_threads(Some(1));
     let sequential = circuit_unitary_with_panel_width(&c, 32);
     for threads in [2, max_t] {
@@ -159,12 +158,11 @@ fn toffoli_chains_match_unfused_and_reference() {
 }
 
 #[test]
-#[cfg(feature = "parallel")]
 fn parallel_blocked_neighborhoods_are_bit_identical_at_every_thread_count() {
     // 8-qubit blocked circuits split across panels: the fused plan (with
     // merged 4×4 and, under the streaming profile, 8×8 blocks) must be
     // bit-identical at 1, 2 and max threads.
-    let max_t = qc_math::max_threads().max(2);
+    let max_t = qc_math::kernel_threads().max(2);
     for (label, c) in [
         ("blocked", blocked_neighborhood_circuit(8, 40, 77)),
         ("toffoli-chain", toffoli_chain(8, 7)),

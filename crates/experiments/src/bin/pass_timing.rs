@@ -122,7 +122,7 @@ fn main() {
     // RPO_THREADS request is clamped to pool capacity) — reported here so
     // a CI log line records what the timings below really ran with.
     println!(
-        "kernel threads: {} effective (1 = sequential build or single-core host)\n",
+        "kernel threads: {} effective (1 = RPO_THREADS=1 or a single-core host)\n",
         qc_math::kernel_threads()
     );
 

@@ -37,17 +37,19 @@
 //! # Parallel execution
 //!
 //! Every kernel's base-index (or row-block) loop is written as a *range
-//! body* — a closure over a sub-range of independent work units. Under the
-//! `parallel` cargo feature, a kernel pass that *touches* at least
-//! [`PAR_MIN_ELEMS`] scalars has its range split across the vendored
-//! scoped-thread pool (`scoped_pool`); passes touching less (including
-//! structured ops like a CZ that scale only a quarter of a large buffer),
-//! single-thread configurations, and builds without the feature run the
-//! identical body over the full range on the calling thread. Because each work unit touches a disjoint index set
-//! and performs the same arithmetic in the same order regardless of the
-//! split, **results are bit-identical at every thread count**. The thread
-//! count is `RPO_THREADS` (else the machine's available parallelism),
-//! overridable at runtime with `scoped_pool::set_max_threads`.
+//! body* — a closure over a sub-range of independent work units. A kernel
+//! pass that *touches* at least [`PAR_MIN_ELEMS`] scalars has its range
+//! split across the vendored scoped-thread pool (`scoped_pool`); passes
+//! touching less (including structured ops like a CZ that scale only a
+//! quarter of a large buffer) and single-thread configurations run the
+//! identical body over the full range on the calling thread, and the
+//! pool's workers start only when the first pass crosses the threshold.
+//! Because each work unit touches a disjoint index set and performs the
+//! same arithmetic in the same order regardless of the split, **results
+//! are bit-identical at every thread count**. The thread count is
+//! `RPO_THREADS` (else the machine's available parallelism), overridable
+//! at runtime with [`set_max_threads`]; `RPO_THREADS=1` keeps every pass on
+//! the calling thread.
 //!
 //! [`KernelEngine`] owns the offset/mask tables so that applying a long
 //! gate sequence performs no per-gate heap allocation beyond table growth
@@ -62,27 +64,15 @@
 use crate::complex::C64;
 use crate::matrix::Matrix;
 
-#[cfg(feature = "parallel")]
-pub use scoped_pool::{
-    default_threads, hw_threads, max_threads, set_max_threads, set_steal_sequence,
-};
+/// The number of executors kernel loops may fan out to: the
+/// [`set_max_threads`] override when set, else `RPO_THREADS`, else the
+/// machine's available parallelism, clamped to the pool's capacity.
+pub use scoped_pool::max_threads as kernel_threads;
+pub use scoped_pool::{set_max_threads, set_steal_sequence};
 
 /// Buffers smaller than this many scalars never fan out to the thread pool:
 /// below ~1 MiB the split/merge latency exceeds the memory-bound sweep.
 pub const PAR_MIN_ELEMS: usize = 1 << 16;
-
-/// The number of executors kernel loops may fan out to: `max_threads()`
-/// under the `parallel` feature, 1 otherwise.
-pub fn kernel_threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        max_threads()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
-}
 
 /// One-time (per process, per point) microcalibration of the fusion
 /// planner's sweep cost model: the cost of one full memory pass over an
@@ -365,21 +355,20 @@ impl BufPtr {
 }
 
 /// Runs `body(lo, hi)` over the unit range `0..units`, splitting it into
-/// contiguous chunks across the scoped-thread pool when the `parallel`
-/// feature is enabled, more than one executor is configured, and the kernel
-/// touches at least [`PAR_MIN_ELEMS`] scalars (`total_elems`). Otherwise the
-/// body runs once over the full range on the calling thread.
+/// contiguous chunks across the scoped-thread pool when more than one
+/// executor is configured and the kernel touches at least
+/// [`PAR_MIN_ELEMS`] scalars (`total_elems`). Otherwise the body runs once
+/// over the full range on the calling thread.
 ///
 /// Bodies must make each unit's work element-wise independent of the split
 /// so results are bit-identical at every thread count.
 #[inline]
 pub fn par_units<F: Fn(usize, usize) + Sync>(units: usize, total_elems: usize, body: F) {
-    #[cfg(feature = "parallel")]
     if total_elems >= PAR_MIN_ELEMS {
-        return scoped_pool::run_chunked(units, body);
+        scoped_pool::run_chunked(units, body)
+    } else {
+        body(0, units)
     }
-    let _ = total_elems;
-    body(0, units)
 }
 
 /// Reusable engine applying [`KernelOp`]s in place. Holds the offset/mask
@@ -1538,7 +1527,6 @@ mod tests {
 
     /// Applies a fixed op sequence to a buffer large enough to engage the
     /// pool (2¹⁷ scalars ≥ PAR_MIN_ELEMS) and returns the result.
-    #[cfg(feature = "parallel")]
     fn parallel_workload(n: usize, row_len: usize) -> Vec<C64> {
         let dim = 1usize << n;
         let mut buf: Vec<C64> = (0..dim * row_len)
@@ -1591,14 +1579,12 @@ mod tests {
 
     /// Serializes tests that mutate the process-wide thread cap or the
     /// pool's steal-order test hook.
-    #[cfg(feature = "parallel")]
     fn pool_guard() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     #[test]
-    #[cfg(feature = "parallel")]
     fn parallel_is_bit_identical_at_every_thread_count() {
         let _g = pool_guard();
         // 2¹⁷ scalars in both layouts: state vector and batched rows.
@@ -1618,7 +1604,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "parallel")]
     fn adversarial_steal_order_cannot_change_bits() {
         // The workload covers every kernel shape (1q, diag, controlled,
         // phase, swap, permutation, dense 2q, dense 3q) in both layouts;

@@ -38,10 +38,8 @@ pub use complex::C64;
 pub use kernel::{
     apply_2x2, calibrated_cheap_pass_cost, calibrated_dense3_penalty,
     calibrated_streaming_pass_cost, expand_bits, kernel_threads, mul_2x2, mul_4x4, par_units,
-    KernelEngine, KernelOp,
+    set_max_threads, set_steal_sequence, KernelEngine, KernelOp,
 };
-#[cfg(feature = "parallel")]
-pub use kernel::{default_threads, hw_threads, max_threads, set_max_threads, set_steal_sequence};
 pub use matrix::Matrix;
 pub use random::{haar_state, haar_unitary};
 pub use real::{jacobi_eigh, simultaneous_diagonalize, RealMatrix};

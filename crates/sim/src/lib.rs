@@ -21,11 +21,9 @@
 //! assert!((p[3] - 0.5).abs() < 1e-12);
 //! ```
 
-pub mod batch;
 pub mod noise;
 pub mod statevector;
 
-pub use batch::{run_batch, run_batch_with_report, BatchReport};
 pub use noise::{NoiseModel, NoisySimulator};
 pub use statevector::{counts_to_distribution, Statevector};
 

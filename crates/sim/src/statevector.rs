@@ -18,10 +18,11 @@
 //! into one 4×4, and once the vector outgrows the cache-resident budget
 //! (2¹⁶ amplitudes, where passes stream from beyond L2) overlapping 2q/1q
 //! neighborhoods grow into single 8×8 sweeps. Deep circuits therefore
-//! sweep the amplitude vector far fewer times. Under the `parallel` cargo
-//! feature the kernels additionally split large amplitude vectors (≥ 2¹⁶
-//! amplitudes) across the vendored scoped-thread pool, with bit-identical
-//! results at any thread count.
+//! sweep the amplitude vector far fewer times. The kernels additionally
+//! split large amplitude vectors (≥ 2¹⁶ amplitudes) across the vendored
+//! scoped-thread pool, with bit-identical results at any thread count;
+//! smaller vectors, and every vector under `RPO_THREADS=1`, stay on the
+//! calling thread.
 //!
 //! Sampling uses a cumulative-distribution table with binary search:
 //! O(2ⁿ + shots·n) instead of the O(shots·2ⁿ) per-shot linear scan.

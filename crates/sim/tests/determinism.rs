@@ -1,24 +1,21 @@
-//! Thread-count and steal-schedule bit-identity for the simulator at scale
-//! (`parallel` feature only).
+//! Thread-count and steal-schedule bit-identity for the simulator at scale.
 //!
 //! The determinism contract under test: every parallel region in the
-//! simulator — the chunked streaming executor, the auxiliary sweeps
-//! (`probabilities`, the `sample` CDF searches), and the batch front-end —
-//! pre-chunks its work into deterministically numbered parts, so output
-//! bits cannot depend on the thread count or on which executor claims
-//! which part. These tests compare the single-threaded result against
-//! 2-way and capacity-wide splits, and against **forced adversarial steal
-//! orders** injected through the pool's test hook — proving that no steal
-//! schedule can change a single bit.
-
-#![cfg(feature = "parallel")]
+//! simulator — the chunked streaming executor and the auxiliary sweeps
+//! (`probabilities`, the `sample` CDF searches) — pre-chunks its work into
+//! deterministically numbered parts, so output bits cannot depend on the
+//! thread count or on which executor claims which part. These tests
+//! compare the single-threaded result against 2-way and capacity-wide
+//! splits, and against **forced adversarial steal orders** injected
+//! through the pool's test hook — proving that no steal schedule can
+//! change a single bit.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
 use qc_circuit::{Circuit, Gate};
 use qc_math::{haar_unitary, set_max_threads, set_steal_sequence};
-use qc_sim::{run_batch, Statevector};
+use qc_sim::Statevector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,31 +53,6 @@ fn scale_circuit(n: usize, seed: u64) -> Circuit {
         c.push(Gate::Unitary(haar_unitary(4, &mut rng)), &[0, n - 1]);
     }
     c
-}
-
-/// A VQE-style parameter sweep built inline (same shape as
-/// `qc_algos::vqe_parameter_batch`, kept local so the dev-dependency graph
-/// stays acyclic).
-fn parameter_sweep(n: usize, depth: usize, batch: usize) -> Vec<Circuit> {
-    (0..batch)
-        .map(|k| {
-            let mut c = Circuit::new(n);
-            let mut angle = 0.1 + 0.37 * k as f64;
-            for layer in 0..=depth {
-                for q in 0..n {
-                    c.ry(angle, q);
-                    angle += 0.211;
-                }
-                if layer < depth {
-                    for q in 0..n - 1 {
-                        c.cx(q, q + 1);
-                    }
-                }
-            }
-            c.measure_all();
-            c
-        })
-        .collect()
 }
 
 #[test]
@@ -159,26 +131,5 @@ fn sampling_and_probabilities_bit_identical_under_stealing() {
         let (p, s) = with_pool(threads, steal, || (sv.probabilities(), sample_at(&sv)));
         assert!(p_base == p, "probabilities changed bits ({tag})");
         assert!(s_base == s, "sample counts changed ({tag})");
-    }
-}
-
-#[test]
-fn batch_bit_identical_across_threads_and_steal_orders() {
-    let _g = pool_guard();
-    let circuits = parameter_sweep(10, 3, 9);
-    let baseline = with_pool(1, None, || run_batch(&circuits));
-    // 9 unique circuits → 9 parts: the length-9 permutation steers the
-    // batch fan-out itself, not just inner kernel regions.
-    let steals: [(usize, Option<Vec<usize>>); 3] =
-        [(2, None), (64, None), (2, Some((0..9).rev().collect()))];
-    for (threads, steal) in steals {
-        let got = with_pool(threads, steal, || run_batch(&circuits));
-        assert_eq!(baseline.len(), got.len());
-        for (i, (a, b)) in baseline.iter().zip(&got).enumerate() {
-            assert!(
-                a.amplitudes() == b.amplitudes(),
-                "batch circuit {i} changed bits at thread cap {threads}"
-            );
-        }
     }
 }

@@ -145,11 +145,10 @@ fn streaming_regime_consolidation_matches_per_gate_application() {
 }
 
 #[test]
-#[cfg(feature = "parallel")]
 fn parallel_blocked_simulation_is_bit_identical_at_every_thread_count() {
     // Toffoli-chain and QV-blocked shapes at 2¹⁷ amplitudes: the streaming
     // profile grows 8×8 blocks, whose kernel loops genuinely split.
-    let max_t = qc_math::max_threads().max(2);
+    let max_t = qc_math::kernel_threads().max(2);
     for (label, c) in [
         ("blocked", blocked_neighborhood_circuit(17, 24, 2121)),
         ("toffoli-chain", toffoli_chain(17, 3)),
@@ -169,7 +168,6 @@ fn parallel_blocked_simulation_is_bit_identical_at_every_thread_count() {
 }
 
 #[test]
-#[cfg(feature = "parallel")]
 fn parallel_auxiliary_sweeps_are_bit_identical_at_every_thread_count() {
     // probabilities / sample / reset split across the pool from 2²⁰
     // amplitudes; every per-element result and the CDF's sequential
@@ -184,7 +182,7 @@ fn parallel_auxiliary_sweeps_are_bit_identical_at_every_thread_count() {
     for q in (0..20).step_by(3) {
         c.push(Gate::Ry(0.21 + q as f64 * 0.07), &[q]);
     }
-    let max_t = qc_math::max_threads().max(2);
+    let max_t = qc_math::kernel_threads().max(2);
     qc_math::set_max_threads(Some(1));
     let base_sv = Statevector::from_circuit(&c);
     let base_probs = base_sv.probabilities();
@@ -220,13 +218,12 @@ fn parallel_auxiliary_sweeps_are_bit_identical_at_every_thread_count() {
 }
 
 #[test]
-#[cfg(feature = "parallel")]
 fn parallel_simulation_is_bit_identical_at_every_thread_count() {
     // 2¹⁷ amplitudes ≥ the kernels' parallel threshold, so the base-index
     // loops genuinely split. Identical RNG seeding makes runs comparable
     // bit for bit.
     let c = random_circuit(17, 24, 99);
-    let max_t = qc_math::max_threads().max(2);
+    let max_t = qc_math::kernel_threads().max(2);
     qc_math::set_max_threads(Some(1));
     let sequential = Statevector::from_circuit(&c);
     for threads in [2, max_t] {

@@ -1,29 +1,15 @@
-//! Controlled-unitary, Toffoli and Fredkin decompositions.
+//! Toffoli and Fredkin decompositions, and the controlled-U CNOT bound.
 //!
 //! The paper's Fredkin optimization (Eq. 9) relies on the Song–Klappenecker
 //! bound: a controlled single-qubit unitary costs at most two CNOTs and four
-//! single-qubit gates. Here controlled-U synthesis simply delegates to the
-//! Weyl synthesizer — a controlled-U always lies in a single-parameter Weyl
-//! class `(t, 0, 0)`, so the templates automatically produce ≤ 2 CNOTs (one
-//! for the CZ-like subfamily, zero for near-identities).
+//! single-qubit gates. No dedicated synthesizer is needed for it: a
+//! controlled-U always lies in a single-parameter Weyl class `(t, 0, 0)`,
+//! so [`synthesize_two_qubit`](crate::synthesize_two_qubit) on the matrix
+//! of a [`Gate::Cu`](qc_circuit::Gate::Cu) produces ≤ 2 CNOTs (one for the
+//! CZ-like subfamily, zero for near-identities). This module's tests pin
+//! that bound.
 
-use crate::weyl::synthesize_two_qubit;
-use qc_circuit::{Circuit, Gate};
-use qc_math::Matrix;
-
-/// Synthesizes a controlled single-qubit unitary on two qubits
-/// (qubit 0 = control, qubit 1 = target) using at most two CNOTs.
-///
-/// # Panics
-///
-/// Panics if `u` is not a 2×2 unitary.
-pub fn controlled_u_circuit(u: &Matrix) -> Circuit {
-    assert_eq!((u.rows(), u.cols()), (2, 2), "controlled_u expects 2x2");
-    let cu = Gate::Cu(u.clone())
-        .matrix()
-        .expect("controlled gate has a matrix");
-    synthesize_two_qubit(&cu)
-}
+use qc_circuit::Circuit;
 
 /// The standard six-CNOT Toffoli decomposition (Shende & Markov show six is
 /// optimal, the bound the paper uses when costing Fredkin gates).
@@ -54,7 +40,8 @@ pub fn toffoli_circuit() -> Circuit {
 /// paper costs against.
 ///
 /// Qubit layout: 0 is the control, 1 and 2 are the swap targets. The Toffoli
-/// is left as a [`Gate::Ccx`] for downstream unrolling.
+/// is left as a [`Gate::Ccx`](qc_circuit::Gate::Ccx) for downstream
+/// unrolling.
 pub fn fredkin_circuit() -> Circuit {
     let mut c = Circuit::new(3);
     c.cx(2, 1).ccx(0, 1, 2).cx(2, 1);
@@ -64,10 +51,17 @@ pub fn fredkin_circuit() -> Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qc_circuit::{circuit_unitary, embed};
-    use qc_math::{haar_unitary, C64};
+    use crate::weyl::synthesize_two_qubit;
+    use qc_circuit::{circuit_unitary, embed, Gate};
+    use qc_math::{haar_unitary, Matrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The controlled-`u` gate (qubit 0 = control, qubit 1 = target)
+    /// through the two-qubit synthesizer.
+    fn controlled_u(u: Matrix) -> Circuit {
+        synthesize_two_qubit(&Gate::Cu(u).matrix().unwrap())
+    }
 
     #[test]
     fn toffoli_matches_ccx() {
@@ -88,24 +82,23 @@ mod tests {
     fn controlled_u_uses_at_most_two_cnots() {
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..30 {
-            let u = haar_unitary(2, &mut rng);
-            let circ = controlled_u_circuit(&u);
+            let want = Gate::Cu(haar_unitary(2, &mut rng)).matrix().unwrap();
+            let circ = synthesize_two_qubit(&want);
             assert!(circ.gate_counts().cx <= 2, "too many CNOTs");
             let got = circuit_unitary(&circ);
-            let want = Gate::Cu(u).matrix().unwrap();
             assert!(got.equal_up_to_global_phase(&want, 1e-7));
         }
     }
 
     #[test]
     fn controlled_z_needs_one_cnot() {
-        let circ = controlled_u_circuit(&Gate::Z.matrix().unwrap());
+        let circ = controlled_u(Gate::Z.matrix().unwrap());
         assert_eq!(circ.gate_counts().cx, 1);
     }
 
     #[test]
     fn controlled_identity_needs_no_cnot() {
-        let circ = controlled_u_circuit(&Matrix::identity(2));
+        let circ = controlled_u(Matrix::identity(2));
         assert_eq!(circ.gate_counts().cx, 0);
     }
 
@@ -116,19 +109,18 @@ mod tests {
         let cu = Gate::Cu(Gate::U1(l).matrix().unwrap()).matrix().unwrap();
         let cp = Gate::Cp(l).matrix().unwrap();
         assert!(cu.approx_eq(&cp, 1e-12));
-        let circ = controlled_u_circuit(&Gate::U1(l).matrix().unwrap());
+        let circ = controlled_u(Gate::U1(l).matrix().unwrap());
         let got = circuit_unitary(&circ);
         assert!(got.equal_up_to_global_phase(&cp, 1e-8));
     }
 
     #[test]
     fn controlled_x_is_plain_cnot_class() {
-        let circ = controlled_u_circuit(&Gate::X.matrix().unwrap());
+        let circ = controlled_u(Gate::X.matrix().unwrap());
         assert_eq!(circ.gate_counts().cx, 1);
         let got = circuit_unitary(&circ);
         // Cu(X) with control bit 0, target bit 1 = CX(0→1).
         let want = embed(&Gate::Cx.matrix().unwrap(), &[0, 1], 2);
         assert!(got.equal_up_to_global_phase(&want, 1e-8));
-        let _ = C64::ZERO; // keep import used under cfg(test)
     }
 }

@@ -12,9 +12,10 @@
 //! * [`state_prep`] — one- and two-qubit state preparation; the two-qubit
 //!   case uses the Schmidt decomposition to hit the paper's "one CNOT + four
 //!   single-qubit gates" bound (Fig. 4, citing Mottonen & Vartiainen).
-//! * [`controlled`] — controlled-U synthesis with two CNOTs (the
-//!   Song–Klappenecker bound the paper uses for its Fredkin optimization),
-//!   plus Toffoli and Fredkin decompositions.
+//! * [`controlled`] — Toffoli and Fredkin decompositions. A controlled-U
+//!   needs no synthesizer of its own: [`synthesize_two_qubit`] on its
+//!   matrix meets the two-CNOT Song–Klappenecker bound the paper uses for
+//!   its Fredkin optimization, and the module's tests pin that bound.
 //! * [`multi_control`] — multi-controlled X/Z/phase: the V-chain with clean
 //!   ancillas and the ancilla-free recursive construction, matching the two
 //!   Grover oracle designs evaluated in the paper.
@@ -25,7 +26,7 @@ pub mod multi_control;
 pub mod state_prep;
 pub mod weyl;
 
-pub use controlled::{controlled_u_circuit, fredkin_circuit, toffoli_circuit};
+pub use controlled::{fredkin_circuit, toffoli_circuit};
 pub use euler::{matrix_to_u3_gate, OneQubitEuler};
 pub use multi_control::{mcp_circuit, mcx_no_ancilla, mcx_vchain, mcz_circuit};
 pub use state_prep::{prepare_one_qubit, prepare_two_qubit};

@@ -6,9 +6,7 @@ use qc_circuit::{circuit_unitary, Gate};
 use qc_math::matrix::states_equal_up_to_phase;
 use qc_math::{haar_state, haar_unitary};
 use qc_sim::Statevector;
-use qc_synth::{
-    controlled_u_circuit, prepare_two_qubit, synthesize_two_qubit, OneQubitEuler, TwoQubitWeyl,
-};
+use qc_synth::{prepare_two_qubit, synthesize_two_qubit, OneQubitEuler, TwoQubitWeyl};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -73,8 +71,8 @@ proptest! {
     fn controlled_u_synthesis_exact(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let u = haar_unitary(2, &mut rng);
-        let circ = controlled_u_circuit(&u);
         let want = Gate::Cu(u).matrix().unwrap();
+        let circ = synthesize_two_qubit(&want);
         prop_assert!(circuit_unitary(&circ).equal_up_to_global_phase(&want, 1e-6));
         prop_assert!(circ.gate_counts().cx <= 2);
     }

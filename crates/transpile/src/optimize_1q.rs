@@ -9,53 +9,56 @@
 //! ([`is_canonical`]) is kept bit for bit: decomposing it again would only
 //! move float bits and re-dirty every pass of the fixed point. So the
 //! pass's output is a bit-exact fixed point of the pass.
+//!
+//! The pass is one program-order walk. Each wire keeps its open run: the
+//! run's first node, its length and the product of its gates so far. A
+//! single-qubit unitary extends its wire's run, and every node after the
+//! head is removed as it joins. Anything else on the wire (a multi-qubit
+//! gate, a directive, a measure or a reset), or the end of the walk,
+//! closes the run: the head becomes the merged gate, or goes when the
+//! product is the identity.
 
 use crate::manager::{DagPass, PropertySet};
 use crate::TranspileError;
 use qc_circuit::{ChangeReport, Dag, DagEdit, Gate, Instruction};
+use qc_math::{mul_2x2, Matrix, C64};
 use qc_synth::euler::{is_canonical, OneQubitEuler};
 
 /// Merges maximal single-qubit gate runs into at most one u-gate each.
 #[derive(Default)]
 pub struct Optimize1qGates;
 
-/// The merge plan over a DAG, indexed by node id: `plan[id]`: `None` =
-/// keep node `id`; `Some(None)` = drop it; `Some(Some(g))` = replace it
-/// with `g`.
-fn plan_runs(dag: &Dag) -> Result<Vec<Option<Option<Gate>>>, TranspileError> {
-    let runs = dag.single_qubit_runs();
-    let mut replacement: Vec<Option<Option<Gate>>> = vec![None; dag.capacity()];
-    for run in runs {
-        if run.len() == 1 && is_canonical(&dag.inst(run[0]).gate) {
-            continue;
-        }
-        // Multiply matrices in time order (later gates on the left),
-        // accumulating on the stack; one heap matrix per run, not per
-        // gate.
-        let mut m = [
-            qc_math::C64::ONE,
-            qc_math::C64::ZERO,
-            qc_math::C64::ZERO,
-            qc_math::C64::ONE,
-        ];
-        for &node in &run {
-            let g = &dag.inst(node).gate;
-            let gm = g.matrix2x2().ok_or_else(|| {
-                TranspileError::Internal(format!("non-unitary gate {g} in 1q run"))
-            })?;
-            m = qc_math::mul_2x2(&gm, &m);
-        }
-        let merged =
-            OneQubitEuler::from_matrix(&qc_math::Matrix::from_vec(2, 2, m.to_vec())).to_gate();
-        let head = run[0];
-        for &node in &run {
-            replacement[node] = Some(None);
-        }
-        if !matches!(merged, Gate::I) {
-            replacement[head] = Some(Some(merged));
-        }
+/// The open run of single-qubit gates on one wire.
+#[derive(Clone, Copy)]
+struct Run {
+    /// The run's first node, which the merged gate replaces.
+    head: usize,
+    /// Gates in the run so far.
+    len: usize,
+    /// Their product in time order (later gates on the left).
+    product: [C64; 4],
+}
+
+const IDENTITY: [C64; 4] = [C64::ONE, C64::ZERO, C64::ZERO, C64::ONE];
+
+/// Records the rewrite of a closed run at its head: a lone canonical gate
+/// stays, otherwise the head becomes the merged gate or, when the product
+/// is the identity, goes.
+fn close(dag: &Dag, run: Run, edit: &mut DagEdit) {
+    let head = dag.inst(run.head);
+    if run.len == 1 && is_canonical(&head.gate) {
+        return;
     }
-    Ok(replacement)
+    let merged =
+        OneQubitEuler::from_matrix(&Matrix::from_vec(2, 2, run.product.to_vec())).to_gate();
+    if matches!(merged, Gate::I) {
+        edit.remove(run.head);
+    } else {
+        edit.replace(
+            run.head,
+            vec![Instruction::new(merged, head.qubits.clone())],
+        );
+    }
 }
 
 impl DagPass for Optimize1qGates {
@@ -68,17 +71,41 @@ impl DagPass for Optimize1qGates {
         dag: &mut Dag,
         _props: &mut PropertySet,
     ) -> Result<ChangeReport, TranspileError> {
-        let replacement = plan_runs(dag)?;
         let mut edit = DagEdit::new();
-        for (i, r) in replacement.into_iter().enumerate() {
-            match r {
-                None => {}
-                Some(None) => edit.remove(i),
-                Some(Some(g)) => {
-                    let qs = dag.inst(i).qubits.clone();
-                    edit.replace(i, vec![Instruction::new(g, qs)]);
+        let mut open: Vec<Option<Run>> = vec![None; dag.num_qubits()];
+        for (id, inst) in dag.iter() {
+            if let ([q], true) = (&inst.qubits[..], inst.gate.is_unitary_gate()) {
+                let g = &inst.gate;
+                let gm = g.matrix2x2().ok_or_else(|| {
+                    TranspileError::Internal(format!("non-unitary gate {g} in 1q run"))
+                })?;
+                match &mut open[*q] {
+                    Some(run) => {
+                        run.product = mul_2x2(&gm, &run.product);
+                        run.len += 1;
+                        edit.remove(id);
+                    }
+                    // The product starts from the identity rather than
+                    // from the gate itself: the multiply normalizes signed
+                    // zeros, which the Euler angles (atan2) can see.
+                    None => {
+                        open[*q] = Some(Run {
+                            head: id,
+                            len: 1,
+                            product: mul_2x2(&gm, &IDENTITY),
+                        })
+                    }
+                }
+            } else {
+                for &q in &inst.qubits {
+                    if let Some(run) = open[q].take() {
+                        close(dag, run, &mut edit);
+                    }
                 }
             }
+        }
+        for run in open.into_iter().flatten() {
+            close(dag, run, &mut edit);
         }
         Ok(dag.apply(edit))
     }
@@ -211,6 +238,26 @@ mod tests {
         let out = optimized(&c);
         // Two separate runs of one H each; H stays (as u2).
         assert_eq!(out.gate_counts().single_qubit, 2);
+    }
+
+    #[test]
+    fn single_qubit_runs_split_by_two_qubit_gates() {
+        // Runs: h t on qubit 0, s on qubit 0 after the cx, sdg h on qubit 1.
+        let mut c = Circuit::new(2);
+        c.h(0).t(0).cx(0, 1).s(0).sdg(1).h(1);
+        let out = optimized(&c);
+        let wires: Vec<&[usize]> = out.instructions().iter().map(|i| &i.qubits[..]).collect();
+        assert_eq!(wires, [&[0][..], &[0, 1], &[0], &[1]]);
+        assert!(circuit_unitary(&out).equal_up_to_global_phase(&circuit_unitary(&c), 1e-9));
+    }
+
+    #[test]
+    fn runs_broken_by_directives_and_measure() {
+        let mut c = Circuit::new(1);
+        c.h(0).barrier().h(0).measure(0);
+        let out = optimized(&c);
+        assert_eq!(out.gate_counts().single_qubit, 2);
+        assert_eq!(out.count_name("measure"), 1);
     }
 
     #[test]

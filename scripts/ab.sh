@@ -14,10 +14,12 @@
 # directory under $TMPDIR (default /tmp), removed again on exit. Each pair
 # runs once in each worktree, alternating which side goes first: either
 # `perfbench/run.sh --workload W --seed i --seconds S --trace 0`, or, in
-# kernel mode, `BENCH_FEATURES= scripts/bench.sh <filter>` (the
-# single-threaded build; its JSON goes to the temporary directory, not
-# over the worktree's BENCH_kernels.json). A side's first run also builds
-# it, into its own worktree.
+# kernel mode, `RPO_THREADS=1 BENCH_FEATURES= scripts/bench.sh <filter>`:
+# one kernel thread on both sides (`BENCH_FEATURES=` selects the
+# single-threaded build of revisions whose bench.sh still takes cargo
+# features). Its JSON goes to the temporary directory, not over the
+# worktree's BENCH_kernels.json. A side's first run also builds it, into
+# its own worktree.
 #
 # For every end-to-end metric (in kernel mode: every bench's median_ns) it
 # prints which direction is better, both medians, the b/a ratio of the
@@ -74,8 +76,8 @@ failed_runs=0
 kernel_run() {
     local out="$work/$1.$2.json"
     (cd "$work/$1" &&
-        CARGO_TARGET_DIR="$work/$1/.bench_build" BENCH_FEATURES= BENCH_OUT="$out" \
-            bash scripts/bench.sh "$FILTER" >&2) || return
+        CARGO_TARGET_DIR="$work/$1/.bench_build" RPO_THREADS=1 BENCH_FEATURES= \
+            BENCH_OUT="$out" bash scripts/bench.sh "$FILTER" >&2) || return
     python3 -c '
 import json, sys
 benches = json.load(open(sys.argv[1]))

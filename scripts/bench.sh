@@ -9,13 +9,12 @@
 # Environment:
 #   BENCH_OUT        output path, relative to the repo root unless absolute
 #                    (default BENCH_kernels.json)
-#   BENCH_FEATURES   cargo features for the bench build (default "parallel";
-#                    set empty to benchmark the single-threaded build)
-#   RPO_THREADS      kernel thread cap; the bench itself records the
-#                    effective count as "threads" in the JSON (the
-#                    requested value clamps to pool capacity)
-#   RPO_PIN          set to 1 to pin pool workers to CPUs (Linux only;
-#                    worker w goes to CPU w mod hw_threads)
+#   RPO_THREADS      kernel thread cap (default: the machine's available
+#                    parallelism; 1 runs every kernel on the calling
+#                    thread, the configuration the committed baseline
+#                    records); the bench itself records the effective
+#                    count as "threads" in the JSON (the requested value
+#                    clamps to pool capacity)
 #
 # The bench writes to a temporary file that is moved into place only when
 # the bench binary exits 0, so a crashed or interrupted run can never
@@ -25,7 +24,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${BENCH_OUT:-BENCH_kernels.json}"
-FEATURES="${BENCH_FEATURES-parallel}"
 
 case "$OUT" in
     /*) ABS_OUT="$OUT" ;;
@@ -35,13 +33,8 @@ mkdir -p "$(dirname "$ABS_OUT")"
 TMP="${ABS_OUT}.tmp.$$"
 trap 'rm -f "$TMP"' EXIT
 
-FEATURE_ARGS=()
-if [[ -n "$FEATURES" ]]; then
-    FEATURE_ARGS=(--features "$FEATURES")
-fi
-
 CRITERION_JSON_OUT="$TMP" \
-    cargo bench -p qc-bench "${FEATURE_ARGS[@]}" --bench kernels -- "${1:-}"
+    cargo bench -p qc-bench --bench kernels -- "${1:-}"
 
 mv "$TMP" "$ABS_OUT"
 
