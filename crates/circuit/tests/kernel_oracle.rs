@@ -13,14 +13,6 @@ use qc_circuit::{
     circuit_unitary, circuit_unitary_reference, circuit_unitary_unfused, Circuit, Gate,
 };
 
-/// Serializes the tests that set the process-wide kernel thread cap:
-/// libtest runs tests on parallel threads, and one test's reset must not
-/// land inside another's single-threaded baseline.
-fn thread_cap_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[test]
 fn random_circuits_match_reference_1_to_6_qubits() {
     for n in 1..=6 {
@@ -74,7 +66,7 @@ fn panel_decomposition_is_exact_at_any_width() {
 
 #[test]
 fn parallel_panels_are_bit_identical_at_every_thread_count() {
-    let _cap = thread_cap_guard();
+    let _cap = qc_math::lock_thread_cap();
     // 8 panels of width 32 on an 8-qubit circuit: the panel fan-out is the
     // parallel surface here (the panels are too small for the kernels'
     // inner splitting to engage).
@@ -168,7 +160,7 @@ fn toffoli_chains_match_unfused_and_reference() {
 
 #[test]
 fn parallel_blocked_neighborhoods_are_bit_identical_at_every_thread_count() {
-    let _cap = thread_cap_guard();
+    let _cap = qc_math::lock_thread_cap();
     // 8-qubit blocked circuits split across panels: the fused plan (with
     // merged 4×4 and, under the streaming profile, 8×8 blocks) must be
     // bit-identical at 1, 2 and max threads.

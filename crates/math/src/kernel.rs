@@ -68,7 +68,7 @@ use crate::matrix::Matrix;
 /// [`set_max_threads`] override when set, else `RPO_THREADS`, else the
 /// machine's available parallelism, clamped to the pool's capacity.
 pub use scoped_pool::max_threads as kernel_threads;
-pub use scoped_pool::{set_max_threads, set_steal_sequence};
+pub use scoped_pool::{lock_thread_cap, set_max_threads, set_steal_sequence};
 
 /// Buffers smaller than this many scalars never fan out to the thread pool:
 /// below ~1 MiB the split/merge latency exceeds the memory-bound sweep.
@@ -107,6 +107,13 @@ pub fn calibrated_cheap_pass_cost() -> Option<f64> {
 /// [`calibrated_cheap_pass_cost`]'s streaming counterpart: the pass cost
 /// over a beyond-cache buffer (2²⁰ scalars, 16 MiB), clamped to `[1, 24]`
 /// madds.
+///
+/// The probe's passes are above [`PAR_MIN_ELEMS`], so they fan out to the
+/// thread pool like any pass of that size: besides host noise, the value
+/// also moves with the thread cap in force when the first streaming plan
+/// is made (`RPO_THREADS`, or [`set_max_threads`] before that plan). With
+/// `RPO_CALIBRATE=0` neither matters, and output amplitudes are
+/// bit-identical across processes and thread counts.
 pub fn calibrated_streaming_pass_cost() -> Option<f64> {
     use std::sync::OnceLock;
     static CAL: OnceLock<Option<f64>> = OnceLock::new();
@@ -1577,16 +1584,9 @@ mod tests {
         buf
     }
 
-    /// Serializes tests that mutate the process-wide thread cap or the
-    /// pool's steal-order test hook.
-    fn pool_guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn parallel_is_bit_identical_at_every_thread_count() {
-        let _g = pool_guard();
+        let _g = lock_thread_cap();
         // 2¹⁷ scalars in both layouts: state vector and batched rows.
         for (n, row_len) in [(17, 1), (11, 64)] {
             set_max_threads(Some(1));
@@ -1610,7 +1610,7 @@ mod tests {
         // the injected permutations force regions with a matching part
         // count (16 = 2 executors × STEAL_PARTS_PER_EXECUTOR) to claim
         // parts in an adversarial order. Output bits must not move.
-        let _g = pool_guard();
+        let _g = lock_thread_cap();
         for (n, row_len) in [(17, 1), (11, 64)] {
             set_max_threads(Some(1));
             let sequential = parallel_workload(n, row_len);

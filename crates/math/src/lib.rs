@@ -37,8 +37,8 @@ pub mod svd;
 pub use complex::C64;
 pub use kernel::{
     apply_2x2, calibrated_cheap_pass_cost, calibrated_dense3_penalty,
-    calibrated_streaming_pass_cost, expand_bits, kernel_threads, mul_2x2, mul_4x4, par_units,
-    set_max_threads, set_steal_sequence, KernelEngine, KernelOp,
+    calibrated_streaming_pass_cost, expand_bits, kernel_threads, lock_thread_cap, mul_2x2, mul_4x4,
+    par_units, set_max_threads, set_steal_sequence, KernelEngine, KernelOp,
 };
 pub use matrix::Matrix;
 pub use random::{haar_state, haar_unitary};

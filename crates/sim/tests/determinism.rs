@@ -11,19 +11,12 @@
 //! change a single bit.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
 
 use qc_circuit::{Circuit, Gate};
-use qc_math::{haar_unitary, set_max_threads, set_steal_sequence};
+use qc_math::{haar_unitary, lock_thread_cap, set_max_threads, set_steal_sequence};
 use qc_sim::Statevector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Serializes tests that mutate the process-wide thread cap / steal hook.
-fn pool_guard() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Runs `f` under a forced thread cap and (optionally) a forced global
 /// claim order, restoring both afterwards.
@@ -57,7 +50,7 @@ fn scale_circuit(n: usize, seed: u64) -> Circuit {
 
 #[test]
 fn streaming_executor_bit_identical_across_threads_and_steal_orders() {
-    let _g = pool_guard();
+    let _g = lock_thread_cap();
     let c = scale_circuit(18, 42);
     let baseline = with_pool(1, None, || Statevector::from_circuit(&c));
     // Thread counts: a genuine 2-way split and "everything the pool has"
@@ -85,7 +78,7 @@ fn streaming_executor_bit_identical_across_threads_and_steal_orders() {
 
 #[test]
 fn scheduled_streaming_executor_matches_unfused_reference() {
-    let _g = pool_guard();
+    let _g = lock_thread_cap();
     // The gate scheduler reorders commuting (disjoint-support) fused ops,
     // which legitimately changes float rounding relative to the program
     // order — so this check is tolerance-based, while the bit-identity
@@ -107,7 +100,7 @@ fn scheduled_streaming_executor_matches_unfused_reference() {
 
 #[test]
 fn sampling_and_probabilities_bit_identical_under_stealing() {
-    let _g = pool_guard();
+    let _g = lock_thread_cap();
     // n = 20 puts the auxiliary sweeps past their parallel threshold
     // (2²⁰ amplitudes): the |z|² map, the CDF build feeding `sample`, and
     // the per-shot binary searches all cross the pool.

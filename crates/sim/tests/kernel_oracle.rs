@@ -8,14 +8,6 @@ use qc_circuit::testing::{blocked_neighborhood_circuit, random_circuit, toffoli_
 use qc_circuit::{circuit_unitary_reference, Circuit, Gate};
 use qc_sim::Statevector;
 
-/// Serializes the tests that set the process-wide kernel thread cap:
-/// libtest runs tests on parallel threads, and one test's reset must not
-/// land inside another's single-threaded baseline.
-fn thread_cap_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn assert_matches_reference_column(c: &Circuit, label: &str) {
     let sv = Statevector::from_circuit(c);
     let expect = circuit_unitary_reference(c).column(0);
@@ -154,7 +146,7 @@ fn streaming_regime_consolidation_matches_per_gate_application() {
 
 #[test]
 fn parallel_blocked_simulation_is_bit_identical_at_every_thread_count() {
-    let _cap = thread_cap_guard();
+    let _cap = qc_math::lock_thread_cap();
     // Toffoli-chain and QV-blocked shapes at 2¹⁷ amplitudes: the streaming
     // profile grows 8×8 blocks, whose kernel loops genuinely split.
     let max_t = qc_math::kernel_threads().max(2);
@@ -178,7 +170,7 @@ fn parallel_blocked_simulation_is_bit_identical_at_every_thread_count() {
 
 #[test]
 fn parallel_auxiliary_sweeps_are_bit_identical_at_every_thread_count() {
-    let _cap = thread_cap_guard();
+    let _cap = qc_math::lock_thread_cap();
     // probabilities / sample / reset split across the pool from 2²⁰
     // amplitudes; every per-element result and the CDF's sequential
     // accumulation must be bit-identical at any thread count.
@@ -229,7 +221,7 @@ fn parallel_auxiliary_sweeps_are_bit_identical_at_every_thread_count() {
 
 #[test]
 fn parallel_simulation_is_bit_identical_at_every_thread_count() {
-    let _cap = thread_cap_guard();
+    let _cap = qc_math::lock_thread_cap();
     // 2¹⁷ amplitudes ≥ the kernels' parallel threshold, so the base-index
     // loops genuinely split. Identical RNG seeding makes runs comparable
     // bit for bit.
