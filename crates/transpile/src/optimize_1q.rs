@@ -11,12 +11,13 @@
 //! pass's output is a bit-exact fixed point of the pass.
 //!
 //! The pass is one program-order walk. Each wire keeps its open run: the
-//! run's first node, its length and the product of its gates so far. A
-//! single-qubit unitary extends its wire's run, and every node after the
-//! head is removed as it joins. Anything else on the wire (a multi-qubit
-//! gate, a directive, a measure or a reset), or the end of the walk,
-//! closes the run: the head becomes the merged gate, or goes when the
-//! product is the identity.
+//! run's first node, its length and, from the second gate on, the product
+//! of its gates so far. A single-qubit unitary extends its wire's run, and
+//! every node after the head is removed as it joins. Anything else on the
+//! wire (a multi-qubit gate, a directive, a measure or a reset), or the
+//! end of the walk, closes the run: the head becomes the merged gate, or
+//! goes when the product is the identity. A lone gate costs no matrix
+//! until its run closes, and none at all when it is canonical.
 
 use crate::manager::{DagPass, PropertySet};
 use crate::TranspileError;
@@ -35,22 +36,36 @@ struct Run {
     head: usize,
     /// Gates in the run so far.
     len: usize,
-    /// Their product in time order (later gates on the left).
+    /// Their product in time order (later gates on the left); set when
+    /// the second gate joins.
     product: [C64; 4],
 }
 
 const IDENTITY: [C64; 4] = [C64::ONE, C64::ZERO, C64::ZERO, C64::ONE];
 
+/// The product of one gate, started from the identity rather than from the
+/// gate itself: the multiply normalizes signed zeros, which the Euler
+/// angles (atan2) can see.
+fn first_product(g: &Gate) -> Result<[C64; 4], TranspileError> {
+    Ok(mul_2x2(&matrix_of(g)?, &IDENTITY))
+}
+
+fn matrix_of(g: &Gate) -> Result<[C64; 4], TranspileError> {
+    g.matrix2x2()
+        .ok_or_else(|| TranspileError::Internal(format!("non-unitary gate {g} in 1q run")))
+}
+
 /// Records the rewrite of a closed run at its head: a lone canonical gate
 /// stays, otherwise the head becomes the merged gate or, when the product
 /// is the identity, goes.
-fn close(dag: &Dag, run: Run, edit: &mut DagEdit) {
+fn close(dag: &Dag, run: Run, edit: &mut DagEdit) -> Result<(), TranspileError> {
     let head = dag.inst(run.head);
-    if run.len == 1 && is_canonical(&head.gate) {
-        return;
-    }
-    let merged =
-        OneQubitEuler::from_matrix(&Matrix::from_vec(2, 2, run.product.to_vec())).to_gate();
+    let product = match run.len {
+        1 if is_canonical(&head.gate) => return Ok(()),
+        1 => first_product(&head.gate)?,
+        _ => run.product,
+    };
+    let merged = OneQubitEuler::from_matrix(&Matrix::from_vec(2, 2, product.to_vec())).to_gate();
     if matches!(merged, Gate::I) {
         edit.remove(run.head);
     } else {
@@ -59,6 +74,7 @@ fn close(dag: &Dag, run: Run, edit: &mut DagEdit) {
             vec![Instruction::new(merged, head.qubits.clone())],
         );
     }
+    Ok(())
 }
 
 impl DagPass for Optimize1qGates {
@@ -75,37 +91,33 @@ impl DagPass for Optimize1qGates {
         let mut open: Vec<Option<Run>> = vec![None; dag.num_qubits()];
         for (id, inst) in dag.iter() {
             if let ([q], true) = (&inst.qubits[..], inst.gate.is_unitary_gate()) {
-                let g = &inst.gate;
-                let gm = g.matrix2x2().ok_or_else(|| {
-                    TranspileError::Internal(format!("non-unitary gate {g} in 1q run"))
-                })?;
                 match &mut open[*q] {
                     Some(run) => {
-                        run.product = mul_2x2(&gm, &run.product);
+                        if run.len == 1 {
+                            run.product = first_product(&dag.inst(run.head).gate)?;
+                        }
+                        run.product = mul_2x2(&matrix_of(&inst.gate)?, &run.product);
                         run.len += 1;
                         edit.remove(id);
                     }
-                    // The product starts from the identity rather than
-                    // from the gate itself: the multiply normalizes signed
-                    // zeros, which the Euler angles (atan2) can see.
                     None => {
                         open[*q] = Some(Run {
                             head: id,
                             len: 1,
-                            product: mul_2x2(&gm, &IDENTITY),
+                            product: IDENTITY,
                         })
                     }
                 }
             } else {
                 for &q in &inst.qubits {
                     if let Some(run) = open[q].take() {
-                        close(dag, run, &mut edit);
+                        close(dag, run, &mut edit)?;
                     }
                 }
             }
         }
         for run in open.into_iter().flatten() {
-            close(dag, run, &mut edit);
+            close(dag, run, &mut edit)?;
         }
         Ok(dag.apply(edit))
     }
