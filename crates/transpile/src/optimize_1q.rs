@@ -41,18 +41,17 @@ struct Run {
     product: [C64; 4],
 }
 
+/// Every product starts from the identity rather than from its first gate:
+/// the multiply normalizes signed zeros, which the Euler angles (atan2)
+/// can see.
 const IDENTITY: [C64; 4] = [C64::ONE, C64::ZERO, C64::ZERO, C64::ONE];
 
-/// The product of one gate, started from the identity rather than from the
-/// gate itself: the multiply normalizes signed zeros, which the Euler
-/// angles (atan2) can see.
-fn first_product(g: &Gate) -> Result<[C64; 4], TranspileError> {
-    Ok(mul_2x2(&matrix_of(g)?, &IDENTITY))
-}
-
-fn matrix_of(g: &Gate) -> Result<[C64; 4], TranspileError> {
-    g.matrix2x2()
-        .ok_or_else(|| TranspileError::Internal(format!("non-unitary gate {g} in 1q run")))
+/// `g · acc` for a gate `g` of a run.
+fn times(g: &Gate, acc: &[C64; 4]) -> Result<[C64; 4], TranspileError> {
+    let m = g
+        .matrix2x2()
+        .ok_or_else(|| TranspileError::Internal(format!("non-unitary gate {g} in 1q run")))?;
+    Ok(mul_2x2(&m, acc))
 }
 
 /// Records the rewrite of a closed run at its head: a lone canonical gate
@@ -62,7 +61,7 @@ fn close(dag: &Dag, run: Run, edit: &mut DagEdit) -> Result<(), TranspileError> 
     let head = dag.inst(run.head);
     let product = match run.len {
         1 if is_canonical(&head.gate) => return Ok(()),
-        1 => first_product(&head.gate)?,
+        1 => times(&head.gate, &IDENTITY)?,
         _ => run.product,
     };
     let merged = OneQubitEuler::from_matrix(&Matrix::from_vec(2, 2, product.to_vec())).to_gate();
@@ -94,9 +93,9 @@ impl DagPass for Optimize1qGates {
                 match &mut open[*q] {
                     Some(run) => {
                         if run.len == 1 {
-                            run.product = first_product(&dag.inst(run.head).gate)?;
+                            run.product = times(&dag.inst(run.head).gate, &IDENTITY)?;
                         }
-                        run.product = mul_2x2(&matrix_of(&inst.gate)?, &run.product);
+                        run.product = times(&inst.gate, &run.product)?;
                         run.len += 1;
                         edit.remove(id);
                     }
