@@ -133,97 +133,44 @@ fn swap_2q_orientation(m: &Matrix) -> Matrix {
 ///   L2-sized column panels; passes run at cache bandwidth and are cheap,
 ///   so only arithmetic-reducing merges (same-pair folds, in-block
 ///   absorption, 1q left-folds) pay.
-/// * [`FusionProfile::statevector`] — one 2ⁿ-amplitude vector; once it
-///   outgrows L2 every pass streams from L3/DRAM and saving sweeps is
-///   worth widening blocks to k = 3.
+/// * [`FusionProfile::statevector`] — one 2ⁿ-amplitude vector, which every
+///   pass sweeps end to end, so saving sweeps is worth widening blocks to
+///   k = 3.
+///
+/// Both profiles are constants, so a plan, and with it every simulated
+/// amplitude bit, is a pure function of the circuit.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FusionProfile {
     /// Cost of streaming one full pass over the buffer, per amplitude,
     /// relative to one multiply-add.
     pub pass_cost: f64,
-    /// Multiply-add efficiency penalty of the 8-way dense mix relative to
-    /// the 2-/4-way kernels (64 coefficients exceed the register budget).
-    pub dense3_weight: f64,
 }
 
-/// A statevector no wider than this stays cache-resident (2¹⁶ amplitudes =
-/// 1 MiB of `C64`), making passes cheap; beyond it they stream.
-const CACHE_RESIDENT_QUBITS: usize = 16;
-
-/// Fallback multiply-add efficiency penalty of the 8-way dense mix
-/// relative to the 2-/4-way kernels (64 coefficients exceed the register
-/// budget), used when the microcalibration is unavailable or disabled.
+/// Multiply-add efficiency penalty of the 8-way dense mix relative to the
+/// 2-/4-way kernels (64 coefficients exceed the register budget).
 const DENSE3_PENALTY: f64 = 1.4;
 
-/// The dense-3q register-pressure weight: measured once per process on
-/// this host ([`qc_math::calibrated_dense3_penalty`]), the hand-set
-/// constant when calibration is disabled (`RPO_CALIBRATE=0`) or degenerate.
-fn dense3_penalty() -> f64 {
-    qc_math::calibrated_dense3_penalty().unwrap_or(DENSE3_PENALTY)
-}
-
-/// The no-measurement fallback pass costs: cache-resident and streaming,
-/// the pre-calibration two-point model.
-const FALLBACK_CHEAP_PASS: f64 = 1.0;
-const FALLBACK_STREAMING_PASS: f64 = 6.0;
-
 impl FusionProfile {
-    /// Cost profile for cache-blocked panel streaming (`circuit_unitary`).
-    /// Panels are sized to stay L2-resident by construction, so the
-    /// cache-resident constant applies regardless of calibration.
+    /// Cost profile for cache-blocked panel streaming (`circuit_unitary`):
+    /// panels are sized to stay L2-resident, so a pass costs one
+    /// multiply-add and k = 3 growth never pays.
     pub fn panels() -> Self {
-        // Panels keep the constant weight: k = 3 growth is never
-        // profitable in L2-resident panels by design (see ROADMAP), and a
-        // host-measured weight must not be able to flip that.
-        FusionProfile {
-            pass_cost: FALLBACK_CHEAP_PASS,
-            dense3_weight: DENSE3_PENALTY,
-        }
+        FusionProfile { pass_cost: 1.0 }
     }
 
-    /// Cost profile for panel streaming with host-measured constants — the
-    /// "k = 3 panels" revisit (ROADMAP carried-over item): now that the
-    /// stealing pool fans panels out across workers, a host where even
-    /// L2-resident passes measure expensive relative to multiply-adds would
-    /// profit from growing panels' blocks to 8×8. Wiring the measured
-    /// cache-resident pass cost through the existing calibration hook lets
-    /// the planner make that call per host instead of pinning it. Measured
-    /// on this class of hardware the cheap-pass cost stays ≈ 1–2 — far
-    /// below the ≈ `8·w − 4` break-even for trading a pass for an 8-way
-    /// mix — so panels keep 4×4 blocks in practice; [`FusionProfile::panels`]
-    /// remains the pinned-constant profile for shape-sensitive tests.
-    pub fn panels_calibrated() -> Self {
-        FusionProfile {
-            pass_cost: qc_math::calibrated_cheap_pass_cost().unwrap_or(FALLBACK_CHEAP_PASS),
-            dense3_weight: dense3_penalty(),
-        }
-    }
-
-    /// Cost profile for applying the plan to one 2ⁿ-amplitude vector.
-    ///
-    /// The two operating points (cache-resident below 2¹⁶ amplitudes,
-    /// streaming above) come from a one-time per-process microcalibration
-    /// ([`qc_math::calibrated_cheap_pass_cost`] /
-    /// [`qc_math::calibrated_streaming_pass_cost`], each measured lazily
-    /// on first use) of this host's pass-per-madd ratios; when the
-    /// measurement is unavailable or disabled (`RPO_CALIBRATE=0`) the
-    /// historical constants (1 and 6) apply.
-    pub fn statevector(n: usize) -> Self {
-        let pass_cost = if n > CACHE_RESIDENT_QUBITS {
-            qc_math::calibrated_streaming_pass_cost().unwrap_or(FALLBACK_STREAMING_PASS)
-        } else {
-            qc_math::calibrated_cheap_pass_cost().unwrap_or(FALLBACK_CHEAP_PASS)
-        };
-        FusionProfile {
-            pass_cost,
-            dense3_weight: dense3_penalty(),
-        }
+    /// Cost profile for applying the plan to one 2ⁿ-amplitude vector
+    /// (`fuse_instructions`): a pass costs six multiply-adds at every
+    /// register width, enough for a dressed Toffoli or a triangle of SU(4)
+    /// blocks to become one 8×8 sweep (the README's fusion section has the
+    /// kernel-bench measurements behind the value).
+    pub fn statevector() -> Self {
+        FusionProfile { pass_cost: 6.0 }
     }
 
     /// The cost of a dense k-qubit sweep: one pass plus 2ᵏ multiply-adds
     /// per amplitude (weighted for the 8-way mix's register pressure).
     fn dense_sweep_cost(&self, k: usize) -> f64 {
-        let weight = if k >= 3 { self.dense3_weight } else { 1.0 };
+        let weight = if k >= 3 { DENSE3_PENALTY } else { 1.0 };
         self.pass_cost + weight * (1usize << k) as f64
     }
 
@@ -266,7 +213,7 @@ fn is_exact_identity(m: &[C64; 4]) -> bool {
 /// Panics on non-unitary instructions (reset/measure); segment streams at
 /// such boundaries before planning (see `qc_sim::Statevector`).
 pub fn fuse_instructions(insts: &[Instruction], num_qubits: usize) -> Vec<FusedInst<'_>> {
-    fuse_instructions_with(insts, num_qubits, FusionProfile::statevector(num_qubits))
+    fuse_instructions_with(insts, num_qubits, FusionProfile::statevector())
 }
 
 /// [`fuse_instructions`] with an explicit cost profile — consumers that
@@ -888,17 +835,6 @@ mod tests {
         crate::gate::Gate::Unitary(crate::unitary::circuit_unitary(&random_circuit(2, 6, seed)))
     }
 
-    /// A profile with expensive passes (the streaming state-vector regime),
-    /// which enables pass-saving k=3 growth at any test size.
-    fn streaming() -> FusionProfile {
-        // Pinned costs: planner-shape assertions must not depend on this
-        // host's microcalibration.
-        FusionProfile {
-            pass_cost: 6.0,
-            dense3_weight: DENSE3_PENALTY,
-        }
-    }
-
     #[test]
     fn same_pair_dense_blocks_merge_in_either_orientation() {
         let mut c = Circuit::new(4);
@@ -929,7 +865,7 @@ mod tests {
         c.push(dense_2q(5), &[0, 1]);
         c.push(dense_2q(6), &[1, 2]);
         c.push(dense_2q(7), &[0, 2]); // triangle: all three share ≤3 qubits
-        let plan = fuse_instructions_with(c.instructions(), 5, streaming());
+        let plan = fuse_instructions_with(c.instructions(), 5, FusionProfile::statevector());
         assert_eq!(plan.len(), 1, "the triangle must consolidate to one 8×8");
         assert_eq!(plan[0].qubits.len(), 3);
         assert!(plan_unitary(&plan, 5).approx_eq(&circuit_unitary_reference(&c), 1e-9));
@@ -949,12 +885,12 @@ mod tests {
 
     #[test]
     fn small_registers_keep_pre_consolidation_behavior() {
-        // n = 4 ≤ k+1 for k = 3: no growth to 8×8 even under the streaming
-        // profile.
+        // n = 4 ≤ k+1 for k = 3: no growth to 8×8 even under the
+        // statevector profile.
         let mut c = Circuit::new(4);
         c.push(dense_2q(10), &[0, 1]);
         c.push(dense_2q(11), &[1, 2]);
-        let plan = fuse_instructions_with(c.instructions(), 4, streaming());
+        let plan = fuse_instructions_with(c.instructions(), 4, FusionProfile::statevector());
         assert_eq!(plan.len(), 2);
         assert!(plan.iter().all(|fi| fi.qubits.len() == 2));
         // And n = 3 ≤ k+1 for k = 2: same-pair merging is off too.
@@ -971,7 +907,7 @@ mod tests {
         // than two flushes plus the structured Toffoli pass.
         let mut c = Circuit::new(5);
         c.h(0).h(1).ccx(0, 1, 2);
-        let plan = fuse_instructions_with(c.instructions(), 5, streaming());
+        let plan = fuse_instructions_with(c.instructions(), 5, FusionProfile::statevector());
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].qubits, vec![0, 1, 2]);
         assert!(matches!(plan[0].kernel, FusedKernel::Dense(_)));
@@ -980,7 +916,7 @@ mod tests {
         // dense 8×8.
         let mut c = Circuit::new(5);
         c.ccx(0, 1, 2);
-        let plan = fuse_instructions_with(c.instructions(), 5, streaming());
+        let plan = fuse_instructions_with(c.instructions(), 5, FusionProfile::statevector());
         assert!(matches!(plan[0].kernel, FusedKernel::Passthrough(_)));
     }
 
@@ -1005,7 +941,7 @@ mod tests {
             for seed in 0..4u64 {
                 let c = blocked_neighborhood_circuit(n, 24, 5000 + seed * 17 + n as u64);
                 let want = circuit_unitary_reference(&c);
-                for profile in [FusionProfile::panels(), streaming()] {
+                for profile in [FusionProfile::panels(), FusionProfile::statevector()] {
                     let plan = fuse_instructions_with(c.instructions(), n, profile);
                     assert!(
                         plan_unitary(&plan, n).approx_eq(&want, 1e-9),
@@ -1023,7 +959,7 @@ mod tests {
             for seed in 0..3u64 {
                 let c = toffoli_chain(n, seed);
                 let want = circuit_unitary_reference(&c);
-                for profile in [FusionProfile::panels(), streaming()] {
+                for profile in [FusionProfile::panels(), FusionProfile::statevector()] {
                     let plan = fuse_instructions_with(c.instructions(), n, profile);
                     assert!(
                         plan_unitary(&plan, n).approx_eq(&want, 1e-9),
@@ -1050,9 +986,8 @@ mod tests {
         c.push(dense_2q(21), &[0, 1]); // local, disjoint → bubbles left
         c.push(dense_2q(22), &[2, 4]); // non-local
 
-        // Pinned cheap-pass profile: the host-calibrated statevector profile
-        // can grow k=3 blocks here, which would change the plan shape this
-        // test asserts on.
+        // The panel profile: the statevector profile grows k=3 blocks
+        // here, which would change the plan shape this test asserts on.
         let mut plan = fuse_instructions_with(c.instructions(), 5, FusionProfile::panels());
         assert_eq!(plan.len(), 3);
         let want = plan_unitary(&plan, 5);
@@ -1119,30 +1054,19 @@ mod tests {
         assert_eq!(next, plan_a.len());
     }
 
-    /// On n ≤ 3 qubits the plan is the same under every cost profile:
-    /// each cost-model decision in [`Planner`] sits behind
-    /// `merge_arity_ok` (n ≥ k + 2, and a merged block has k ≥ 2). No
-    /// compile goes through the planner (both block passes accumulate
-    /// their 4×4s with `UnitaryAccumulator`), but a small
-    /// `circuit_unitary`, such as KAK's 2-qubit `debug_assert!`, still
-    /// gets the same plan whatever the per-process calibration measured.
+    /// On n ≤ 3 qubits the plan is the same whatever the pass cost: each
+    /// cost-model decision in [`Planner`] sits behind `merge_arity_ok`
+    /// (n ≥ k + 2, and a merged block has k ≥ 2). So on such registers
+    /// `circuit_unitary` (the panel profile) and the simulator (the
+    /// statevector profile) apply one plan.
     #[test]
     fn plans_on_three_qubits_or_fewer_ignore_the_profile() {
         use crate::testing::random_circuit;
         let profiles = [
-            FusionProfile {
-                pass_cost: 0.25,
-                dense3_weight: 1.0,
-            },
-            FusionProfile {
-                pass_cost: 24.0,
-                dense3_weight: 3.0,
-            },
+            FusionProfile { pass_cost: 0.25 },
             FusionProfile::panels(),
-            FusionProfile {
-                pass_cost: 8.0,
-                dense3_weight: 1.0,
-            },
+            FusionProfile::statevector(),
+            FusionProfile { pass_cost: 24.0 },
         ];
         for n in 1..=3usize {
             for seed in 0..300u64 {

@@ -38,7 +38,7 @@
 use crate::circuit::Circuit;
 use crate::fusion::{fuse_instructions_with, FusedInst, FusionProfile};
 use crate::gate::Gate;
-use qc_math::{KernelEngine, KernelOp, Matrix, C64};
+use qc_math::{BufPtr, KernelEngine, KernelOp, Matrix, C64};
 
 /// Embeds a k-qubit gate matrix into an n-qubit unitary, acting on the given
 /// qubits (little-endian: `qubits[0]` is the gate's least-significant local
@@ -124,11 +124,7 @@ pub fn circuit_unitary(circuit: &Circuit) -> Matrix {
     let n = circuit.num_qubits();
     // Panel profile: the plan streams over L2-resident column panels, so
     // the planner only makes arithmetic-reducing merges (passes are cheap).
-    let plan = fuse_instructions_with(
-        circuit.instructions(),
-        n,
-        FusionProfile::panels_calibrated(),
-    );
+    let plan = fuse_instructions_with(circuit.instructions(), n, FusionProfile::panels());
     unitary_from_plan(&plan, n, panel_width(1usize << n))
 }
 
@@ -138,11 +134,7 @@ pub fn circuit_unitary(circuit: &Circuit) -> Matrix {
 #[doc(hidden)]
 pub fn circuit_unitary_with_panel_width(circuit: &Circuit, width: usize) -> Matrix {
     let n = circuit.num_qubits();
-    let plan = fuse_instructions_with(
-        circuit.instructions(),
-        n,
-        FusionProfile::panels_calibrated(),
-    );
+    let plan = fuse_instructions_with(circuit.instructions(), n, FusionProfile::panels());
     unitary_from_plan(&plan, n, width)
 }
 
@@ -198,7 +190,7 @@ fn unitary_from_plan(plan: &[FusedInst<'_>], n: usize, width: usize) -> Matrix {
     }
     let panels = dim / width;
     let mut data = vec![C64::ZERO; dim * dim];
-    let out = SendPtr(data.as_mut_ptr());
+    let out = BufPtr::of(&mut data);
     let body = |panel_lo: usize, panel_hi: usize| {
         // Per-executor engine and panel scratch, reused across its panels.
         let mut engine = KernelEngine::new();
@@ -215,42 +207,15 @@ fn unitary_from_plan(plan: &[FusedInst<'_>], n: usize, width: usize) -> Matrix {
             }
             // Scatter the panel into the output's column stripe. Executors
             // own disjoint panels, hence disjoint column ranges.
-            for r in 0..dim {
-                // SAFETY: `out` outlives the loop (we hold `data` alive
-                // below) and stripes [r*dim + col0, +width) are disjoint
+            for (r, row) in scratch.chunks_exact(width).enumerate() {
+                // SAFETY: stripes [r*dim + col0, +width) are disjoint
                 // across panels.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        scratch.as_ptr().add(r * width),
-                        out.add(r * dim + col0),
-                        width,
-                    );
-                }
+                unsafe { out.span(r * dim + col0, width) }.copy_from_slice(row);
             }
         }
     };
     scoped_pool::run_chunked(panels, body);
     Matrix::from_vec(dim, dim, data)
-}
-
-/// A `Send + Sync` raw pointer wrapper for the panel scatter; executors
-/// write disjoint column stripes.
-#[derive(Copy, Clone)]
-struct SendPtr(*mut C64);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// Pointer to element `off`. Taking `self` by value makes closures
-    /// capture the whole wrapper (not the raw field), keeping them `Sync`.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`pointer::add`]; writes through the result must
-    /// target ranges disjoint from every other executor's.
-    unsafe fn add(self, off: usize) -> *mut C64 {
-        unsafe { self.0.add(off) }
-    }
 }
 
 /// Incrementally accumulates the unitary of a gate sequence on a small

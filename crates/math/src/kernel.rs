@@ -63,6 +63,7 @@
 
 use crate::complex::C64;
 use crate::matrix::Matrix;
+use std::marker::PhantomData;
 
 /// The number of executors kernel loops may fan out to: the
 /// [`set_max_threads`] override when set, else `RPO_THREADS`, else the
@@ -74,163 +75,20 @@ pub use scoped_pool::{lock_thread_cap, set_max_threads, set_steal_sequence};
 /// below ~1 MiB the split/merge latency exceeds the memory-bound sweep.
 pub const PAR_MIN_ELEMS: usize = 1 << 16;
 
-/// One-time (per process, per point) microcalibration of the fusion
-/// planner's sweep cost model: the cost of one full memory pass over an
-/// amplitude buffer, in units of one dense multiply-add per amplitude, at
-/// the model's cache-resident operating point (2¹³ scalars, 128 KiB).
-///
-/// Each point times two structured kernels — a diagonal 1q sweep
-/// (`pass + 1 madd`) and a dense 1q sweep (`pass + 2 madds`) — and solves
-/// the two-equation system: the madd cost is the *difference* of the two
-/// timings, the pass cost the remainder. Results are clamped (here to
-/// `[0.25, 8]` madds). Returns `None` — and callers fall back to their
-/// built-in constants — when the measurement is degenerate (timer too
-/// coarse, non-positive difference) or disabled via `RPO_CALIBRATE=0`.
-///
-/// The two points are measured lazily and independently, so a process
-/// that only ever simulates cache-resident registers never pays the
-/// 16 MiB streaming probe (and vice versa). Note the measured value is
-/// frozen per process: fusion plans — and therefore output-amplitude
-/// rounding — can differ *between* processes on a noisy host; set
-/// `RPO_CALIBRATE=0` when cross-run bit reproducibility matters.
+/// Always `None`: the fusion planner's pass cost is a fixed constant of
+/// its `FusionProfile`, and nothing is measured at run time. Kept for
+/// callers written against the earlier per-process timing probe.
+#[doc(hidden)]
 pub fn calibrated_cheap_pass_cost() -> Option<f64> {
-    use std::sync::OnceLock;
-    static CAL: OnceLock<Option<f64>> = OnceLock::new();
-    *CAL.get_or_init(|| {
-        if !calibration_enabled() {
-            return None;
-        }
-        Some(measure_pass_cost(13, 16)?.clamp(0.25, 8.0))
-    })
+    None
 }
 
-/// [`calibrated_cheap_pass_cost`]'s streaming counterpart: the pass cost
-/// over a beyond-cache buffer (2²⁰ scalars, 16 MiB), clamped to `[1, 24]`
-/// madds.
-///
-/// The probe's passes are above [`PAR_MIN_ELEMS`], so they fan out to the
-/// thread pool like any pass of that size: besides host noise, the value
-/// also moves with the thread cap in force when the first streaming plan
-/// is made (`RPO_THREADS`, or [`set_max_threads`] before that plan). With
-/// `RPO_CALIBRATE=0` neither matters, and output amplitudes are
-/// bit-identical across processes and thread counts.
-pub fn calibrated_streaming_pass_cost() -> Option<f64> {
-    use std::sync::OnceLock;
-    static CAL: OnceLock<Option<f64>> = OnceLock::new();
-    *CAL.get_or_init(|| {
-        if !calibration_enabled() {
-            return None;
-        }
-        Some(measure_pass_cost(20, 1)?.clamp(1.0, 24.0))
-    })
-}
-
-/// One-time microcalibration of the dense-3q register-pressure weight: the
-/// multiply-add efficiency penalty of the 8-way dense mix relative to the
-/// 2-way kernels (64 coefficients exceed the register budget, so each
-/// 8×8-block madd runs slower than a 2×2-block one).
-///
-/// Measured at the cache-resident point (2¹³ scalars) so the ratio
-/// isolates arithmetic throughput from memory bandwidth: with
-/// `madd = t(dense1q) − t(diag)` and `pass = t(diag) − madd`, the weight
-/// is `(t(dense3q) − pass) / (8·madd)`, clamped to `[1, 3]`. Returns
-/// `None` — callers fall back to their built-in constant — when disabled
-/// via `RPO_CALIBRATE=0` or the measurement is degenerate. Frozen per
-/// process, like the pass costs.
+/// Always `None`: the dense-3q weight is a fixed constant of the fusion
+/// planner. Kept for callers written against the earlier per-process
+/// timing probe.
+#[doc(hidden)]
 pub fn calibrated_dense3_penalty() -> Option<f64> {
-    use std::sync::OnceLock;
-    static CAL: OnceLock<Option<f64>> = OnceLock::new();
-    *CAL.get_or_init(|| {
-        if !calibration_enabled() {
-            return None;
-        }
-        Some(measure_dense3_penalty(13, 16)?.clamp(1.0, 3.0))
-    })
-}
-
-/// Measures the dense-3q penalty on a 2ⁿ-scalar buffer (see
-/// [`calibrated_dense3_penalty`]); `inner` batches kernel applications per
-/// timing sample to rise above timer noise.
-fn measure_dense3_penalty(n: usize, inner: usize) -> Option<f64> {
-    use std::time::Instant;
-    let mut buf = vec![C64::new(0.6, 0.8); 1 << n];
-    let mut engine = KernelEngine::new();
-    let diag = KernelOp::OneQDiag([C64::new(0.8, 0.6), C64::new(0.6, -0.8)]);
-    let dense = KernelOp::OneQ([
-        C64::new(0.8, 0.0),
-        C64::new(0.0, 0.6),
-        C64::new(0.0, 0.6),
-        C64::new(0.8, 0.0),
-    ]);
-    // A unitary-ish dense 8×8 probe (exact unitarity is irrelevant to the
-    // timing; the buffer is scratch).
-    let m3 = Matrix::from_fn(8, 8, |r, c| {
-        let s = if r == c { 0.9 } else { 0.1 };
-        C64::new(s * (1.0 + (r as f64) * 0.01), s * (0.5 - (c as f64) * 0.01))
-    });
-    let mut time_op = |op: &KernelOp<'_>, qubits: &[usize]| -> f64 {
-        engine.apply(&mut buf, n, op, qubits);
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            for _ in 0..inner {
-                engine.apply(&mut buf, n, op, qubits);
-            }
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let t_diag = time_op(&diag, &[0]);
-    let t_dense = time_op(&dense, &[0]);
-    let t_dense3 = time_op(&KernelOp::Dense(&m3), &[0, 1, 2]);
-    let madd = t_dense - t_diag;
-    if madd <= 0.0 || t_diag <= madd {
-        return None; // degenerate measurement: keep the fallback constant
-    }
-    let pass = t_diag - madd;
-    let weight = (t_dense3 - pass) / (8.0 * madd);
-    (weight > 0.0).then_some(weight)
-}
-
-fn calibration_enabled() -> bool {
-    std::env::var("RPO_CALIBRATE").as_deref() != Ok("0")
-}
-
-/// Measures the pass-per-madd ratio on a 2ⁿ-scalar buffer, applying each
-/// probe kernel `inner` times per timing sample (small buffers need the
-/// batching to rise above timer noise).
-fn measure_pass_cost(n: usize, inner: usize) -> Option<f64> {
-    use std::time::Instant;
-    let mut buf = vec![C64::new(0.6, 0.8); 1 << n];
-    let mut engine = KernelEngine::new();
-    let diag = KernelOp::OneQDiag([C64::new(0.8, 0.6), C64::new(0.6, -0.8)]);
-    let dense = KernelOp::OneQ([
-        C64::new(0.8, 0.0),
-        C64::new(0.0, 0.6),
-        C64::new(0.0, 0.6),
-        C64::new(0.8, 0.0),
-    ]);
-    let mut time_op = |op: &KernelOp<'_>| -> f64 {
-        // Warm up once (page faults, table growth), then keep the best of
-        // three samples to shed scheduler noise.
-        engine.apply(&mut buf, n, op, &[0]);
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            for _ in 0..inner {
-                engine.apply(&mut buf, n, op, &[0]);
-            }
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let t_diag = time_op(&diag);
-    let t_dense = time_op(&dense);
-    let madd = t_dense - t_diag;
-    if madd <= 0.0 || t_diag <= madd {
-        return None; // degenerate measurement: keep the fallback constants
-    }
-    Some((t_diag - madd) / madd)
+    None
 }
 
 /// A gate's action in *local* (gate-qubit) terms, classified for kernel
@@ -317,33 +175,43 @@ pub fn expand_bits(base: usize, sorted_masks: &[usize]) -> usize {
     x
 }
 
-/// A raw shared view of a kernel buffer, passed into range bodies so that
-/// statically partitioned executors can address disjoint rows without
-/// slicing through a single `&mut`.
+/// A raw shared view of a mutable buffer, passed into [`par_units`] bodies
+/// so that statically partitioned executors can reach disjoint elements
+/// without slicing through a single `&mut`. The kernels in this module,
+/// the simulator's sweeps and `circuit_unitary`'s panel scatter share it.
 ///
 /// # Safety contract
 ///
-/// [`BufPtr::span`] hands out `&mut` sub-slices; callers must guarantee that
-/// concurrently live spans never overlap. Every kernel satisfies this
-/// structurally: work units own disjoint row-index sets (distinct base
-/// indices expand to distinct rows), and units are partitioned across
-/// executors without overlap.
-#[derive(Copy, Clone)]
-struct BufPtr {
-    ptr: *mut C64,
+/// [`BufPtr::span`] and [`BufPtr::write`] reach the buffer through a raw
+/// pointer; callers must guarantee that no two spans or writes live at the
+/// same time touch the same element. Every caller satisfies this
+/// structurally: work units own disjoint index sets (distinct base indices
+/// expand to distinct rows), and units are partitioned across executors
+/// without overlap.
+#[derive(Clone, Copy, Debug)]
+pub struct BufPtr<'a, T> {
+    ptr: *mut T,
     len: usize,
+    _buf: PhantomData<&'a mut [T]>,
 }
 
-// SAFETY: see the struct-level contract; disjointness is the caller's
-// obligation and is upheld by every kernel body in this module.
-unsafe impl Send for BufPtr {}
-unsafe impl Sync for BufPtr {}
+// SAFETY: a `BufPtr` reaches only the elements of the buffer `of` borrowed
+// mutably for `'a`, so moving it to another thread moves access to `T`s,
+// which `T: Send` allows.
+unsafe impl<T: Send> Send for BufPtr<'_, T> {}
+// SAFETY: sharing a `BufPtr` lets every executor write its own elements —
+// splitting one `&mut [T]` across threads, sound for `T: Send` as long as
+// the elements are disjoint, which every `unsafe` accessor makes the
+// caller's obligation.
+unsafe impl<T: Send> Sync for BufPtr<'_, T> {}
 
-impl BufPtr {
-    fn of(buf: &mut [C64]) -> BufPtr {
+impl<'a, T> BufPtr<'a, T> {
+    /// A view of `buf`, which stays mutably borrowed while the view lives.
+    pub fn of(buf: &'a mut [T]) -> Self {
         BufPtr {
             ptr: buf.as_mut_ptr(),
             len: buf.len(),
+            _buf: PhantomData,
         }
     }
 
@@ -351,13 +219,26 @@ impl BufPtr {
     ///
     /// # Safety
     ///
-    /// The range must be in bounds and not overlap any other span that is
-    /// live at the same time (on this or any other executor).
+    /// The range must be in bounds (checked in debug builds) and must not
+    /// overlap any other span or write live at the same time, on this or
+    /// any other executor.
     #[inline]
     #[allow(clippy::mut_from_ref)] // the aliasing discipline is the type's documented contract
-    unsafe fn span<'a>(&self, start: usize, len: usize) -> &'a mut [C64] {
+    pub unsafe fn span(&self, start: usize, len: usize) -> &'a mut [T] {
         debug_assert!(start + len <= self.len);
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
+    }
+
+    /// Stores `v` in element `i`.
+    ///
+    /// # Safety
+    ///
+    /// `i` must be in bounds (checked in debug builds), and no span or
+    /// write live at the same time may touch element `i`.
+    #[inline]
+    pub unsafe fn write(&self, i: usize, v: T) {
+        debug_assert!(i < self.len);
+        unsafe { *self.ptr.add(i) = v }
     }
 }
 
@@ -1113,7 +994,7 @@ fn apply_dense_3q(buf: &mut [C64], row_len: usize, qs: [usize; 3], m: &[C64; 64]
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 unsafe fn dense3_span_cavx(
-    bp: BufPtr,
+    bp: BufPtr<'_, C64>,
     lo: usize,
     hi: usize,
     masks: &[usize; 3],
@@ -1174,7 +1055,7 @@ unsafe fn dense3_span_cavx(
 /// base-index octuple in `[lo, hi)`.
 #[inline(always)]
 fn dense3_span_inner(
-    bp: BufPtr,
+    bp: BufPtr<'_, C64>,
     row_len: usize,
     lo: usize,
     hi: usize,
@@ -1224,7 +1105,7 @@ fn dense3_span_inner(
     }
 }
 simd_dispatch!(dense3_span => dense3_span_inner / dense3_span_avx2 / dense3_span_avx512,
-    fn(bp: BufPtr, row_len: usize, lo: usize, hi: usize,
+    fn(bp: BufPtr<'_, C64>, row_len: usize, lo: usize, hi: usize,
        masks: &[usize; 3], offs: &[usize; 8], m: &[C64; 64]));
 
 #[cfg(test)]

@@ -13,12 +13,13 @@
 //! Whole-circuit runs ([`Statevector::from_circuit`]) go through the gate
 //! **fusion planner** ([`qc_circuit::fuse_instructions`]): runs of 1q gates
 //! collapse into one 2×2, 1q gates fold into neighboring dense blocks, and
-//! — under the planner's state-vector cost profile — neighborhoods of up
-//! to three qubits consolidate in-stream: same-pair dense blocks merge
-//! into one 4×4, and once the vector outgrows the cache-resident budget
-//! (2¹⁶ amplitudes, where passes stream from beyond L2) overlapping 2q/1q
-//! neighborhoods grow into single 8×8 sweeps. Deep circuits therefore
-//! sweep the amplitude vector far fewer times. The kernels additionally
+//! — under the planner's fixed state-vector cost profile
+//! ([`qc_circuit::FusionProfile::statevector`]) — neighborhoods of up to
+//! three qubits consolidate in-stream: same-pair dense blocks merge into
+//! one 4×4, and overlapping 2q/1q neighborhoods grow into single 8×8
+//! sweeps. Deep circuits therefore sweep the amplitude vector far fewer
+//! times, and the plan, like every amplitude bit, depends on the circuit
+//! alone. The kernels additionally
 //! split large amplitude vectors (≥ 2¹⁶ amplitudes) across the vendored
 //! scoped-thread pool, with bit-identical results at any thread count;
 //! smaller vectors, and every vector under `RPO_THREADS=1`, stay on the
@@ -32,36 +33,10 @@
 //! operator is required (all 2ⁿ columns, O(4ⁿ) memory).
 
 use qc_circuit::{fuse_instructions, schedule_fused, Circuit, FusedInst, Gate, Instruction};
-use qc_math::{expand_bits, par_units, KernelEngine, Matrix, C64};
+use qc_math::{expand_bits, par_units, BufPtr, KernelEngine, Matrix, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-
-/// A raw mutable pointer shipped into `par_units` bodies for disjoint
-/// element-wise writes (the same aliasing discipline as the kernel
-/// engine's buffer spans: each split chunk touches its own indices only).
-struct SyncPtr<T>(*mut T);
-unsafe impl<T> Send for SyncPtr<T> {}
-unsafe impl<T> Sync for SyncPtr<T> {}
-
-impl<T> SyncPtr<T> {
-    /// # Safety
-    ///
-    /// `i` must be in bounds and not concurrently written by another chunk.
-    #[inline]
-    unsafe fn write(&self, i: usize, v: T) {
-        unsafe { *self.0.add(i) = v }
-    }
-
-    /// # Safety
-    ///
-    /// Same contract as [`SyncPtr::write`]: the returned pointer must only
-    /// be used for indices not concurrently touched by another chunk.
-    #[inline]
-    unsafe fn offset_ptr(&self, i: usize) -> *mut T {
-        unsafe { self.0.add(i) }
-    }
-}
 
 /// Shard width of the chunked streaming executor: one shard of 2¹⁶
 /// amplitudes (1 MiB of `C64`) stays cache-resident, so a run of
@@ -247,15 +222,14 @@ impl Statevector {
         let shard = 1usize << STREAM_SHARD_QUBITS;
         let shards = amps.len() >> STREAM_SHARD_QUBITS;
         let total = amps.len();
-        let base = SyncPtr(amps.as_mut_ptr());
+        let base = BufPtr::of(amps);
         par_units(shards, total, move |lo, hi| {
             let mut engine = KernelEngine::new();
             for s in lo..hi {
                 // SAFETY: shard `s` covers amplitudes
                 // `[s·2¹⁶, (s+1)·2¹⁶)` — disjoint across `s`, and chunks
                 // cover disjoint shard ranges.
-                let slice =
-                    unsafe { std::slice::from_raw_parts_mut(base.offset_ptr(s * shard), shard) };
+                let slice = unsafe { base.span(s * shard, shard) };
                 for fi in ops {
                     engine.apply(slice, STREAM_SHARD_QUBITS, &fi.op(), &fi.qubits);
                 }
@@ -281,7 +255,7 @@ impl Statevector {
     pub fn probabilities(&self) -> Vec<f64> {
         let mut out = vec![0.0f64; self.amps.len()];
         let src = &self.amps;
-        let dst = SyncPtr(out.as_mut_ptr());
+        let dst = BufPtr::of(&mut out);
         par_units(src.len(), sweep_par_elems(src.len()), move |lo, hi| {
             for (i, z) in src.iter().enumerate().take(hi).skip(lo) {
                 // SAFETY: chunks cover disjoint index ranges.
@@ -341,7 +315,7 @@ impl Statevector {
         let last = cdf.len() - 1;
         {
             let cdf = &cdf;
-            let dst = SyncPtr(outcomes.as_mut_ptr());
+            let dst = BufPtr::of(&mut outcomes);
             // Each shot costs one n-deep binary search; weight the
             // parallel threshold by that depth rather than the shot count
             // alone.
@@ -379,18 +353,17 @@ impl Statevector {
         let half = self.amps.len() >> 1;
         // Every base-index pair is collapsed independently, so the sweep
         // splits across the kernel thread pool bit-identically.
-        let amps = SyncPtr(self.amps.as_mut_ptr());
+        let amps = BufPtr::of(&mut self.amps);
         par_units(half, sweep_par_elems(2 * half), move |lo, hi| {
             for b in lo..hi {
                 let i0 = expand_bits(b, &mask);
                 let i1 = i0 | mask[0];
                 // SAFETY: distinct b → distinct (i0, i1) pairs; chunks
                 // cover disjoint b ranges.
-                unsafe {
-                    let src = if outcome_one { i1 } else { i0 };
-                    amps.write(i0, (*amps.0.add(src)).scale(scale));
-                    amps.write(i1, C64::ZERO);
-                }
+                let (a0, a1) = unsafe { (&mut amps.span(i0, 1)[0], &mut amps.span(i1, 1)[0]) };
+                let kept = if outcome_one { *a1 } else { *a0 };
+                *a0 = kept.scale(scale);
+                *a1 = C64::ZERO;
             }
         });
     }

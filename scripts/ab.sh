@@ -3,7 +3,7 @@
 # kernel benches.
 #
 # Usage: scripts/ab.sh <rev-a> <rev-b> <workload> [pairs=4] [seconds=30]
-#        scripts/ab.sh <rev-a> <rev-b> kernels:<filter> [pairs=4]
+#        scripts/ab.sh <rev-a> <rev-b> kernels:<filter> [pairs=10]
 #   rev-a, rev-b  any git revisions (commit, branch, tag, HEAD~1, ...)
 #   workload      a perfbench workload (paper-compile, fleet-serve)
 #   filter        a `scripts/bench.sh` name filter (substring; empty = all)
@@ -18,8 +18,10 @@
 # one kernel thread on both sides (`BENCH_FEATURES=` selects the
 # single-threaded build of revisions whose bench.sh still takes cargo
 # features). Its JSON goes to the temporary directory, not over the
-# worktree's BENCH_kernels.json. A side's first run also builds it, into
-# its own worktree.
+# worktree's BENCH_kernels.json. Every side builds into its own worktree:
+# in kernel mode both bench binaries are built before pair 1, so no timed
+# run shares the host with a compile; a perfbench side's first run builds
+# it.
 #
 # For every end-to-end metric (in kernel mode: every bench's median_ns) it
 # prints which direction is better, both medians, the b/a ratio of the
@@ -50,6 +52,7 @@ case "$W" in
     kernels:*)
         KERNELS=1
         FILTER=${W#kernels:}
+        PAIRS=${4:-10}
         [ $# -le 4 ] || usage
         ;;
 esac
@@ -69,6 +72,16 @@ cleanup() {
 trap cleanup EXIT
 git worktree add --detach --quiet "$work/a" "$a_sha"
 git worktree add --detach --quiet "$work/b" "$b_sha"
+
+if [ "$KERNELS" -eq 1 ]; then
+    for side in a b; do
+        echo "ab: building side $side" >&2
+        (cd "$work/$side" &&
+            CARGO_TARGET_DIR="$work/$side/.bench_build" \
+                cargo bench -q -p qc-bench --bench kernels --no-run >&2) ||
+            { echo "ab: side $side does not build" >&2; exit 1; }
+    done
+fi
 
 failed_runs=0
 # kernel_run <side> <seed>: one kernel bench run, printed as a perfbench
