@@ -6,7 +6,7 @@
 //!
 //! 1. **Fusion** ([`crate::fusion`]): 1q runs collapse to single 2×2
 //!    products, 1q gates fold into adjacent dense blocks, and same-pair /
-//!    in-block gates consolidate into one matrix — planned under the
+//!    in-block gates consolidate into one matrix — planned under the fixed
 //!    *panel* cost profile ([`crate::fusion::FusionProfile::panels`]),
 //!    where passes run at cache bandwidth and only arithmetic-reducing
 //!    merges pay off.
@@ -21,8 +21,9 @@
 //!
 //! Panels are distributed across the vendored scoped-thread pool (on the
 //! calling thread under `RPO_THREADS=1`); panel boundaries depend only on
-//! n, so the result is **bit-identical at every thread count** (each panel
-//! is an independent computation).
+//! n, and the plan only on the circuit, so the result is **bit-identical
+//! at every thread count and in every process** (each panel is an
+//! independent computation).
 //!
 //! The older embed-then-matmul formulation ([`circuit_unitary_reference`])
 //! costs O(8ⁿ) per gate in its dense form and is retained as the

@@ -195,14 +195,15 @@ pub struct BufPtr<'a, T> {
     _buf: PhantomData<&'a mut [T]>,
 }
 
-// SAFETY: a `BufPtr` reaches only the elements of the buffer `of` borrowed
-// mutably for `'a`, so moving it to another thread moves access to `T`s,
-// which `T: Send` allows.
+// SAFETY: `ptr` points into the buffer that `of` borrowed mutably for
+// `'a` (`_buf` holds that borrow), and `len` is a plain count. Moving the
+// view to another thread moves mutable access to `T`s, as sending a
+// `&mut [T]` would, which `T: Send` allows.
 unsafe impl<T: Send> Send for BufPtr<'_, T> {}
-// SAFETY: sharing a `BufPtr` lets every executor write its own elements —
-// splitting one `&mut [T]` across threads, sound for `T: Send` as long as
-// the elements are disjoint, which every `unsafe` accessor makes the
-// caller's obligation.
+// SAFETY: through a shared `BufPtr` every executor mutates (and drops the
+// old values of) its own elements only: one `&mut [T]` split across
+// threads, sound for `T: Send`. No `&T` is shared between threads, and
+// the disjointness is the caller's obligation on every `unsafe` accessor.
 unsafe impl<T: Send> Sync for BufPtr<'_, T> {}
 
 impl<'a, T> BufPtr<'a, T> {
